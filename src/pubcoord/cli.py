@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from . import io_json
 from .census import census
@@ -58,32 +59,22 @@ def _emit(summary: dict, as_json: bool) -> None:
         print("  ".join(f"{k}={v}" for k, v in summary.items()))
 
 
-def _load_game(path: str):
+def _load(path: str, converted: bool):
+    """Parse ``path`` once and build the game it holds; ``converted`` says
+    which kind the command needs, told apart by the ``origin`` section."""
     try:
-        if io_json.is_converted_file(path):
-            raise _CliError(EXIT_VALIDATION,
-                            f"{path} holds a converted game; an original "
-                            "game is required")
-        return io_json.load_game(path)
-    except _CliError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path) as f:
+            d = json.load(f)
+    except (OSError, ValueError) as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, f"{path}: {exc}")
-
-
-def _load_converted(path: str):
+    if (isinstance(d, dict) and "origin" in d) != converted:
+        held, needed = (("an original", "a converted") if converted
+                        else ("a converted", "an original"))
+        raise _CliError(EXIT_VALIDATION, f"{path} holds {held} game; "
+                                         f"{needed} game is required")
     try:
-        if not io_json.is_converted_file(path):
-            raise _CliError(EXIT_VALIDATION,
-                            f"{path} holds an original game; a converted "
-                            "game is required")
-        return io_json.load_converted(path)
-    except _CliError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
+        return (io_json.converted_from_dict(d) if converted
+                else io_json.game_from_dict(d))
     except GameError as exc:
         raise _CliError(EXIT_VALIDATION, f"{path}: {exc}")
 
@@ -137,7 +128,7 @@ def cmd_convert(args) -> int:
         raise _CliError(EXIT_PARAMS,
                         "--safe-ir needs exclusion data; it cannot be "
                         "combined with --mode basic")
-    game = _load_game(args.input)
+    game = _load(args.input, converted=False)
     try:
         validate_game(game)
         if not is_public_turn_taking(game):
@@ -176,7 +167,7 @@ def cmd_solve(args) -> int:
     if args.iterations < 0:
         raise _CliError(EXIT_PARAMS,
                         f"iterations must be >= 0, got {args.iterations}")
-    cg = _load_converted(args.input)
+    cg = _load(args.input, converted=True)
     try:
         profile, log = solve_cfr(cg, algo=args.algo,
                                  iterations=args.iterations,
@@ -186,10 +177,10 @@ def cmd_solve(args) -> int:
     except GameError as exc:
         raise _CliError(EXIT_VALIDATION, str(exc))
     if args.csv:
-        _write(args.csv, lambda p: open(p, "w").write(log.to_csv()))
+        _write(args.csv, lambda p: Path(p).write_text(log.to_csv()))
     if args.strategy:
         payload = json.dumps(_strategy_json(profile), sort_keys=True)
-        _write(args.strategy, lambda p: open(p, "w").write(payload))
+        _write(args.strategy, lambda p: Path(p).write_text(payload))
     _emit({"algo": args.algo, "iterations": args.iterations,
            "team_value": f"{value:.12g}", "exploitability": f"{expl:.12g}"},
           args.json)
@@ -202,7 +193,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    game = _load_game(args.input)
+    game = _load(args.input, converted=False)
     try:
         res = tmecor_bruteforce(game, tol=args.tol,
                                 max_entries=args.max_entries)
@@ -222,8 +213,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _load_game(args.input)
-    cg = _load_converted(args.converted)
+    game = _load(args.input, converted=False)
+    cg = _load(args.converted, converted=True)
     if cg.source_digest != game_digest(game):
         raise _CliError(EXIT_ORIGIN,
                         f"{args.converted} does not derive from "

@@ -4,18 +4,23 @@ Converts a team game (team members vs. at most one opponent, ex-ante
 coordination) into a two-player zero-sum game between a *coordinator* and the
 opponent.  At every team decision point the coordinator publicly commits to a
 *prescription*: one action for every private state (team infoset) compatible
-with the public information.  A probability-one chance edge then plays the
-action prescribed for the actual private state.
+with the public information.  A chance node then plays the action prescribed
+for the actual private state.
 
-Three information-lossless representations are provided:
+One recursive builder produces all three information-lossless
+representations; two switches turn on the reductions in turn:
 
-- ``basic``   — one coordinator node per original team history.
-- ``pruned``  — private states whose prescribed action differs from the action
-                actually played are excluded from later prescriptions.
-- ``folded``  — team-private, opponent-unseen chance outcomes are never
-                branched; a belief over private states is carried instead and
-                the prescription is resolved by a chance node with one outcome
-                per distinct prescribed action.
+- ``basic``   — neither switch: one coordinator node per original team
+                history, and a probability-one ``dummy`` chance node plays
+                the prescribed action.
+- ``pruned``  — *prune*: private states whose prescribed action differs from
+                the action actually played are excluded from later
+                prescriptions.
+- ``folded``  — *prune* and *fold*: team-private, opponent-unseen chance
+                outcomes are never branched; a belief over private states is
+                carried instead and the prescription is resolved by a
+                ``presc`` chance node with one outcome per distinct
+                prescribed action.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
 forgetting prescription components that addressed already-excluded states.
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 from typing import Optional
@@ -53,15 +57,13 @@ from .model import (
     VEFG,
     infosets,
     is_public_turn_taking,
+    recursion_headroom,
     seen_sequences,
     team_perfect_recall_refinement,
     validate_perfect_recall,
 )
 
 TeamInfosetRef = tuple[PlayerRole, InfosetKey]
-
-# Prescription as stored per coordinator edge: ((iset id, action label), ...)
-PrescriptionT = tuple[tuple[int, str], ...]
 
 
 def game_digest(game: VEFG) -> str:
@@ -82,11 +84,17 @@ def game_digest(game: VEFG) -> str:
 class ConvertedGame:
     """A converted two-player zero-sum game plus conversion bookkeeping.
 
-    Parallel per-node tuples describe each converted node's origin:
-    ``node_kind`` is one of ``coord`` (coordinator decision), ``dummy``
-    (probability-one chance playing the extracted action), ``presc``
-    (folded prescription-resolving chance), ``copy`` (chance / opponent /
-    terminal copied from the source).
+    The per-node tuples are indexed like ``game.nodes``.  ``node_kind`` is
+    one of ``coord`` (coordinator decision), ``dummy`` (probability-one
+    chance playing the prescribed action; fold off), ``presc`` (chance
+    resolving a prescription against the belief; fold on) or ``copy``
+    (chance / opponent / terminal copied from the source).
+    ``origin_player`` is the team member behind ``coord`` / ``dummy`` /
+    ``presc`` nodes.  At coordinator nodes, ``active`` lists the team
+    infosets a prescription covers and ``supports`` the compatible source
+    states (sorted ids); elsewhere both are ``None``.  Edge ``k`` of a
+    coordinator node prescribes the ``k``-th element of
+    ``itertools.product`` over the active infosets' action lists.
     """
 
     game: VEFG
@@ -96,16 +104,10 @@ class ConvertedGame:
     source_digest: str
     node_kind: tuple[str, ...]
     origin_player: tuple[Optional[PlayerRole], ...]
-    origin_node: tuple[Optional[int], ...]
     active: tuple[Optional[tuple[int, ...]], ...]
-    excluded: tuple[Optional[frozenset[int]], ...]
-    beliefs: tuple[Optional[tuple[tuple[int, Fraction], ...]], ...]
-    prescriptions: tuple[Optional[tuple[PrescriptionT, ...]], ...]
     iset_refs: tuple[TeamInfosetRef, ...]        # team iset id -> (player, key)
     iset_actions: tuple[tuple[str, ...], ...]    # team iset id -> action labels
-    # compatible original states per coordinator node (sorted source node ids)
-    supports: tuple[Optional[tuple[int, ...]], ...] = ()
-    coordinator_keys: Optional[tuple] = None     # safe-IR infoset key per node
+    supports: tuple[Optional[tuple[int, ...]], ...]
 
 
 def _prepare(game: VEFG) -> VEFG:
@@ -142,30 +144,53 @@ class _Builder:
         self.nodes: list[Node] = []
         self.kind: list[str] = []
         self.oplayer: list[Optional[PlayerRole]] = []
-        self.onode: list[Optional[int]] = []
         self.active: list[Optional[tuple[int, ...]]] = []
-        self.excluded: list[Optional[frozenset[int]]] = []
-        self.beliefs: list = []
-        self.prescriptions: list = []
-        self.supports: list = []
+        self.supports: list[Optional[tuple[int, ...]]] = []
 
-    def emit(self, node: Node, kind: str, oplayer=None, onode=None,
-             active=None, excluded=None, belief=None, presc=None,
+    def emit(self, node: Node, kind: str, oplayer=None, active=None,
              support=None) -> int:
         self.nodes.append(node)
         self.kind.append(kind)
         self.oplayer.append(oplayer)
-        self.onode.append(onode)
         self.active.append(active)
-        self.excluded.append(excluded)
-        self.beliefs.append(belief)
-        self.prescriptions.append(presc)
         self.supports.append(tuple(sorted(support))
                              if support is not None else None)
         return len(self.nodes) - 1
 
 
+# mode -> (prune, fold)
+_SWITCHES = {"basic": (False, False), "pruned": (True, False),
+             "folded": (True, True)}
+
+_ONE = Fraction(1)
+_COORD_ONLY = frozenset((COORDINATOR,))
+_COORD_OPP = frozenset((COORDINATOR, OPPONENT))
+
+
+def _split(pairs) -> list[tuple[str, Fraction, tuple, Edge]]:
+    """Group successor ``(edge, weight)`` pairs by edge label, in first-seen
+    order: ``(label, mass, normalised child belief, representative edge)``.
+
+    A one-state group keeps its weight as the mass and gets weight exactly 1,
+    without rational arithmetic; with fold off every group is one state.
+    """
+    groups: dict[str, list[tuple[Edge, Fraction]]] = {}
+    for e, w in pairs:
+        groups.setdefault(e.label, []).append((e, w))
+    out = []
+    for label, members in groups.items():
+        if len(members) == 1:
+            e, q = members[0]
+            out.append((label, q, ((e.child, _ONE),), e))
+            continue
+        q = sum(w for _, w in members)
+        belief = tuple((e.child, w / q) for e, w in members) if q else ()
+        out.append((label, q, belief, members[-1][0]))
+    return out
+
+
 def _convert(game: VEFG, mode: str) -> ConvertedGame:
+    prune, fold = _SWITCHES[mode]
     g = _prepare(game)
     team_set = frozenset(g.team_players())
     opp = g.opponent()
@@ -180,221 +205,102 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
             seen.add(OPPONENT)
         return frozenset(seen)
 
-    def team_public(e: Edge) -> bool:
-        return team_set <= e.seen_by
-
-    def presc_label(active: tuple[int, ...], gamma: dict[int, str]) -> str:
-        return "G[" + ",".join(f"{i}={gamma[i]}" for i in active) + "]"
-
-    def rec(h: int, support: tuple[int, ...], excl: frozenset[int]) -> int:
-        node = g.nodes[h]
-        if node.is_terminal:
-            return b.emit(Node(utility=node.utility), "copy", onode=h)
-        if node.is_chance or (opp is not None and node.player == opp):
-            edges = []
-            for e in node.edges:
-                if team_public(e):
-                    sup = tuple(ee.child for gg in support
-                                for ee in g.nodes[gg].edges
-                                if ee.label == e.label)
-                else:
-                    sup = tuple(ee.child for gg in support
-                                for ee in g.nodes[gg].edges)
-                child = rec(e.child, sup, excl)
-                edges.append(Edge(e.label, child, e.prob, conv_seen(e)))
-            return b.emit(Node(player=node.player, edges=tuple(edges)),
-                          "copy", onode=h)
-        # team decision node -> coordinator node with prescriptions
-        active = tuple(sorted({iset_of[gg] for gg in support}))
-        my = iset_of[h]
-        assert my in active
-        edge_of = {e.label: e for e in node.edges}
-        # per (infoset, action): children of the support states in that
-        # infoset reached by that action, so the per-prescription support
-        # is a concatenation instead of a fresh scan
-        kids: dict[tuple[int, str], tuple[int, ...]] = {}
-        for i in active:
-            states = [gg for gg in support if iset_of[gg] == i]
-            for a in iset_actions[i]:
-                kids[(i, a)] = tuple(ee.child for gg in states
-                                     for ee in g.nodes[gg].edges
-                                     if ee.label == a)
-        basic_sup = {a: tuple(ch for i in active for ch in kids[(i, a)])
-                     for a in iset_actions[my]}
-        pres_edges: list[Edge] = []
-        pres_list: list[PrescriptionT] = []
-        for combo in itertools.product(
-                *(iset_actions[i] for i in active)):
-            gamma = dict(zip(active, combo))
-            a = gamma[my]
-            orig_edge = edge_of[a]
-            if mode == "pruned":
-                new_excl = excl | {i for i in active if gamma[i] != a}
-                new_sup = tuple(ch for i in active if gamma[i] == a
-                                for ch in kids[(i, a)])
-            else:
-                new_excl = excl
-                new_sup = basic_sup[a]
-            child = rec(orig_edge.child, new_sup, new_excl)
-            dummy_seen = {COORDINATOR}
-            if opp is not None and opp in orig_edge.seen_by:
-                dummy_seen.add(OPPONENT)
-            dummy = b.emit(
-                Node(player=CHANCE,
-                     edges=(Edge(a, child, Fraction(1), frozenset(dummy_seen)),)),
-                "dummy", oplayer=node.player, onode=h)
-            pres_edges.append(Edge(presc_label(active, gamma), dummy,
-                                   None, frozenset((COORDINATOR,))))
-            pres_list.append(tuple((i, gamma[i]) for i in active))
-        return b.emit(Node(player=COORDINATOR, edges=tuple(pres_edges)),
-                      "coord", oplayer=node.player, onode=h,
-                      active=active, excluded=excl, presc=tuple(pres_list),
-                      support=support)
+    def next_support(support: tuple[int, ...], e: Edge) -> tuple[int, ...]:
+        """Children of the support states after edge ``e``: through ``e``'s
+        label when the coordinator sees it, else through every edge."""
+        if team_set <= e.seen_by:
+            return tuple(c.child for s in support for c in g.nodes[s].edges
+                         if c.label == e.label)
+        return tuple(c.child for s in support for c in g.nodes[s].edges)
 
     def foldable(nid: int) -> bool:
-        node = g.nodes[nid]
-        for e in node.edges:
-            if team_public(e):
-                return False
-            if opp is not None and opp in e.seen_by:
-                return False
-        return True
+        return not any(team_set <= e.seen_by
+                       or (opp is not None and opp in e.seen_by)
+                       for e in g.nodes[nid].edges)
 
-    def recf(belief: tuple[tuple[int, Fraction], ...],
-             support: tuple[int, ...], excl: frozenset[int]) -> int:
+    def build(belief: tuple[tuple[int, Fraction], ...],
+              support: tuple[int, ...]) -> int:
         # ``belief`` is the branch-local state distribution (conditioned on
         # everything on the path, including opponent-private chance) and
         # yields chance probabilities and terminal weights.  ``support`` is
         # the coordinator's compatible-state set (conditioned only on
         # coordinator-visible information) and determines the active infosets
         # a prescription must cover — these differ whenever opponent-private
-        # chance was branched explicitly.
-        node0 = g.nodes[belief[0][0]]
-        if node0.is_terminal:
-            assert all(g.nodes[nid].is_terminal for nid, _ in belief)
-            util = sum((w * Fraction(g.nodes[nid].utility)
-                        for nid, w in belief), Fraction(0))
-            return b.emit(Node(utility=util), "copy",
-                          onode=belief[0][0] if len(belief) == 1 else None,
-                          belief=belief)
-        if node0.is_chance:
-            if foldable(belief[0][0]):
-                newbel = tuple((e.child, w * Fraction(e.prob))
-                               for nid, w in belief
-                               for e in g.nodes[nid].edges)
-                newsup = tuple(e.child for nid in support
-                               for e in g.nodes[nid].edges)
-                return recf(newbel, newsup, excl)
+        # chance was branched explicitly.  With fold off the belief is always
+        # the single current state with weight 1.
+        h = belief[0][0]
+        node = g.nodes[h]
+        if node.is_terminal:
+            if not fold:
+                return b.emit(Node(utility=node.utility), "copy")
+            assert all(g.nodes[s].is_terminal for s, _ in belief)
+            util = sum((w * Fraction(g.nodes[s].utility) for s, w in belief),
+                       Fraction(0))
+            return b.emit(Node(utility=util), "copy")
+        if node.is_chance and fold:
+            if foldable(h):
+                return build(
+                    tuple((e.child, w * Fraction(e.prob)) for s, w in belief
+                          for e in g.nodes[s].edges),
+                    tuple(e.child for s in support for e in g.nodes[s].edges))
             # explicit chance: branch by label with belief-marginal probs
-            labels: list[str] = []
-            for nid, _ in belief:
-                for e in g.nodes[nid].edges:
-                    if e.label not in labels:
-                        labels.append(e.label)
-            rep0 = g.nodes[belief[0][0]].edges[0]
-            coordinator_sees = team_public(rep0)
             edges = []
-            for lab in labels:
-                q = Fraction(0)
-                nb: list[tuple[int, Fraction]] = []
-                rep: Optional[Edge] = None
-                for nid, w in belief:
-                    for e in g.nodes[nid].edges:
-                        if e.label == lab:
-                            rep = e
-                            q += w * Fraction(e.prob)
-                            nb.append((e.child, w * Fraction(e.prob)))
+            for label, q, nb, rep in _split(
+                    (e, w * Fraction(e.prob)) for s, w in belief
+                    for e in g.nodes[s].edges):
                 if q == 0:
                     continue
-                nb = tuple((nid, w / q) for nid, w in nb)
-                if coordinator_sees:
-                    newsup = tuple(e.child for nid in support
-                                   for e in g.nodes[nid].edges
-                                   if e.label == lab)
-                else:
-                    newsup = tuple(e.child for nid in support
-                                   for e in g.nodes[nid].edges)
-                child = recf(nb, newsup, excl)
-                edges.append(Edge(lab, child, q, conv_seen(rep)))
-            return b.emit(Node(player=CHANCE, edges=tuple(edges)), "copy",
-                          belief=belief)
-        if opp is not None and node0.player == opp:
-            labels = tuple(e.label for e in node0.edges)
-            assert all(tuple(e.label for e in g.nodes[nid].edges) == labels
-                       for nid, _ in belief)
+                child = build(nb, next_support(support, rep))
+                edges.append(Edge(label, child, q, conv_seen(rep)))
+            return b.emit(Node(player=CHANCE, edges=tuple(edges)), "copy")
+        if node.is_chance or (opp is not None and node.player == opp):
+            # copied edge by edge; every belief state shares the labels
             edges = []
-            for k, e0 in enumerate(node0.edges):
-                nb = tuple((g.nodes[nid].edges[k].child, w)
-                           for nid, w in belief)
-                if team_public(e0):
-                    newsup = tuple(e.child for nid in support
-                                   for e in g.nodes[nid].edges
-                                   if e.label == e0.label)
-                else:
-                    newsup = tuple(e.child for nid in support
-                                   for e in g.nodes[nid].edges)
-                child = recf(nb, newsup, excl)
-                edges.append(Edge(e0.label, child, None, conv_seen(e0)))
-            return b.emit(Node(player=OPPONENT, edges=tuple(edges)), "copy",
-                          belief=belief)
-        # team decision node
-        active = tuple(sorted({iset_of[nid] for nid in support}))
+            for k, e in enumerate(node.edges):
+                nb = tuple((g.nodes[s].edges[k].child, w) for s, w in belief)
+                child = build(nb, next_support(support, e))
+                edges.append(Edge(e.label, child, e.prob, conv_seen(e)))
+            return b.emit(Node(player=node.player, edges=tuple(edges)), "copy")
+        # team decision node -> coordinator node with one edge per
+        # prescription, each resolved by a chance node over the distinct
+        # actions it prescribes to the belief states
+        active = tuple(sorted({iset_of[s] for s in support}))
+        # children of the support states per (infoset, action), so a
+        # prescription's support is a concatenation instead of a scan
+        kids: dict[tuple[int, str], list[int]] = {}
+        for s in support:
+            for e in g.nodes[s].edges:
+                kids.setdefault((iset_of[s], e.label), []).append(e.child)
+        edge_of = {s: {e.label: e for e in g.nodes[s].edges}
+                   for s, _ in belief}
+        rank = {a: k for k, a in enumerate(iset_actions[iset_of[h]])}
         pres_edges = []
-        pres_list: list[PrescriptionT] = []
         for combo in itertools.product(*(iset_actions[i] for i in active)):
             gamma = dict(zip(active, combo))
-            # distinct actions prescribed to states in the local belief, in
-            # declaration order of the acting infoset's action list
-            acts: list[str] = []
-            for nid, _ in belief:
-                a = gamma[iset_of[nid]]
-                if a not in acts:
-                    acts.append(a)
-            order = {lab: k for k, lab in
-                     enumerate(iset_actions[iset_of[belief[0][0]]])}
-            acts.sort(key=lambda lab: order.get(lab, len(order)))
+            plays = _split((edge_of[s][gamma[iset_of[s]]], w)
+                           for s, w in belief)
+            # in declaration order of the acting infoset's action list
+            plays.sort(key=lambda play: rank.get(play[0], len(rank)))
             out_edges = []
-            for a in acts:
-                q = sum((w for nid, w in belief
-                         if gamma[iset_of[nid]] == a), Fraction(0))
-                nb = []
-                rep = None
-                for nid, w in belief:
-                    if gamma[iset_of[nid]] == a:
-                        e = next(e for e in g.nodes[nid].edges
-                                 if e.label == a)
-                        rep = e
-                        nb.append((e.child, w / q))
-                newsup = tuple(e.child for nid in support
-                               if gamma[iset_of[nid]] == a
-                               for e in g.nodes[nid].edges
-                               if e.label == a)
-                new_excl = excl | {i for i in active if gamma[i] != a}
-                child = recf(tuple(nb), newsup, new_excl)
-                seen = {COORDINATOR}
-                if opp is not None and opp in rep.seen_by:
-                    seen.add(OPPONENT)
-                out_edges.append(Edge(a, child, q, frozenset(seen)))
-            presc_node = b.emit(
-                Node(player=CHANCE, edges=tuple(out_edges)), "presc",
-                oplayer=node0.player, belief=belief)
-            pres_edges.append(Edge(presc_label(active, gamma), presc_node,
-                                   None, frozenset((COORDINATOR,))))
-            pres_list.append(tuple((i, gamma[i]) for i in active))
+            for a, q, nb, rep in plays:
+                sup = tuple(c for i in active if not prune or gamma[i] == a
+                            for c in kids.get((i, a), ()))
+                child = build(nb, sup)
+                seen = (_COORD_OPP if opp is not None and opp in rep.seen_by
+                        else _COORD_ONLY)
+                out_edges.append(Edge(a, child, q, seen))
+            resolve = b.emit(Node(player=CHANCE, edges=tuple(out_edges)),
+                             "presc" if fold else "dummy",
+                             oplayer=node.player)
+            label = "G[" + ",".join(f"{i}={a}" for i, a in gamma.items()) + "]"
+            pres_edges.append(Edge(label, resolve, None, _COORD_ONLY))
         return b.emit(Node(player=COORDINATOR, edges=tuple(pres_edges)),
-                      "coord", oplayer=node0.player,
-                      active=active, excluded=excl, presc=tuple(pres_list),
-                      belief=belief, support=support)
+                      "coord", oplayer=node.player, active=active,
+                      support=support)
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1_000_000)
-    try:
-        if mode == "folded":
-            root = recf(((g.root, Fraction(1)),), (g.root,), frozenset())
-        else:
-            root = rec(g.root, (g.root,), frozenset())
-    finally:
-        sys.setrecursionlimit(limit)
+    # one Python frame per source level, plus the root call
+    with recursion_headroom(len(g.nodes) + 1):
+        root = build(((g.root, _ONE),), (g.root,))
 
     players = ((COORDINATOR, OPPONENT) if opp is not None else (COORDINATOR,))
     cg = VEFG(name=f"{game.name}[{mode}]", players=players,
@@ -403,11 +309,8 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         game=cg, mode=mode, safe_ir_applied=False,
         source_name=game.name, source_digest=game_digest(game),
         node_kind=tuple(b.kind), origin_player=tuple(b.oplayer),
-        origin_node=tuple(b.onode), active=tuple(b.active),
-        excluded=tuple(b.excluded), beliefs=tuple(b.beliefs),
-        prescriptions=tuple(b.prescriptions),
-        iset_refs=tuple(refs), iset_actions=tuple(iset_actions),
-        supports=tuple(b.supports))
+        active=tuple(b.active), iset_refs=tuple(refs),
+        iset_actions=tuple(iset_actions), supports=tuple(b.supports))
 
 
 def convert_basic(game: VEFG) -> ConvertedGame:
@@ -425,14 +328,17 @@ def convert_folded(game: VEFG) -> ConvertedGame:
 def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
     """Infoset key per coordinator decision node.
 
-    With safe imperfect recall applied this is the merged key; otherwise it is
-    the visibility-derived observation sequence.
+    With safe imperfect recall applied this is the merged key
+    ``("sir",) + supports[nid]``; otherwise it is the visibility-derived
+    observation sequence.
     """
-    if cg.coordinator_keys is not None:
-        return {nid: key for nid, key in enumerate(cg.coordinator_keys)
-                if key is not None}
+    nodes = cg.game.nodes
+    if cg.safe_ir_applied:
+        return {nid: ("sir",) + cg.supports[nid]
+                for nid, node in enumerate(nodes)
+                if node.player == COORDINATOR}
     seqs = seen_sequences(cg.game, COORDINATOR)
-    return {nid: seqs[nid] for nid, node in enumerate(cg.game.nodes)
+    return {nid: seqs[nid] for nid, node in enumerate(nodes)
             if node.player == COORDINATOR}
 
 
@@ -445,20 +351,16 @@ def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
     at which each exclusion happened) is the public observation sequence
     plus the prescriptions to the still-compatible states — and the latter
     necessarily equal the publicly observed actions.  Both are determined by
-    the current compatible-state set, so that set is the merged infoset key.
-    Node counts are unchanged; two coordinator nodes merge exactly when they
-    carry the same compatible states.
+    the current compatible-state set, so that set is the merged infoset key
+    (see :func:`coordinator_node_keys`).  Node counts are unchanged; two
+    coordinator nodes merge exactly when they carry the same compatible
+    states.
     """
     if cg.mode not in ("pruned", "folded"):
         raise ExclusionDataMissing(
             f"safe imperfect recall needs exclusion data; mode {cg.mode!r} "
             "does not track exclusions")
-    g = cg.game
-    keys: list = [None] * len(g.nodes)
-    for nid, node in enumerate(g.nodes):
-        if node.player == COORDINATOR:
-            keys[nid] = ("sir",) + cg.supports[nid]
-    return dc_replace(cg, safe_ir_applied=True, coordinator_keys=tuple(keys))
+    return dc_replace(cg, safe_ir_applied=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,25 +382,21 @@ def _plan_action(cg: ConvertedGame, joint_plan, iid: int) -> str:
 
 def coordinator_choices(cg: ConvertedGame, joint_plan) -> dict[int, int]:
     """Per coordinator node, the index of the prescription edge selected by a
-    joint team plan (rho at node level)."""
-    # validate plan actions
-    ref_to_iid = {ref: i for i, ref in enumerate(cg.iset_refs)}
-    for ref, a in joint_plan.items():
-        iid = ref_to_iid.get(ref)
-        if iid is not None and a not in cg.iset_actions[iid]:
-            raise IllegalActionInPlan(
-                f"action {a!r} illegal at infoset {ref}")
+    joint team plan (rho at node level).
+
+    The edges follow ``itertools.product`` over the active infosets' action
+    lists, so the index is the mixed-radix number whose digits are the
+    plan's action indices at those infosets.
+    """
+    digit = [cg.iset_actions[iid].index(_plan_action(cg, joint_plan, iid))
+             for iid in range(len(cg.iset_refs))]
     choices: dict[int, int] = {}
-    for nid, presc in enumerate(cg.prescriptions):
-        if presc is None:
-            continue
-        for k, assignment in enumerate(presc):
-            if all(_plan_action(cg, joint_plan, iid) == a
-                   for iid, a in assignment):
-                choices[nid] = k
-                break
-        else:  # pragma: no cover - product structure guarantees a match
-            raise IllegalActionInPlan(f"no prescription matches at node {nid}")
+    for nid, node in enumerate(cg.game.nodes):
+        if node.player == COORDINATOR:
+            k = 0
+            for iid in cg.active[nid]:
+                k = k * len(cg.iset_actions[iid]) + digit[iid]
+            choices[nid] = k
     return choices
 
 
@@ -550,7 +448,12 @@ def map_coordinator_to_team(game: VEFG, cg: ConvertedGame, pi_t
             if k is None:
                 raise IllegalPrescription(
                     f"prescription {label!r} not available at node {nid}")
-            for iid, a in cg.prescriptions[nid][k]:
+            assignment = []
+            rest = k
+            for iid in reversed(cg.active[nid]):
+                rest, d = divmod(rest, len(cg.iset_actions[iid]))
+                assignment.append((iid, cg.iset_actions[iid][d]))
+            for iid, a in reversed(assignment):
                 ref = cg.iset_refs[iid]
                 prev = plan.get(ref)
                 if prev is not None and prev != a:

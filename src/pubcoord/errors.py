@@ -7,6 +7,10 @@ class GameError(Exception):
 
 # -- game construction / validation -------------------------------------------
 
+class SchemaError(GameError):
+    """A game or converted-game document does not follow the JSON schema."""
+
+
 class DuplicateNodeId(GameError):
     pass
 
@@ -57,10 +61,6 @@ class IllegalPrescription(GameError):
     pass
 
 
-class OriginMismatch(GameError):
-    pass
-
-
 # -- generators ----------------------------------------------------------------
 
 class SpecOutOfBounds(GameError):
@@ -87,6 +87,10 @@ class InvalidIterationCount(GameError):
 
 class IncompleteProfile(GameError):
     pass
+
+
+class SolverFailure(GameError):
+    """An LP or double-oracle result that fails its certification."""
 
 
 # -- census --------------------------------------------------------------------

@@ -13,27 +13,58 @@ Probabilities and utilities are JSON numbers or exact-rational strings
 ``"num/den"``.  Every edge carries a visibility entry for every strategic
 player.  Round trips are structurally exact: parse(serialize(g)) == g.
 
-Converted games use the same schema plus an ``origin`` section recording the
-conversion mode, the source game's name/digest, per-node origin bookkeeping
-and per-edge prescriptions as arrays of {"infoset", "action"}.
+Converted games use the same schema plus an ``origin`` section::
+
+    {"mode": "folded", "safe_ir": true, "source_name": ..., "source_digest": ...,
+     "node_kind": [...], "origin_player": [...], "active": [...],
+     "supports": [...],                    # one entry per node, null if unused
+     "iset_refs": [{"player": "t0", "obs": [...]}], "iset_actions": [[...]]}
+
+Prescriptions are not stored: edge ``k`` of a coordinator node prescribes
+the ``k``-th joint assignment of ``itertools.product`` over its ``active``
+infosets' action lists.  Keys that older writers added to ``origin``
+(``origin_node``, ``excluded``, ``beliefs``, ``prescriptions``,
+``coordinator_keys``) are ignored on load.  A document that breaks the schema
+raises :class:`~pubcoord.errors.SchemaError`.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .convert import ConvertedGame
-from .errors import DuplicateNodeId, MissingVisibilityEntry, UnknownPlayer
+from .errors import (
+    DuplicateNodeId,
+    MissingVisibilityEntry,
+    SchemaError,
+    UnknownPlayer,
+)
 from .model import (
     CHANCE,
+    COORDINATOR,
     Edge,
     Node,
-    PlayerRole,
     VEFG,
     parse_role,
     validate_game,
 )
+
+
+def _schema_checked(parse):
+    """Report a missing, mistyped or dangling field of a parsed document as
+    :class:`SchemaError` instead of a bare Python exception."""
+    @functools.wraps(parse)
+    def wrapper(d: dict):
+        try:
+            return parse(d)
+        except (KeyError, IndexError, TypeError, ValueError,
+                ZeroDivisionError, AttributeError) as exc:
+            raise SchemaError(
+                f"malformed document: {type(exc).__name__}: {exc}") from exc
+    return wrapper
 
 
 def _num_to_json(x) -> Any:
@@ -77,6 +108,7 @@ def game_to_dict(game: VEFG) -> dict:
             "nodes": nodes}
 
 
+@_schema_checked
 def game_from_dict(d: dict) -> VEFG:
     players = tuple(parse_role(name) for name in d["players"])
     id_map: dict[Any, int] = {}
@@ -124,15 +156,9 @@ def _key_to_json(key) -> Any:
     return key
 
 
-def _key_from_json(key) -> Any:
-    if isinstance(key, list):
-        return tuple(_key_from_json(k) for k in key)
-    return key
-
-
 def converted_to_dict(cg: ConvertedGame) -> dict:
     d = game_to_dict(cg.game)
-    origin: dict[str, Any] = {
+    d["origin"] = {
         "mode": cg.mode,
         "safe_ir": cg.safe_ir_applied,
         "source_name": cg.source_name,
@@ -140,39 +166,26 @@ def converted_to_dict(cg: ConvertedGame) -> dict:
         "node_kind": list(cg.node_kind),
         "origin_player": [p.name if p is not None else None
                           for p in cg.origin_player],
-        "origin_node": list(cg.origin_node),
         "active": [list(a) if a is not None else None for a in cg.active],
-        "excluded": [sorted(x) if x is not None else None
-                     for x in cg.excluded],
-        "beliefs": [[[nid, _num_to_json(w)] for nid, w in bel]
-                    if bel is not None else None
-                    for bel in cg.beliefs],
-        "prescriptions": [
-            [[{"infoset": iid, "action": a} for iid, a in assignment]
-             for assignment in presc] if presc is not None else None
-            for presc in cg.prescriptions],
         "iset_refs": [{"player": p.name, "obs": list(key)}
                       for p, key in cg.iset_refs],
         "iset_actions": [list(a) for a in cg.iset_actions],
         "supports": [list(s) if s is not None else None
                      for s in cg.supports],
     }
-    if cg.coordinator_keys is not None:
-        origin["coordinator_keys"] = [_key_to_json(k) if k is not None
-                                      else None
-                                      for k in cg.coordinator_keys]
-    d["origin"] = origin
     return d
 
 
+@_schema_checked
 def converted_from_dict(d: dict) -> ConvertedGame:
     game = game_from_dict(d)
     o = d["origin"]
-    coordinator_keys: Optional[tuple] = None
-    if "coordinator_keys" in o:
-        coordinator_keys = tuple(_key_from_json(k) if k is not None else None
-                                 for k in o["coordinator_keys"])
-    return ConvertedGame(
+    n = len(game.nodes)
+    for key in ("node_kind", "origin_player", "active", "supports"):
+        if len(o[key]) != n:
+            raise SchemaError(f"origin.{key} has {len(o[key])} entries for "
+                              f"{n} nodes")
+    cg = ConvertedGame(
         game=game,
         mode=o["mode"],
         safe_ir_applied=o["safe_ir"],
@@ -181,25 +194,36 @@ def converted_from_dict(d: dict) -> ConvertedGame:
         node_kind=tuple(o["node_kind"]),
         origin_player=tuple(parse_role(p) if p is not None else None
                             for p in o["origin_player"]),
-        origin_node=tuple(o["origin_node"]),
         active=tuple(tuple(a) if a is not None else None
                      for a in o["active"]),
-        excluded=tuple(frozenset(x) if x is not None else None
-                       for x in o["excluded"]),
-        beliefs=tuple(tuple((nid, _num_from_json(w)) for nid, w in bel)
-                      if bel is not None else None
-                      for bel in o["beliefs"]),
-        prescriptions=tuple(
-            tuple(tuple((p["infoset"], p["action"]) for p in assignment)
-                  for assignment in presc) if presc is not None else None
-            for presc in o["prescriptions"]),
         iset_refs=tuple((parse_role(r["player"]), tuple(r["obs"]))
                         for r in o["iset_refs"]),
         iset_actions=tuple(tuple(a) for a in o["iset_actions"]),
         supports=tuple(tuple(s) if s is not None else None
-                       for s in o.get("supports", [None] * len(game.nodes))),
-        coordinator_keys=coordinator_keys,
+                       for s in o["supports"]),
     )
+    # prescriptions are decoded from edge order, so every coordinator node
+    # must carry exactly one edge per joint assignment of its active infosets
+    n_isets = len(cg.iset_actions)
+    if len(cg.iset_refs) != n_isets:
+        raise SchemaError(f"{len(cg.iset_refs)} iset_refs for {n_isets} "
+                          "iset_actions")
+    for nid, node in enumerate(game.nodes):
+        if node.player != COORDINATOR:
+            continue
+        active = cg.active[nid]
+        if active is None or cg.supports[nid] is None:
+            raise SchemaError(f"coordinator node {nid} lacks its active "
+                              "infosets or its support")
+        if not all(0 <= i < n_isets for i in active):
+            raise SchemaError(f"coordinator node {nid} names unknown "
+                              f"infosets {active}")
+        fanout = math.prod(len(cg.iset_actions[i]) for i in active)
+        if len(node.edges) != fanout:
+            raise SchemaError(
+                f"coordinator node {nid} has {len(node.edges)} edges; its "
+                f"active infosets {active} need {fanout}")
+    return cg
 
 
 def save_game(game: VEFG, path: str) -> None:

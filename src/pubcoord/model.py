@@ -7,9 +7,11 @@ subsequence of edge labels a player (or a set of players) has seen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     ActionMismatchWithinInfoset,
@@ -186,6 +188,19 @@ def validate_game(game: VEFG) -> None:
         raise UnknownPlayer(f"team indices not contiguous from 0: {team_idx}")
 
 
+@contextmanager
+def recursion_headroom(frames: int):
+    """Let the enclosed code nest ``frames`` more Python calls than the
+    current recursion limit allows; tree walks pass a bound taken from the
+    tree, so the limit never grows without bound."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def derive_visibility_class(edge: Edge, player_set: Iterable[PlayerRole]) -> str:
     """Classify an edge for a set of observers: pub / priv / hidden."""
     players = list(player_set)
@@ -199,16 +214,6 @@ def derive_visibility_class(edge: Edge, player_set: Iterable[PlayerRole]) -> str
     if seen == 0:
         return "hidden"
     return "priv"
-
-
-def _walk(game: VEFG) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (node id, path of (parent, edge index)) — not used in hot paths."""
-    stack: list[tuple[int, tuple[int, ...]]] = [(game.root, ())]
-    while stack:
-        nid, path = stack.pop()
-        yield nid, path
-        for i, e in enumerate(game.nodes[nid].edges):
-            stack.append((e.child, path + (nid,)))
 
 
 def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
@@ -312,10 +317,6 @@ def team_perfect_recall_refinement(game: VEFG) -> VEFG:
     return replace(game, nodes=tuple(new_nodes))
 
 
-def _acting_role(node: Node) -> Optional[PlayerRole]:
-    return node.player
-
-
 def is_public_turn_taking(game: VEFG) -> bool:
     """True iff within every infoset all histories share the acting-player
     sequence of their prefixes."""
@@ -378,11 +379,7 @@ def make_public_turn_taking(game: VEFG) -> VEFG:
             nodes.append(Node(player=designated, edges=(edge,)))
         return len(nodes) - 1
 
-    import sys
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(game.nodes) * (len(cycle) + 1) + 1000))
-    try:
+    # each source level nests at most one call per player in the cycle
+    with recursion_headroom(len(game.nodes) * (len(cycle) + 1)):
         root = build(game.root, 0)
-    finally:
-        sys.setrecursionlimit(limit)
     return replace(game, nodes=tuple(nodes), root=root)

@@ -27,11 +27,13 @@ from scipy.optimize import linprog
 
 from .convert import ConvertedGame, coordinator_node_keys
 from .errors import (
+    ActionMismatchWithinInfoset,
     EmptyMatrix,
     GameTooLarge,
     ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
+    SolverFailure,
 )
 from .model import (
     COORDINATOR,
@@ -39,6 +41,7 @@ from .model import (
     PlayerRole,
     VEFG,
     infosets,
+    recursion_headroom,
     seen_sequences,
 )
 
@@ -94,13 +97,8 @@ def _plan_forest(game: VEFG, player: PlayerRole) -> _PlanForest:
             for e in node.edges:
                 walk(e.child, seq)
 
-    import sys
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(game.nodes) + 100))
-    try:
+    with recursion_headroom(len(game.nodes)):
         walk(game.root, ())
-    finally:
-        sys.setrecursionlimit(limit)
 
     children: dict[tuple, list] = {}
     roots: list = []
@@ -207,7 +205,7 @@ def matrix_game_solve(matrix, tol: float = 1e-9):
 
     Returns ``(row_strategy, col_strategy, value)`` as numpy arrays and a
     float; the best pure-response gap of both players is certified ``<= tol``
-    (an AssertionError signals an LP failure beyond tolerance).
+    (:class:`SolverFailure` signals an LP failure beyond tolerance).
     """
     u = np.asarray(matrix, dtype=float)
     if u.ndim != 2 or u.size == 0:
@@ -249,8 +247,9 @@ def matrix_game_solve(matrix, tol: float = 1e-9):
     value = float(x @ u @ y)
     row_gap = float(np.max(u @ y)) - value
     col_gap = value - float(np.min(x @ u))
-    assert row_gap <= max(tol, 1e-7) and col_gap <= max(tol, 1e-7), (
-        f"uncertified solution: gaps {row_gap}, {col_gap}")
+    if row_gap > max(tol, 1e-7) or col_gap > max(tol, 1e-7):
+        raise SolverFailure(
+            f"uncertified solution: gaps {row_gap}, {col_gap}")
     return x, y, value
 
 
@@ -289,13 +288,8 @@ def _terminal_constraints(game: VEFG, players: list[PlayerRole]):
                 np_ = pairs + ((p, key, e.label),)
             walk(e.child, r, np_)
 
-    import sys
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(game.nodes) + 100))
-    try:
+    with recursion_headroom(len(game.nodes)):
         walk(game.root, Fraction(1), ())
-    finally:
-        sys.setrecursionlimit(limit)
     return out
 
 
@@ -517,9 +511,11 @@ def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
                                         for jp in joints])])
             opps.append(ob_plan)
             grew = True
-        assert grew, ("double oracle stalled: best responses "
-                      f"{tb_v}, {ob_v} vs restricted value {v}")
-    raise AssertionError("double oracle failed to converge")
+        if not grew:
+            raise SolverFailure(
+                f"double oracle stalled: best responses {tb_v}, {ob_v} vs "
+                f"restricted value {v}")
+    raise SolverFailure("double oracle failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +537,6 @@ class _Compiled:
     # decision-node bookkeeping, per side ("coord" / "o"):
     pr_key: dict[str, dict[int, tuple]]       # node -> perfect-recall key
     profile_key: dict[str, dict[int, tuple]]  # node -> strategy-lookup key
-    iset_nodes: dict[str, dict[tuple, list[int]]]  # profile key -> nodes
     iset_actions: dict[str, dict[tuple, tuple[str, ...]]]
     root: int = 0
     has_opponent: bool = True
@@ -564,16 +559,13 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
 
     pr_key: dict[str, dict[int, tuple]] = {"coord": {}, "o": {}}
     profile_key: dict[str, dict[int, tuple]] = {"coord": {}, "o": {}}
-    iset_nodes: dict[str, dict[tuple, list[int]]] = {"coord": {}, "o": {}}
     iset_actions: dict[str, dict[tuple, tuple[str, ...]]] = {
         "coord": {}, "o": {}}
 
     stack = [(g.root, 0)]
-    order = []
     while stack:
         nid, d = stack.pop()
         depth[nid] = d
-        order.append(nid)
         node = g.nodes[nid]
         if node.is_terminal:
             kind[nid] = _TERMINAL
@@ -593,15 +585,15 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
         fk = (coord_profile[nid] if side == "coord" else pk)
         pr_key[side][nid] = pk
         profile_key[side][nid] = fk
-        iset_nodes[side].setdefault(fk, []).append(nid)
         acts = labels[nid]
         prev = iset_actions[side].setdefault(fk, acts)
-        assert prev == acts, f"action mismatch within infoset {fk!r}"
+        if prev != acts:
+            raise ActionMismatchWithinInfoset(
+                f"action mismatch within infoset {fk!r}: {prev} vs {acts}")
     return _Compiled(kind=kind, edges=edges, labels=labels, probs=probs,
                      utility=utility, depth=depth, pr_key=pr_key,
-                     profile_key=profile_key, iset_nodes=iset_nodes,
-                     iset_actions=iset_actions, root=g.root,
-                     has_opponent=has_opp)
+                     profile_key=profile_key, iset_actions=iset_actions,
+                     root=g.root, has_opponent=has_opp)
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +772,8 @@ def expected_value(cg: ConvertedGame, profile: Profile,
         return float(sum(p * walk(ch)
                          for ch, p in zip(c.edges[nid], dist) if p))
 
-    import sys
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(c.kind) + 100))
-    try:
+    with recursion_headroom(len(c.kind)):
         return walk(c.root)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def best_response(cg: ConvertedGame, profile: Profile, responder: str,

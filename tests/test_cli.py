@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pubcoord
 from pubcoord import io_json
 from pubcoord.cli import main
 
@@ -170,3 +175,89 @@ def test_full_pipeline_kuhn(tmp_path, capsys):
                        "--log-every", "0", "--json")
     assert code == 0
     assert run(capsys, "verify", str(g), str(c), "--samples", "50")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs and the exit-code contract
+# ---------------------------------------------------------------------------
+
+def run_subprocess(*argv, optimize=False):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(pubcoord.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    cmd = [sys.executable] + (["-O"] if optimize else [])
+    proc = subprocess.run(cmd + ["-m", "pubcoord.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _first_edge(d):
+    return next(n for n in d["nodes"] if n.get("edges"))["edges"][0]
+
+
+def _first_chance_edge(d):
+    return next(n for n in d["nodes"] if n["kind"] == "chance")["edges"][0]
+
+
+def _coordinator_node(d):
+    return next(i for i, n in enumerate(d["nodes"])
+                if n.get("player") == "coord")
+
+
+GAME_CORRUPTIONS = {
+    "dangling-child": lambda d: _first_edge(d).update(child=10**9),
+    "prob-1/0": lambda d: _first_chance_edge(d).update(prob="1/0"),
+    "prob-abc": lambda d: _first_chance_edge(d).update(prob="abc"),
+    "missing-kind": lambda d: d["nodes"][0].pop("kind"),
+}
+
+CONVERTED_CORRUPTIONS = {
+    "truncated-active": lambda d: d["origin"]["active"].pop(),
+    "truncated-supports": lambda d: d["origin"]["supports"].pop(),
+    "truncated-node-kind": lambda d: d["origin"]["node_kind"].pop(),
+    "active-fanout-mismatch":
+        lambda d: d["origin"]["active"][_coordinator_node(d)].pop(),
+    "coordinator-without-active":
+        lambda d: d["origin"]["active"].__setitem__(_coordinator_node(d),
+                                                    None),
+}
+
+
+@pytest.mark.parametrize("command,corruption", [
+    *[("convert", c) for c in sorted(GAME_CORRUPTIONS)],
+    *[("solve", c) for c in sorted(CONVERTED_CORRUPTIONS)],
+    ("verify", "truncated-active"),
+    ("verify", "active-fanout-mismatch"),
+])
+def test_malformed_input_exits_4(tmp_path, toy_path, conv_path, command,
+                                 corruption):
+    converted = corruption in CONVERTED_CORRUPTIONS
+    d = json.loads(Path(conv_path if converted else toy_path).read_text())
+    (CONVERTED_CORRUPTIONS if converted else GAME_CORRUPTIONS)[corruption](d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    argv = {"convert": ["convert", bad, "--mode", "folded",
+                        "--out", tmp_path / "c.json"],
+            "solve": ["solve", bad, "--iterations", "2"],
+            "verify": ["verify", toy_path, bad, "--samples", "2"]}[command]
+    code, _, err = run_subprocess(*argv)
+    assert code == 4, err
+    assert "Traceback" not in err
+    assert "error:" in err
+
+
+def test_solve_and_oracle_survive_python_O(tmp_path):
+    g, c = tmp_path / "kuhn.json", tmp_path / "conv.json"
+    assert run_subprocess("gen", "kuhn", "--ranks", "3", "--out", g)[0] == 0
+    assert run_subprocess("convert", g, "--mode", "folded", "--safe-ir",
+                          "--out", c)[0] == 0
+    for argv in (("solve", c, "--iterations", "20", "--log-every", "0",
+                  "--json"),
+                 ("oracle", g, "--json")):
+        plain = run_subprocess(*argv)
+        optimized = run_subprocess(*argv, optimize=True)
+        assert plain[0] == optimized[0] == 0, (plain[2], optimized[2])
+        assert plain[1] == optimized[1]

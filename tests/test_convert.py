@@ -2,6 +2,7 @@
 strategy mappings and payoff equivalence."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -76,12 +77,17 @@ def test_pruning_never_larger_than_basic():
 
 
 def test_pruned_excludes_incompatible_states(mini):
-    cg = convert_pruned(mini)
-    # after a prescription whose sampled action disagrees with some state's
-    # prescribed action, that state is excluded on the matching branch
-    assert any(cg.excluded[nid] for nid, n in enumerate(cg.game.nodes)
-               if n.player == COORDINATOR)
-    # excluded states never reappear in the active set
+    basic, cg = convert_basic(mini), convert_pruned(mini)
+
+    def support_sizes(conv):
+        return [len(conv.supports[nid])
+                for nid, n in enumerate(conv.game.nodes)
+                if n.player == COORDINATOR]
+
+    # after a prescription whose played action disagrees with some state's
+    # prescribed action, that state is dropped from the supports below, so
+    # some pruned branch carries fewer compatible states than basic ever does
+    assert min(support_sizes(cg)) < min(support_sizes(basic))
     for nid, n in enumerate(cg.game.nodes):
         if n.player == COORDINATOR:
             refs = {cg.iset_refs[iid][0] for iid in cg.active[nid]}
@@ -96,10 +102,11 @@ def test_folded_has_no_explicit_team_chance(mini):
     for n in cg.game.nodes:
         if n.is_chance:
             assert not (deal_labels & {e.label for e in n.edges})
-    # beliefs are exact distributions
-    for nid, bel in enumerate(cg.beliefs):
-        if bel is not None and cg.node_kind[nid] == "coord":
-            assert sum(w for _, w in bel) == Fraction(1)
+    # prescriptions are resolved by exact belief-marginal distributions
+    for nid, n in enumerate(cg.game.nodes):
+        if cg.node_kind[nid] == "presc":
+            assert all(isinstance(e.prob, Fraction) for e in n.edges)
+            assert sum(e.prob for e in n.edges) == Fraction(1)
 
 
 def test_terminal_utilities_belief_weighted(mini):
@@ -224,3 +231,79 @@ def test_payoff_equivalence_property(seed):
     cg = convert_folded(g)
     report = check_payoff_equivalence(g, cg, samples=25, seed=seed)
     assert report["max_abs_diff"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# tree identity pins
+# ---------------------------------------------------------------------------
+
+# (game, mode) -> (game_digest of the converted tree, sha256 of the repr of
+# (node_kind, origin_player, active, supports)).  Any builder change must
+# leave every converted tree and its bookkeeping bit-identical.
+_PINNED = {
+    ("kuhn3-0", "basic"): (
+        "72a1a19d000720944c7051c52ca711ddf2d150514abc8fbc9ee0c164e5b3461a",
+        "b389ff8f132a2bff97c93586b5bd8057f6e123d58e330089918d8bbf6fb1ee0b"),
+    ("kuhn3-0", "pruned"): (
+        "add5b6205dbedfb02709ae1ad5704ac3dfd52efdb6d65928fbd8a2ccfdc0d881",
+        "e568dae0f532c1599d97fe3b1dd4b7d69808237f9e57e56fccde322a5a3e7895"),
+    ("kuhn3-0", "folded"): (
+        "22eaad9adab461823d78730e40f012fc4a151dd7cfa16c0fe539a3bc643f1d57",
+        "1193c280084a8cba8c3ce3f191aa35399b21499bdf80528f3c3a411727c9c58f"),
+    ("kuhn3-1", "basic"): (
+        "cef5a6e2f4f6d6a93a9ce1e63dd6593a48e064f9f0b684037b83ff0e97b14e54",
+        "44a4fad7237fa15588969a224bacdf648200bef38137440563a8f3e4b654b407"),
+    ("kuhn3-1", "pruned"): (
+        "c50067e5ef6b2ec826a5c461741f9aa5088aa92232c893b035050f03eaa79940",
+        "f5ff2c01eb0ca12a4ae0d2333ff73f56a9ab69338cd64f4f13f780a50e1c4e39"),
+    ("kuhn3-1", "folded"): (
+        "9f9483fec1309fa5ad5d792c522cd1570ab19081ab458ce7938594755e742fd2",
+        "add0a2b4ba7a107075ff1db38ee70c0ebc7b45d10cf9938044364370c43f2aeb"),
+    ("kuhn3-2", "basic"): (
+        "44f7cb37d49ca6d745a39de3870129c49ab9cb4a47a64963877e17b0b8967cc1",
+        "c5a8f41b70ce7a7a1986fffd1eed5806e8e3a5c1a28813fdf30e0feb285bffde"),
+    ("kuhn3-2", "pruned"): (
+        "4f136b5895645500a3640a68c3317273f729a8b8eb5dc3665369fb4e93954dae",
+        "3e67aed2e7416d097d4bae1a9987acc444a3d14813d2b97f1c2d57cbd7688228"),
+    ("kuhn3-2", "folded"): (
+        "2fd9c3f448c3571fda9ddab53badb6d0c6fc08d72a9f169f93ff58a1275e14ec",
+        "1901c609c07bd16bc2ce56c1fe32428798cb04abacd78a056060aa7c4f6fb417"),
+    ("toy232", "basic"): (
+        "5bbe3eb0d1098f357b598eba5f56c059fccf35728597e8941a0916fd2d6d5e1d",
+        "287e2540a9d83a25e968e4833d9d9ac89d1e9702adb48b6f20f64724b52e14fa"),
+    ("toy232", "pruned"): (
+        "f895340eac2ef84ad12be0596691988b4ef03b85cb2d7fa143beb00c9fdd079a",
+        "cfbbb7ec2c148dd07c9cdfe0c8cb5394e3724167ce7bf84da4fe43f831530ace"),
+    ("toy232", "folded"): (
+        "2d931b9e2119c41e3b6426392a4332f6a30dd98abfad63d7c1ebd20d1cf7a585",
+        "2376639c1bdafdcdbda21a392b0cec3444ba9fa302013fadf96cf73f692daef1"),
+    ("toy322bp", "basic"): (
+        "3e0db029ed84f50d984197cf5983441f8237955040bca3596858c68ddf402af3",
+        "d3bb16ea9e05c4f2c601a0e375669440154e5c18500838e05bbbfe21c771657f"),
+    ("toy322bp", "pruned"): (
+        "2a06df85b0b5abcc9c844a97ee9e0b42f1c71044ec12d1624a0ac7aa6af1961a",
+        "a12ef1b14a2692fbf61e860a95994a81ada5b85b66eb8c87b25378a881faf14e"),
+    ("toy322bp", "folded"): (
+        "546793ce25853189f91f1722f6502d416039a453509ab3ca2303a71f290448df",
+        "25140cc15b5ed86577d8972ecf8b8255f01c4a298ed124494c0f82a1d7cc7676"),
+}
+
+_PIN_GAMES = {
+    "kuhn3-0": lambda: gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0)),
+    "kuhn3-1": lambda: gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=1)),
+    "kuhn3-2": lambda: gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=2)),
+    "toy232": lambda: gen_toy(ToySpec(2, 3, 2, payoff_seed=1)),
+    "toy322bp": lambda: gen_toy(ToySpec(3, 2, 2, both_private=True,
+                                        payoff_seed=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_GAMES))
+def test_converted_trees_match_pinned_digests(name):
+    g = _PIN_GAMES[name]()
+    for mode, conv in CONVERTERS.items():
+        cg = conv(g)
+        meta = repr((cg.node_kind, cg.origin_player, cg.active, cg.supports))
+        got = (game_digest(cg.game),
+               hashlib.sha256(meta.encode()).hexdigest())
+        assert got == _PINNED[(name, mode)], (name, mode)

@@ -16,6 +16,7 @@ from pubcoord import (
     gen_kuhn3,
     gen_toy,
 )
+from pubcoord.convert import coordinator_node_keys
 from pubcoord.errors import (
     DuplicateNodeId,
     MissingVisibilityEntry,
@@ -104,8 +105,17 @@ def test_converted_roundtrip_with_safe_ir(mini):
     back = converted_from_dict(converted_to_dict(cg))
     assert back == cg
     assert back.safe_ir_applied
-    assert back.coordinator_keys == cg.coordinator_keys
+    assert coordinator_node_keys(back) == coordinator_node_keys(cg)
     assert back.supports == cg.supports
+
+
+def test_converted_loader_ignores_legacy_origin_keys(mini):
+    cg = apply_safe_imperfect_recall(convert_folded(mini))
+    d = converted_to_dict(cg)
+    # keys older writers stored; prescriptions now follow from edge order
+    d["origin"].update(origin_node=[], excluded=[], beliefs=[],
+                       prescriptions=[], coordinator_keys=[])
+    assert converted_from_dict(d) == cg
 
 
 def test_converted_file_roundtrip(tmp_path, mini):
@@ -127,10 +137,10 @@ def test_converted_roundtrip_toy_safe_ir(tmp_path):
 def test_converted_beliefs_exact(mini):
     cg = convert_folded(mini)
     back = converted_from_dict(converted_to_dict(cg))
-    assert back.beliefs == cg.beliefs
-    for bel in back.beliefs:
-        if bel is not None:
-            assert all(isinstance(w, Fraction) for _, w in bel)
+    # belief-weighted terminal utilities stay exact rationals
+    utils = [n.utility for n in back.game.nodes if n.is_terminal]
+    assert utils == [n.utility for n in cg.game.nodes if n.is_terminal]
+    assert all(isinstance(u, Fraction) for u in utils)
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,17 +12,21 @@ from hypothesis import given, settings, strategies as st
 from pubcoord import PokerSpec, ToySpec, convert_basic, convert_folded, \
     gen_kuhn3, gen_leduc3, gen_toy
 from pubcoord.errors import (
+    ActionMismatchWithinInfoset,
     EmptyMatrix,
     GameTooLarge,
     ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
+    SolverFailure,
 )
-from pubcoord.model import CHANCE, Edge, Node, VEFG, validate_game
+from pubcoord.model import CHANCE, OPPONENT, Edge, Node, VEFG, validate_game
+from pubcoord import solvers
 from pubcoord.solvers import (
     ConvergenceLog,
     _regret_match,
     best_response,
+    compile_converted,
     count_reduced_plans,
     expected_value,
     exploitability,
@@ -156,6 +160,25 @@ def test_tmecor_dense_and_double_oracle_agree():
         dense = tmecor_bruteforce(g)
         do = tmecor_bruteforce(g, max_entries=100)
         assert do.value == pytest.approx(dense.value, abs=1e-7)
+
+
+def test_uncertified_lp_solution_raises(monkeypatch):
+    from types import SimpleNamespace
+    # a pure "solution" to matching pennies leaves a best-response gap of 2
+    monkeypatch.setattr(solvers, "linprog", lambda c, **kw: SimpleNamespace(
+        success=True, x=np.eye(len(c))[0], message=""))
+    with pytest.raises(SolverFailure, match="uncertified"):
+        matrix_game_solve([[1, -1], [-1, 1]])
+
+
+def test_double_oracle_stall_raises(monkeypatch):
+    # a restricted value no best response can reach: neither side adds a
+    # new plan, so the oracle stalls on its first round
+    monkeypatch.setattr(solvers, "matrix_game_solve", lambda u, tol: (
+        np.full(u.shape[0], 1.0 / u.shape[0]),
+        np.full(u.shape[1], 1.0 / u.shape[1]), -1e9))
+    with pytest.raises(SolverFailure, match="stalled"):
+        tmecor_bruteforce(mini_team_game(0), max_entries=100)
 
 
 def test_tmecor_single_plan_team_is_min_over_opponent():
@@ -330,6 +353,19 @@ def test_exploitability_nonnegative_and_zero_at_equilibrium(mini):
     assert exploitability(cg, prof) >= -1e-12
     profile, _ = solve_cfr(cg, "lcfr+", iterations=3000)
     assert exploitability(cg, profile) <= 1e-2
+
+
+def test_compile_rejects_action_mismatch_within_infoset():
+    from dataclasses import replace
+    cg = _pennies_converted()
+    nodes = list(cg.game.nodes)
+    # the opponent cannot tell its two nodes apart; relabel one of them
+    nid = next(i for i, n in enumerate(nodes) if n.player == OPPONENT)
+    nodes[nid] = replace(nodes[nid], edges=tuple(
+        replace(e, label=e.label + "'") for e in nodes[nid].edges))
+    bad = replace(cg, game=replace(cg.game, nodes=tuple(nodes)))
+    with pytest.raises(ActionMismatchWithinInfoset):
+        compile_converted(bad)
 
 
 def test_expected_value_pure_profile_hits_reached_terminal():
