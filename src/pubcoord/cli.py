@@ -30,6 +30,7 @@ from .errors import GameError, GameTooLarge, SpecOutOfBounds
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
 from .model import is_public_turn_taking, make_public_turn_taking, validate_game
 from .solvers import (
+    compile_converted,
     count_reduced_plans,
     exploitability,
     expected_value,
@@ -129,17 +130,14 @@ def cmd_convert(args) -> int:
                         "--safe-ir needs exclusion data; it cannot be "
                         "combined with --mode basic")
     game = _load(args.input, converted=False)
-    try:
-        validate_game(game)
-        if not is_public_turn_taking(game):
-            print(f"warning: {game.name} is not public-turn-taking; "
-                  "applying the turn-taking transform", file=sys.stderr)
-            game = make_public_turn_taking(game)
-        cg = _CONVERTERS[args.mode](game)
-        if args.safe_ir:
-            cg = apply_safe_imperfect_recall(cg)
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc))
+    validate_game(game)
+    if not is_public_turn_taking(game):
+        print(f"warning: {game.name} is not public-turn-taking; "
+              "applying the turn-taking transform", file=sys.stderr)
+        game = make_public_turn_taking(game)
+    cg = _CONVERTERS[args.mode](game)
+    if args.safe_ir:
+        cg = apply_safe_imperfect_recall(cg)
     _write(args.out, lambda p: io_json.save_converted(cg, p))
     summary = {"mode": args.mode, "safe_ir": args.safe_ir}
     summary.update(asdict(census(cg, compact=args.compact)))
@@ -168,14 +166,11 @@ def cmd_solve(args) -> int:
         raise _CliError(EXIT_PARAMS,
                         f"iterations must be >= 0, got {args.iterations}")
     cg = _load(args.input, converted=True)
-    try:
-        profile, log = solve_cfr(cg, algo=args.algo,
-                                 iterations=args.iterations,
-                                 log_every=args.log_every)
-        value = expected_value(cg, profile)
-        expl = exploitability(cg, profile)
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc))
+    compiled = compile_converted(cg)
+    profile, log = solve_cfr(cg, algo=args.algo, iterations=args.iterations,
+                             log_every=args.log_every, compiled=compiled)
+    value = expected_value(cg, profile, compiled=compiled)
+    expl = exploitability(cg, profile, compiled=compiled)
     if args.csv:
         _write(args.csv, lambda p: Path(p).write_text(log.to_csv()))
     if args.strategy:
@@ -199,8 +194,6 @@ def cmd_oracle(args) -> int:
                                 max_entries=args.max_entries)
     except GameTooLarge as exc:
         raise _CliError(EXIT_TOO_LARGE, str(exc))
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc))
     _emit({"tmecor_value": f"{res.value:.12g}",
            "team_support": len(res.team_support),
            "opponent_support": len(res.opponent_support)}, args.json)
@@ -223,11 +216,8 @@ def cmd_verify(args) -> int:
         print("warning: 0 samples verify nothing", file=sys.stderr)
         _emit({"samples": 0, "max_abs_diff": 0.0}, args.json)
         return EXIT_OK
-    try:
-        report = check_payoff_equivalence(game, cg, samples=args.samples,
-                                          seed=args.seed)
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc))
+    report = check_payoff_equivalence(game, cg, samples=args.samples,
+                                      seed=args.seed)
     _emit(report, args.json)
     return EXIT_OK if report["max_abs_diff"] <= 1e-9 else EXIT_DISCREPANCY
 
@@ -312,6 +302,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except GameError as exc:  # a game the command cannot work with
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .errors import (
     IllegalPrescription,
     ImperfectRecallInput,
     NotPublicTurnTaking,
+    SchemaError,
 )
 from .model import (
     CHANCE,
@@ -511,6 +512,9 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
     """Sample pure profiles, map the team plan through rho, and compare exact
     expected utilities in the original and converted games."""
     g = _prepare(game)
+    if (list(cg.iset_refs), list(cg.iset_actions)) != _team_isets(g)[:2]:
+        raise SchemaError(f"the team infosets of {cg.game.name} are not "
+                          f"those of {game.name}")
     rng = random.Random(seed)
     # per-node infoset references in the original (refined) game
     team_seq = {p: seen_sequences(g, p) for p in g.team_players()}

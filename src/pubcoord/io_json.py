@@ -77,6 +77,9 @@ def _num_from_json(x) -> Any:
     if isinstance(x, str):
         num, _, den = x.partition("/")
         return Fraction(int(num), int(den) if den else 1)
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or not math.isfinite(x):
+        raise SchemaError(f"{x!r} is not a finite number")
     return x
 
 
@@ -139,8 +142,12 @@ def game_from_dict(d: dict) -> VEFG:
                         f"visibility entry for player {p.name}")
                 if vis[p.name] == "seen":
                     seen.add(p)
+            if not isinstance(ed["label"], str):
+                raise SchemaError(f"edge label {ed['label']!r} is not a "
+                                  "string")
+            prob = ed.get("prob")
             edges.append(Edge(ed["label"], id_map[ed["child"]],
-                              _num_from_json(ed.get("prob")),
+                              None if prob is None else _num_from_json(prob),
                               frozenset(seen)))
         nodes.append(Node(player=player, edges=tuple(edges)))
     game = VEFG(name=d["name"], players=players, nodes=tuple(nodes),
@@ -185,6 +192,9 @@ def converted_from_dict(d: dict) -> ConvertedGame:
         if len(o[key]) != n:
             raise SchemaError(f"origin.{key} has {len(o[key])} entries for "
                               f"{n} nodes")
+    if any(type(i) is not int for key in ("active", "supports")
+           for ids in o[key] if ids is not None for i in ids):
+        raise SchemaError("origin.active and origin.supports must hold ids")
     cg = ConvertedGame(
         game=game,
         mode=o["mode"],

@@ -18,6 +18,7 @@ from pubcoord.errors import (
     ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
+    NotPublicTurnTaking,
     SolverFailure,
 )
 from pubcoord.model import CHANCE, OPPONENT, Edge, Node, VEFG, validate_game
@@ -282,6 +283,13 @@ def test_cfr_rejects_bad_arguments():
         solve_cfr(cg, "cfr", -1)
 
 
+def test_cfr_rejects_trees_deeper_than_its_walk(monkeypatch):
+    # the traversal recurses once per level; deeper trees get a typed error
+    monkeypatch.setattr(solvers, "MAX_WALK_DEPTH", 2)
+    with pytest.raises(GameTooLarge):
+        solve_cfr(_pennies_converted(), "cfr", 1)
+
+
 def test_regret_matching_is_distribution():
     for regs in ([1.0, 2.0, 0.0], [-1.0, -5.0], [0.0, 0.0], [3.0, -2.0]):
         dist = _regret_match(np.array(regs))
@@ -366,6 +374,27 @@ def test_compile_rejects_action_mismatch_within_infoset():
     bad = replace(cg, game=replace(cg.game, nodes=tuple(nodes)))
     with pytest.raises(ActionMismatchWithinInfoset):
         compile_converted(bad)
+
+
+def test_compile_rejects_infoset_spanning_depths():
+    from dataclasses import replace
+    from pubcoord.model import COORDINATOR
+    # the opponent, seeing nothing, acts at depth 1 after chance "a" and at
+    # depth 2 after chance "b" and a coordinator move: one infoset, two depths
+    seen_o, seen_c = frozenset({OPPONENT}), frozenset({COORDINATOR})
+    terms = [Node(utility=Fraction(u)) for u in (1, -1, 2, -2)]
+    o_at = [Node(player=OPPONENT, edges=(Edge("l", k, seen_by=seen_o),
+                                         Edge("r", k + 1, seen_by=seen_o)))
+            for k in (0, 2)]
+    coord = Node(player=COORDINATOR, edges=(Edge("x", 5, seen_by=seen_c),))
+    root = Node(player=CHANCE, edges=(
+        Edge("a", 4, Fraction(1, 2), seen_c), Edge("b", 6, Fraction(1, 2),
+                                                   seen_c)))
+    g = VEFG("two-depths", (COORDINATOR, OPPONENT),
+             (*terms, *o_at, coord, root), 7)
+    validate_game(g)
+    with pytest.raises(NotPublicTurnTaking):
+        compile_converted(replace(_pennies_converted(), game=g))
 
 
 def test_expected_value_pure_profile_hits_reached_terminal():
