@@ -27,16 +27,31 @@ Prob = Union[Fraction, float]
 Utility = Union[Fraction, float, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PlayerRole:
-    """A participant: team member (indexed), opponent, chance or coordinator."""
+    """A participant: team member (indexed), opponent, chance or coordinator.
+
+    Interned: there is one instance per ``(kind, index)``, so equality and
+    hashing are by identity (and run in C); ``__reduce__`` makes pickle and
+    ``deepcopy`` return the interned instance.
+    """
 
     kind: str  # "team" | "opponent" | "chance" | "coordinator"
     index: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("team", "opponent", "chance", "coordinator"):
-            raise UnknownPlayer(f"unknown player kind {self.kind!r}")
+    def __new__(cls, kind: str, index: int = 0) -> "PlayerRole":
+        if kind not in ("team", "opponent", "chance", "coordinator"):
+            raise UnknownPlayer(f"unknown player kind {kind!r}")
+        role = _ROLES.get((kind, index))
+        if role is None:
+            role = object.__new__(cls)
+            object.__setattr__(role, "kind", kind)
+            object.__setattr__(role, "index", index)
+            _ROLES[kind, index] = role
+        return role
+
+    def __reduce__(self):
+        return (PlayerRole, (self.kind, self.index))
 
     @property
     def name(self) -> str:
@@ -52,6 +67,7 @@ class PlayerRole:
         return self.name
 
 
+_ROLES: dict[tuple[str, int], "PlayerRole"] = {}
 CHANCE = PlayerRole("chance")
 OPPONENT = PlayerRole("opponent")
 COORDINATOR = PlayerRole("coordinator")

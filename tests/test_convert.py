@@ -17,6 +17,7 @@ from pubcoord import (
     convert_folded,
     convert_pruned,
     gen_kuhn3,
+    gen_leduc3,
     gen_toy,
     map_coordinator_to_team,
     map_team_to_coordinator,
@@ -286,6 +287,36 @@ _PINNED = {
     ("toy322bp", "folded"): (
         "546793ce25853189f91f1722f6502d416039a453509ab3ca2303a71f290448df",
         "25140cc15b5ed86577d8972ecf8b8255f01c4a298ed124494c0f82a1d7cc7676"),
+    ("leduc21-0", "basic"): (
+        "754585e70567c21b55750a706a3e4e5ba9c5a9dbde62a78afe34032734bb7407",
+        "292c2f2cc52cb39a7f8b84e3b45acea96f9e31f960b7ad3ffd8f232c0cd5f444"),
+    ("leduc21-0", "pruned"): (
+        "89962825d285af35db5cb6cb2acf9b5dadfddff7331c17f64165b3fc783c4a76",
+        "7fa8b0ebf1fa7dcec9ac3698771a52e58aae705a1f47269666da92bc0c625aee"),
+    ("leduc21-0", "folded"): (
+        "698aada949c94489eb4e75f8634bbb2e76494ebb96486d84d9a51d2535724446",
+        "1d28f1d936fa9a07d010d5862b6ed16465cf524de984c10b99f09fa25688c232"),
+    ("leduc21-1", "basic"): (
+        "ad165542e6904ad82a455c6f26f2ec36aa85304ed4e34c0fd9451eeb9a4160e1",
+        "f4c74c0c72bc9a5bc558b5c105cffee2e8f37a919764149cf056144f9bbbd487"),
+    ("leduc21-1", "pruned"): (
+        "6213d642af64322053c97b391609253f8eeafa0cf4ff77a2312582de75d31b48",
+        "6adf55b94a107a765a40434c15e94ed33af0561cf4df18501409afa10d5fc9cd"),
+    ("leduc21-1", "folded"): (
+        "f2df84138a86e49dcd0d14c6011c1d8d93ec1d1e2e3d5a03d4bb06ce1afc0f65",
+        "6fa328555ebb9edb0f7e98d2a62e7befc82eed4c64cabbd1dbbb5323ac77c3a9"),
+    ("leduc21-2", "basic"): (
+        "daa0c86327f20fe8f032731957ac368cd29c0b9e21f14476102335802524e17a",
+        "73d72fa6b538a6ec63fcab4ad4aae574ca01e49aea9d736a0b29aef589411288"),
+    ("leduc21-2", "pruned"): (
+        "4dbd8655ff17ab21665b0b38f6cba7c3f865c25e2409a1c81b67d5113773dfb2",
+        "61431f0de70f1bc7a17608159801bea475c8ce55766b7bf8873371833b9bbb48"),
+    ("leduc21-2", "folded"): (
+        "8f1687c2bd9f87e2f11d3c2c10bce5440adf00e856332801011374906dec3934",
+        "cdc4b574b5f97cb103a3e190ae7a295026a4d7892bf691b35c52c79f8df41678"),
+    ("kuhn4-0", "folded"): (
+        "7dce93e758b3f963e9e2af2bd22dd384da1823ceb76f3372f8ce9b026c1c60fe",
+        "bddbc3049bdf5f5c399cc2a4685fc3a3735acdbeee2cdd4f06c616d492578947"),
 }
 
 _PIN_GAMES = {
@@ -295,15 +326,49 @@ _PIN_GAMES = {
     "toy232": lambda: gen_toy(ToySpec(2, 3, 2, payoff_seed=1)),
     "toy322bp": lambda: gen_toy(ToySpec(3, 2, 2, both_private=True,
                                         payoff_seed=2)),
+    **{f"leduc21-{pos}": (lambda pos=pos: gen_leduc3(
+        PokerSpec("leduc", 2, raises=1, adversary_position=pos)))
+       for pos in range(3)},
+    "kuhn4-0": lambda: gen_kuhn3(PokerSpec("kuhn", 4, adversary_position=0)),
 }
+
+
+def _pinned_modes(name):
+    return [mode for game, mode in _PINNED if game == name]
 
 
 @pytest.mark.parametrize("name", sorted(_PIN_GAMES))
 def test_converted_trees_match_pinned_digests(name):
     g = _PIN_GAMES[name]()
-    for mode, conv in CONVERTERS.items():
-        cg = conv(g)
+    for mode in _pinned_modes(name):
+        cg = CONVERTERS[mode](g)
         meta = repr((cg.node_kind, cg.origin_player, cg.active, cg.supports))
         got = (game_digest(cg.game),
                hashlib.sha256(meta.encode()).hexdigest())
         assert got == _PINNED[(name, mode)], (name, mode)
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_GAMES))
+def test_converted_subtrees_are_contiguous_id_ranges(name):
+    # the builder copies a repeated sub-game as one id range, which is exact
+    # only if every subtree is the post-order range [nid - size + 1, nid]
+    g = _PIN_GAMES[name]()
+    for mode in _pinned_modes(name):
+        cg = CONVERTERS[mode](g)
+        nodes = cg.game.nodes
+        order, stack = [], [cg.game.root]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(e.child for e in nodes[nid].edges)
+        assert len(order) == len(nodes), (name, mode)
+        size = [1] * len(nodes)
+        lo = list(range(len(nodes)))
+        hi = list(range(len(nodes)))
+        for nid in reversed(order):
+            for e in nodes[nid].edges:
+                size[nid] += size[e.child]
+                lo[nid] = min(lo[nid], lo[e.child])
+                hi[nid] = max(hi[nid], hi[e.child])
+            assert (lo[nid], hi[nid]) == (nid - size[nid] + 1, nid), (
+                name, mode, nid)

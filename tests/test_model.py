@@ -1,6 +1,10 @@
 """Game representation: validation, visibility, infosets, turn-taking."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,10 +16,12 @@ from pubcoord.errors import (
     ProbabilityNotNormalized,
     UnknownPlayer,
 )
+from pubcoord.io_json import game_from_dict, game_to_dict
 from pubcoord.model import (
     CHANCE,
     Edge,
     Node,
+    PlayerRole,
     VEFG,
     derive_visibility_class,
     infosets,
@@ -38,6 +44,25 @@ def test_parse_role_roundtrip():
         assert parse_role(name).name == name
     with pytest.raises(UnknownPlayer):
         parse_role("bogus")
+
+
+def test_player_roles_are_interned(mini):
+    t0 = PlayerRole("team", 0)
+    assert team_member(0) is t0
+    assert parse_role("t0") is t0
+    assert pickle.loads(pickle.dumps(t0)) is t0
+    assert copy.deepcopy(t0) is t0
+    back = game_from_dict(json.loads(json.dumps(game_to_dict(mini))))
+    assert all(p is q for p, q in zip(back.players, mini.players))
+    assert back.nodes[mini.root].edges[0].seen_by == frozenset((t0,))
+    # equality and hashing are by identity, and the instance stays frozen
+    assert PlayerRole.__eq__ is object.__eq__
+    assert PlayerRole.__hash__ is object.__hash__
+    assert team_member(1) is not t0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t0.index = 1
+    with pytest.raises(UnknownPlayer):
+        PlayerRole("captain")
 
 
 def test_validate_rejects_cycles():
