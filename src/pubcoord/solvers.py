@@ -761,34 +761,15 @@ def _regret_match(regrets: np.ndarray) -> np.ndarray:
     return _normalize_rows(np.maximum(regrets, 0.0)[None, :])[0]
 
 
-def _pairwise_sum(a: list) -> float:
-    """``numpy.sum(a)`` in numpy's own (pairwise) order, bit for bit."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    s = 0.0
-    if n >= 8:
-        r = a[:8]
-        for i in range(8, n - n % 8, 8):
-            r = [x + y for x, y in zip(r, a[i:i + 8])]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        a = a[n - n % 8:]
-    for x in a:
-        s += x
-    return s
-
-
 def _traversal(c: _Compiled, me: str) -> Callable:
     """One CFR traversal for side ``me``: a function of the regret and
-    strategy-sum arrays it updates, the other side's strategy per slot and,
-    for simultaneous updates, ``me``'s own.
+    strategy-sum arrays it updates and of both sides' strategies per slot,
+    which stay fixed for the traversal.
 
     The reach of chance and the other side, and the values of nodes whose
-    subtree holds none of ``me``'s decisions, depend only on strategies
-    fixed for the traversal, so numpy computes them level by level.  Python
-    walks the rest depth first, each of ``me``'s nodes regret-matching its
-    infoset from the regrets left by the nodes finished before it."""
+    subtree holds none of ``me``'s decisions, depend only on the other
+    side's strategy, so numpy computes them level by level.  Python walks
+    the rest depth first."""
     side = c.sides[me]
     other = "o" if me == "coord" else "coord"
     sign = 1.0 if me == "coord" else -1.0
@@ -808,7 +789,7 @@ def _traversal(c: _Compiled, me: str) -> Callable:
         ro = c.reach(w)[side.nodes].tolist()
         vl = c.backup(w, sign * c.utility).tolist()
         wl = w.tolist()
-        msig = my_sigma.tolist() if my_sigma is not None else None
+        msig = my_sigma.tolist()
         R = regrets.tolist()
         S = strat.tolist()
 
@@ -823,13 +804,7 @@ def _traversal(c: _Compiled, me: str) -> Callable:
                 return total
             off = offset[j]
             width = hi - lo
-            if msig is not None:
-                sig = msig[off:off + width]
-            else:
-                pos = [x if x > 0.0 else 0.0 for x in R[off:off + width]]
-                s = _pairwise_sum(pos)
-                sig = ([1.0 / width] * width if s <= 0
-                       else [x / s for x in pos])
+            sig = msig[off:off + width]
             vals = [walk(e + 1, rm * s) if walked[e] else vl[e + 1]
                     for e, s in zip(range(lo, hi), sig)]
             # numpy's dot product: BLAS rounds differently from a loop
@@ -857,18 +832,14 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     """Run a CFR-family algorithm on a converted two-player zero-sum game.
 
     ``algo`` is one of ``cfr`` (simultaneous updates), ``cfr+`` (alternating
-    updates, regrets floored at 0) or ``lcfr+`` (CFR+ with contributions of
-    iteration t weighted linearly by t).  Returns ``(profile, log)`` where
-    profile holds the normalized average behavioral strategies.
+    updates, regrets floored at 0) or ``lcfr+`` (CFR+ with the regrets of
+    iteration t weighted by t and its average strategy by t squared).
+    Returns ``(profile, log)`` where profile holds the normalized average
+    behavioral strategies.
 
-    Update order: in a ``cfr+`` / ``lcfr+`` traversal, each of the
-    traverser's nodes regret-matches its infoset from the regrets as
-    updated by the nodes finished earlier in depth-first order, so nodes
-    sharing an infoset (several beliefs, or merged safe-IR keys) can act
-    differently within one pass.  This is kept on purpose: freezing the
-    traverser's strategy per pass moves the Kuhn-3 LCFR+ profiles by
-    0.66–0.75 after 20 iterations and makes LCFR+ miss exploitability 1e-4
-    within 250 iterations.  Zero reach of the other side prunes nothing: the
+    Each traversal regret-matches every infoset once, before it starts, so
+    all nodes of an infoset (several beliefs, or merged safe-IR keys) act
+    alike within it.  Zero reach of the other side prunes nothing: the
     traverser's average strategy keeps accumulating with its own reach.
     """
     if algo not in ("cfr", "cfr+", "lcfr+"):
@@ -903,11 +874,14 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
             if frozen:
                 run(regrets[k], strat[k], frozen[1 - k], frozen[k])
             else:
-                run(regrets[k], strat[k], matched(1 - k), None)
+                run(regrets[k], strat[k], matched(1 - k), matched(k))
                 np.maximum(regrets[k], 0.0, out=regrets[k])
         if algo == "lcfr+":
-            for x in regrets + strat:
-                x *= t / (t + 1.0)
+            w = t / (t + 1.0)
+            for x in regrets:
+                x *= w
+            for x in strat:
+                x *= w * w
         if log_every and (t % log_every == 0 or t == iterations):
             prof = average_profile()
             v = expected_value(cg, prof, compiled=c)

@@ -2,9 +2,10 @@
 array engine in ``pubcoord.solvers`` replaced.
 
 Kept only as an oracle for ``test_cfr_equivalence.py``.  ``solve_cfr`` here
-visits every node of the tree twice per iteration in Python and updates
-regrets in depth-first order; the compiled engine must reproduce its average
-profiles bit for bit, and its expected values and best responses to 1e-12.
+visits every node of the tree twice per iteration in Python, with both
+sides' strategies regret-matched before each traversal; the compiled
+engine must reproduce its average profiles bit for bit, and its expected
+values and best responses to 1e-12.
 """
 from __future__ import annotations
 
@@ -106,12 +107,11 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     strat_sum = {s: {k: np.zeros(len(a))
                      for k, a in c.iset_actions[s].items()} for s in sides}
     node_side = {nid: s for s in sides for nid in c.profile_key[s]}
-    frozen: Optional[dict] = None
+    frozen: dict = {}
 
-    def current(side, key):
-        if frozen is not None:
-            return frozen[side][key]
-        return _regret_match(regrets[side][key])
+    def match_all():
+        return {s: {k: _regret_match(r) for k, r in regrets[s].items()}
+                for s in sides}
 
     def traverse(nid, reach_me, reach_other, me):
         k = c.kind[nid]
@@ -127,7 +127,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
             return total
         side = node_side[nid]
         key = c.profile_key[side][nid]
-        sigma = current(side, key)
+        sigma = frozen[side][key]
         if side != me:
             total = 0.0
             for i, ch in enumerate(c.edges[nid]):
@@ -160,14 +160,12 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     with recursion_headroom(len(c.kind)):
         for t in range(1, iterations + 1):
             if algo == "cfr":
-                frozen = {s: {k: _regret_match(r)
-                              for k, r in regrets[s].items()}
-                          for s in sides}
+                frozen = match_all()
                 for s in sides:
                     traverse(c.root, 1.0, 1.0, s)
-                frozen = None
             else:
                 for s in sides:
+                    frozen = match_all()
                     traverse(c.root, 1.0, 1.0, s)
                     for tab in regrets[s].values():
                         np.maximum(tab, 0.0, out=tab)
@@ -177,7 +175,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
                     for tab in regrets[s].values():
                         tab *= w
                     for tab in strat_sum[s].values():
-                        tab *= w
+                        tab *= w * w
             if log_every and (t % log_every == 0 or t == iterations):
                 prof = average_profile()
                 rows.append((t, expected_value(c, prof),
