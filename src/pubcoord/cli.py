@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -188,6 +189,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not 0 < args.tol < math.inf:  # NaN fails too
+        raise _CliError(EXIT_PARAMS, f"--tol must be finite and > 0, "
+                                     f"got {args.tol}")
+    if args.max_entries < 1:
+        raise _CliError(EXIT_PARAMS, f"--max-entries must be >= 1, "
+                                     f"got {args.max_entries}")
     game = _load(args.input, converted=False)
     try:
         res = tmecor_bruteforce(game, tol=args.tol,
@@ -294,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: tolerance must be > 0", file=sys.stderr)
-        return EXIT_PARAMS
     try:
         return args.func(args)
     except _CliError as exc:

@@ -6,6 +6,7 @@ position.  Chance probabilities are exact rationals.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,10 +61,13 @@ def gen_toy(spec: ToySpec) -> VEFG:
     if c < 1 or a < 2 or h < 1:
         raise SpecOutOfBounds(
             f"toy spec needs C>=1, A>=2, H>=1; got C={c}, A={a}, H={h}")
-    if _toy_size(spec) > _NODE_LIMIT:
+    # A**H nodes alone exceed the limit: no exact count, whose integers
+    # would grow with H
+    if (h * math.log2(a) > math.log2(_NODE_LIMIT)
+            or _toy_size(spec) > _NODE_LIMIT):
         raise SpecOutOfBounds(
-            f"toy game would have {_toy_size(spec)} nodes (limit "
-            f"{_NODE_LIMIT})")
+            f"toy game C={c}, A={a}, H={h} would have more than "
+            f"{_NODE_LIMIT} nodes")
     p1, p2 = team_member(0), team_member(1)
     rng = (random.Random(spec.payoff_seed)
            if spec.payoff_seed is not None else None)

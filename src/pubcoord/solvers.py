@@ -532,9 +532,6 @@ def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
 # Compiled converted game: flat arrays for CFR and evaluation
 # ---------------------------------------------------------------------------
 
-MAX_WALK_DEPTH = 400  # the CFR walk recurses once per tree level
-
-
 @dataclass
 class _Partition:
     """An information partition of one side's decision nodes.  Infoset
@@ -578,7 +575,6 @@ class _Side:
     edges: np.ndarray      # the edges leaving them, ascending
     profile: _Partition    # strategy-lookup keys (merged under safe IR)
     pr: _Partition         # perfect-recall (visibility-derived) keys
-    bearing: np.ndarray    # per node: its subtree holds one of ``nodes``
 
 
 @dataclass
@@ -594,6 +590,7 @@ class _Compiled:
     prob: np.ndarray       # per edge: chance probability, 1 on decisions
     levels: list[tuple[int, int]]
     sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
+    steps: list = field(init=False, repr=False)
 
     @property
     def has_opponent(self) -> bool:
@@ -613,23 +610,35 @@ class _Compiled:
             w[side.edges] = flat[side.profile.edge_slot]
         return w
 
-    def reach(self, w: np.ndarray) -> np.ndarray:
-        """Per node: the product of the edge weights ``w`` from the root."""
-        reach = np.empty(len(self.utility))
-        reach[0] = 1.0
-        for a, b in self.levels[1:]:
-            reach[a:b] = reach[self.parent[a - 1:b - 1]] * w[a - 1:b - 1]
+    def __post_init__(self) -> None:
+        # per depth d: its id range, the next depth's, and the parent of
+        # each node at depth d + 1 as an offset into depth d
+        self.steps = [(p0, p1, a, b, self.parent[a - 1:b - 1] - p0)
+                      for (p0, p1), (a, b) in zip(self.levels,
+                                                  self.levels[1:])]
+
+    def reach(self, w: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
+        """Per node down to depth ``depth`` (default: every node): the
+        product of the edge weights ``w`` from the root.  Each row of a 2-D
+        ``w`` gives one row of reaches."""
+        end = self.levels[-1 if depth is None else depth][1]
+        reach = np.empty(w.shape[:-1] + (end,))
+        reach[..., 0] = 1.0
+        for p0, p1, a, b, up in self.steps[:depth]:
+            reach[..., a:b] = (reach[..., p0:p1].take(up, axis=-1)
+                               * w[..., a - 1:b - 1])
         return reach
 
     def backup(self, w: np.ndarray, val: np.ndarray,
-               decide: Optional[Callable[[int], None]] = None) -> np.ndarray:
-        """Bottom-up, in place: each internal node's value becomes the
-        ``w``-weighted sum of its children's, added in action order; after
-        each depth ``decide(depth)`` may overwrite that depth's values."""
-        for d in range(len(self.levels) - 2, -1, -1):
-            (p0, p1), (a, b) = self.levels[d], self.levels[d + 1]
-            val[p0:p1] += np.bincount(self.parent[a - 1:b - 1] - p0,
-                                      w[a - 1:b - 1] * val[a:b], p1 - p0)
+               decide: Optional[Callable[[int], None]] = None,
+               top: int = 0) -> np.ndarray:
+        """Bottom-up, in place: each internal node down from depth ``top``
+        gets the ``w``-weighted sum of its children's values, added in
+        action order; after each depth ``decide(depth)`` may overwrite that
+        depth's values."""
+        for d in range(len(self.steps) - 1, top - 1, -1):
+            p0, p1, a, b, up = self.steps[d]
+            val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
             if decide is not None:
                 decide(d)
         return val
@@ -708,10 +717,6 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
         local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts)
                                                     - counts, counts)
         profile = _partition(keys, labels, local)
-        bearing = np.zeros(len(order), dtype=bool)
-        bearing[side_nodes] = True
-        for a, b in reversed(levels[1:]):
-            bearing[parent_a[a - 1:b - 1][bearing[a:b]]] = True
         pr = (_partition(pr_keys, labels, local)
               if cg.safe_ir_applied and name == "coord" else profile)
         # best responses decide an infoset at the one depth of its nodes
@@ -721,7 +726,7 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
             raise NotPublicTurnTaking(
                 f"an infoset of {name!r} has nodes at several depths")
         sides[name] = _Side(
-            nodes=side_nodes, profile=profile, pr=pr, bearing=bearing,
+            nodes=side_nodes, profile=profile, pr=pr,
             edges=np.repeat(first_a[side_nodes], counts) + local)
     return _Compiled(utility=np.array(utility), first=first_a,
                      parent=parent_a, prob=np.array(prob, dtype=float),
@@ -757,72 +762,75 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 def _regret_match(regrets: np.ndarray) -> np.ndarray:
     """Regret matching at one infoset: positive regrets normalised, uniform
-    when none is positive.  The CFR walk computes it in scalar form."""
+    when none is positive.  CFR applies it to every infoset at once through
+    :meth:`_Partition.normalize`."""
     return _normalize_rows(np.maximum(regrets, 0.0)[None, :])[0]
 
 
 def _traversal(c: _Compiled, me: str) -> Callable:
-    """One CFR traversal for side ``me``: a function of the regret and
-    strategy-sum arrays it updates and of both sides' strategies per slot,
+    """One CFR traversal for side ``me``: a function that adds to ``me``'s
+    regret and strategy-sum arrays, given both sides' strategies per slot,
     which stay fixed for the traversal.
 
-    The reach of chance and the other side, and the values of nodes whose
-    subtree holds none of ``me``'s decisions, depend only on the other
-    side's strategy, so numpy computes them level by level.  Python walks
-    the rest depth first."""
+    A top-down level pass computes two reaches at once, that of chance and
+    the other side and ``me``'s own, and a bottom-up pass every node's value
+    under the full profile; two ``np.bincount`` calls then add each of
+    ``me``'s decision edges' counterfactual regret and average-strategy
+    weight to its slot.  Below a zero-probability chance edge ``me``'s own
+    reach is 0, as a depth-first CFR never enters it.  The increments are
+    those of such a walk up to summation order, exact to 1e-12 relative
+    per traversal."""
     side = c.sides[me]
-    other = "o" if me == "coord" else "coord"
-    sign = 1.0 if me == "coord" else -1.0
-    first = c.first.tolist() + [len(c.parent)]
-    # walk the children whose subtree holds one of ``me``'s decisions,
-    # except below zero-probability chance edges, which CFR never enters
-    walked = (side.bearing[1:] & (c.prob != 0)).tolist()
-    index = np.full(len(c.utility), -1)
-    index[side.nodes] = np.arange(len(side.nodes))
-    index = index.tolist()
-    offset = side.profile.offset[side.profile.of_node].tolist()
+    if len(side.nodes) == 0:
+        return lambda regrets, strat, other_sigma, my_sigma: None
+    other = c.sides.get("o" if me == "coord" else "coord")
+    utility = (1.0 if me == "coord" else -1.0) * c.utility
+    mine, slot, n = side.edges, side.profile.edge_slot, side.profile.offset[-1]
+    par, child = c.parent[mine], mine + 1
+    # reaches are needed down to ``me``'s deepest decisions, values up to
+    # its shallowest
+    top, bottom = (np.searchsorted([a for a, _ in c.levels],
+                                   side.nodes[[0, -1]], "right") - 1).tolist()
+    # row 0: chance and the other side; row 1: ``me`` alone
+    w = np.stack([c.prob, (c.prob != 0).astype(float)])
 
     def run(regrets, strat, other_sigma, my_sigma) -> None:
-        if not side.bearing[0]:
-            return
-        w = c.weights({} if other_sigma is None else {other: other_sigma})
-        ro = c.reach(w)[side.nodes].tolist()
-        vl = c.backup(w, sign * c.utility).tolist()
-        wl = w.tolist()
-        msig = my_sigma.tolist()
-        R = regrets.tolist()
-        S = strat.tolist()
-
-        def walk(n: int, rm: float) -> float:
-            lo, hi = first[n], first[n + 1]
-            j = index[n]
-            if j < 0:
-                total = 0.0
-                for e in range(lo, hi):
-                    total += wl[e] * (walk(e + 1, rm) if walked[e]
-                                      else vl[e + 1])
-                return total
-            off = offset[j]
-            width = hi - lo
-            sig = msig[off:off + width]
-            vals = [walk(e + 1, rm * s) if walked[e] else vl[e + 1]
-                    for e, s in zip(range(lo, hi), sig)]
-            # numpy's dot product: BLAS rounds differently from a loop
-            nv = float(np.vdot(sig, vals))
-            r = ro[j]
-            for i in range(width):
-                R[off + i] += r * (vals[i] - nv)
-                S[off + i] += rm * sig[i]
-            return nv
-
-        walk(0, 1.0)
-        # ``walk`` refers to itself; dropping it frees this pass's lists now
-        # instead of at the next cyclic garbage collection
-        del walk
-        regrets[:] = R
-        strat[:] = S
+        if other is not None:
+            w[0, other.edges] = other_sigma[other.profile.edge_slot]
+        sigma = my_sigma[slot]
+        w[1, mine] = sigma
+        reach_other, reach_me = c.reach(w, bottom)
+        full = w[0].copy()
+        full[mine] = sigma
+        v = c.backup(full, utility.copy(), top=top)
+        regrets += np.bincount(slot, reach_other[par] * (v[child] - v[par]), n)
+        strat += np.bincount(slot, reach_me[par] * sigma, n)
 
     return run
+
+
+def _iterate(c: _Compiled, walks: list, algo: str, t: int,
+             regrets: list, strat: list) -> None:
+    """Iteration ``t`` of ``algo``: one traversal per side (``walks``, made
+    by :func:`_traversal`), updating the per-side regret and strategy-sum
+    arrays in place."""
+    parts = [side.profile for side in c.sides.values()]  # coord, then o
+    # both sides' regret-matched strategies (None: no opponent); ``cfr``
+    # keeps those of the start of the iteration for both traversals
+    sigma = [p.normalize(np.maximum(r, 0.0))
+             for p, r in zip(parts, regrets)] + [None]
+    for k, run in enumerate(walks):
+        run(regrets[k], strat[k], sigma[1 - k], sigma[k])
+        if algo != "cfr":
+            np.maximum(regrets[k], 0.0, out=regrets[k])
+            if k + 1 < len(walks):
+                sigma[k] = parts[k].normalize(regrets[k])
+    if algo == "lcfr+":
+        w = t / (t + 1.0)
+        for x in regrets:
+            x *= w
+        for x in strat:
+            x *= w * w
 
 
 def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
@@ -839,7 +847,8 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 
     Each traversal regret-matches every infoset once, before it starts, so
     all nodes of an infoset (several beliefs, or merged safe-IR keys) act
-    alike within it.  Zero reach of the other side prunes nothing: the
+    alike within it, and runs as numpy passes over the compiled tree (see
+    :func:`_traversal`).  Zero reach of the other side prunes nothing: the
     traverser's average strategy keeps accumulating with its own reach.
     """
     if algo not in ("cfr", "cfr+", "lcfr+"):
@@ -848,18 +857,10 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
         raise InvalidIterationCount(f"iterations must be >= 0, "
                                     f"got {iterations}")
     c = compiled if compiled is not None else compile_converted(cg)
-    if len(c.levels) > MAX_WALK_DEPTH:
-        raise GameTooLarge(f"converted tree is {len(c.levels)} levels deep; "
-                           f"CFR supports at most {MAX_WALK_DEPTH}")
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     regrets = [np.zeros(p.offset[-1]) for p in parts]
     strat = [np.zeros(p.offset[-1]) for p in parts]
     walks = [_traversal(c, name) for name in c.sides]
-
-    def matched(k):
-        if k < len(parts):
-            return parts[k].normalize(np.maximum(regrets[k], 0.0))
-        return None
 
     def average_profile() -> Profile:
         return {name: p.as_profile(p.normalize(x))
@@ -867,21 +868,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 
     log = ConvergenceLog()
     for t in range(1, iterations + 1):
-        # simultaneous updates: both traversals use the strategies of the
-        # start of the iteration
-        frozen = [matched(0), matched(1)] if algo == "cfr" else None
-        for k, run in enumerate(walks):
-            if frozen:
-                run(regrets[k], strat[k], frozen[1 - k], frozen[k])
-            else:
-                run(regrets[k], strat[k], matched(1 - k), matched(k))
-                np.maximum(regrets[k], 0.0, out=regrets[k])
-        if algo == "lcfr+":
-            w = t / (t + 1.0)
-            for x in regrets:
-                x *= w
-            for x in strat:
-                x *= w * w
+        _iterate(c, walks, algo, t, regrets, strat)
         if log_every and (t % log_every == 0 or t == iterations):
             prof = average_profile()
             v = expected_value(cg, prof, compiled=c)

@@ -1,11 +1,11 @@
 """Reference CFR engine: the per-node recursive walks that the compiled
 array engine in ``pubcoord.solvers`` replaced.
 
-Kept only as an oracle for ``test_cfr_equivalence.py``.  ``solve_cfr`` here
-visits every node of the tree twice per iteration in Python, with both
-sides' strategies regret-matched before each traversal; the compiled
-engine must reproduce its average profiles bit for bit, and its expected
-values and best responses to 1e-12.
+Kept only as an oracle for ``test_cfr_equivalence.py``.  ``traverse`` here
+visits every node of the tree in Python, with both sides' strategies
+regret-matched before each traversal (``iterate``); the compiled engine's
+regret and strategy-sum increments must match it to 1e-12 relative per
+traversal, and its expected values and best responses to 1e-12.
 """
 from __future__ import annotations
 
@@ -96,24 +96,31 @@ def _regret_match(regrets: np.ndarray) -> np.ndarray:
     return pos / s
 
 
-def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
-              iterations: int = 1000, log_every: int = 0):
-    """Returns ``(profile, rows)`` with rows ``(iteration, team value,
-    exploitability)`` every ``log_every`` iterations."""
-    c = compile_reference(cg)
-    sides = ["coord"] + (["o"] if c.has_opponent else [])
-    regrets = {s: {k: np.zeros(len(a))
-                   for k, a in c.iset_actions[s].items()} for s in sides}
-    strat_sum = {s: {k: np.zeros(len(a))
-                     for k, a in c.iset_actions[s].items()} for s in sides}
-    node_side = {nid: s for s in sides for nid in c.profile_key[s]}
-    frozen: dict = {}
+def sides_of(c: Compiled) -> list[str]:
+    return ["coord"] + (["o"] if c.has_opponent else [])
 
-    def match_all():
-        return {s: {k: _regret_match(r) for k, r in regrets[s].items()}
-                for s in sides}
 
-    def traverse(nid, reach_me, reach_other, me):
+def zero_tables(c: Compiled) -> dict:
+    """Per side, infoset key -> zero array over its actions."""
+    return {s: {k: np.zeros(len(a)) for k, a in c.iset_actions[s].items()}
+            for s in sides_of(c)}
+
+
+def match_all(c: Compiled, regrets: dict) -> dict:
+    return {s: {k: _regret_match(r) for k, r in regrets[s].items()}
+            for s in sides_of(c)}
+
+
+def traverse(c: Compiled, me: str, frozen: dict, regrets: dict,
+             strat_sum: dict) -> float:
+    """One CFR traversal for side ``me`` under the per-infoset strategies
+    ``frozen``: a depth-first walk that adds ``me``'s counterfactual regrets
+    and reach-weighted strategies to the tables in place and returns the
+    root value for ``me``.  Zero-probability chance edges are not
+    entered."""
+    node_side = {nid: s for s in sides_of(c) for nid in c.profile_key[s]}
+
+    def walk(nid, reach_me, reach_other):
         k = c.kind[nid]
         if k == _TERMINAL:
             u = c.utility[nid]
@@ -123,7 +130,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
             for ch, p in zip(c.edges[nid], c.probs[nid]):
                 if p == 0.0:
                     continue
-                total += p * traverse(ch, reach_me, reach_other * p, me)
+                total += p * walk(ch, reach_me, reach_other * p)
             return total
         side = node_side[nid]
         key = c.profile_key[side][nid]
@@ -131,20 +138,52 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
         if side != me:
             total = 0.0
             for i, ch in enumerate(c.edges[nid]):
-                total += sigma[i] * traverse(ch, reach_me,
-                                             reach_other * sigma[i], me)
+                total += sigma[i] * walk(ch, reach_me, reach_other * sigma[i])
             return total
         vals = np.empty(len(c.edges[nid]))
         for i, ch in enumerate(c.edges[nid]):
-            vals[i] = traverse(ch, reach_me * sigma[i], reach_other, me)
+            vals[i] = walk(ch, reach_me * sigma[i], reach_other)
         node_val = float(sigma @ vals)
         regrets[side][key] += reach_other * (vals - node_val)
         strat_sum[side][key] += reach_me * sigma
         return node_val
 
+    with recursion_headroom(len(c.kind)):
+        return walk(c.root, 1.0, 1.0)
+
+
+def iterate(c: Compiled, algo: str, t: int, regrets: dict,
+            strat_sum: dict) -> None:
+    """Iteration ``t`` of ``algo``, updating the tables in place."""
+    sides = sides_of(c)
+    if algo == "cfr":
+        frozen = match_all(c, regrets)
+        for s in sides:
+            traverse(c, s, frozen, regrets, strat_sum)
+    else:
+        for s in sides:
+            traverse(c, s, match_all(c, regrets), regrets, strat_sum)
+            for tab in regrets[s].values():
+                np.maximum(tab, 0.0, out=tab)
+    if algo == "lcfr+":
+        w = t / (t + 1.0)
+        for s in sides:
+            for tab in regrets[s].values():
+                tab *= w
+            for tab in strat_sum[s].values():
+                tab *= w * w
+
+
+def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
+              iterations: int = 1000, log_every: int = 0):
+    """Returns ``(profile, rows)`` with rows ``(iteration, team value,
+    exploitability)`` every ``log_every`` iterations."""
+    c = compile_reference(cg)
+    regrets, strat_sum = zero_tables(c), zero_tables(c)
+
     def average_profile():
         prof: dict = {}
-        for s in sides:
+        for s in sides_of(c):
             prof[s] = {}
             for key, acts in c.iset_actions[s].items():
                 w = strat_sum[s][key]
@@ -157,29 +196,12 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
         return prof
 
     rows = []
-    with recursion_headroom(len(c.kind)):
-        for t in range(1, iterations + 1):
-            if algo == "cfr":
-                frozen = match_all()
-                for s in sides:
-                    traverse(c.root, 1.0, 1.0, s)
-            else:
-                for s in sides:
-                    frozen = match_all()
-                    traverse(c.root, 1.0, 1.0, s)
-                    for tab in regrets[s].values():
-                        np.maximum(tab, 0.0, out=tab)
-            if algo == "lcfr+":
-                w = t / (t + 1.0)
-                for s in sides:
-                    for tab in regrets[s].values():
-                        tab *= w
-                    for tab in strat_sum[s].values():
-                        tab *= w * w
-            if log_every and (t % log_every == 0 or t == iterations):
-                prof = average_profile()
-                rows.append((t, expected_value(c, prof),
-                             exploitability(c, prof)))
+    for t in range(1, iterations + 1):
+        iterate(c, algo, t, regrets, strat_sum)
+        if log_every and (t % log_every == 0 or t == iterations):
+            prof = average_profile()
+            rows.append((t, expected_value(c, prof),
+                         exploitability(c, prof)))
     return average_profile(), rows
 
 

@@ -2,13 +2,15 @@
 
 Valid game and converted JSON documents are mutated (keys dropped, values
 replaced by other types or bad rationals, arrays truncated, text cut short)
-and fed to ``convert``, ``solve`` and ``verify`` in-process.  Every run must
-end in a documented exit code; no exception may escape ``main``.
+and fed to ``convert``, ``solve`` and ``verify`` in-process.  Bad parameters
+are drawn for ``gen`` and ``oracle``.  Every run must end in a documented
+exit code; no exception may escape ``main``.
 """
 from __future__ import annotations
 
 import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -93,6 +95,73 @@ def test_verify_fuzzed_converted(tmp_path, capsys, data):
     capsys.readouterr()
     # 1: the mutated tree pays differently; 6: the source digest was hit
     assert code in (0, 1, 3, 4, 6)
+
+
+def _exit_code(capsys, argv) -> int:
+    """``main(argv)``'s exit code, also when argument parsing exits; no
+    traceback may reach standard error."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+_ANY = st.integers(-10 ** 6, 10 ** 6)
+_POS = st.integers(-10 ** 6, 10 ** 6).filter(lambda p: p not in (0, 1, 2))
+
+
+def _gen_argv(data) -> list[str]:
+    """A ``gen`` command line with at least one parameter out of bounds,
+    which every generator rejects before building anything."""
+    kind = data.draw(st.sampled_from(["toy", "kuhn", "leduc"]), label="kind")
+    if kind == "toy":
+        bad = data.draw(st.sampled_from(["chance", "actions", "depth",
+                                         "size"]), label="bad")
+        values = {"chance": data.draw(_ANY), "actions": data.draw(_ANY),
+                  "depth": data.draw(_ANY)}
+        if bad == "size":  # valid values, but 2**24 nodes or more
+            values = {"chance": data.draw(st.integers(1, 10 ** 9)),
+                      "actions": data.draw(st.integers(2, 10 ** 9)),
+                      "depth": data.draw(st.integers(23, 10 ** 9))}
+        else:
+            values[bad] = data.draw(st.integers(-10 ** 6, {
+                "chance": 0, "actions": 1, "depth": 0}[bad]))
+        return ["gen", "toy"] + [f"--{k}={v}" for k, v in values.items()]
+    if kind == "kuhn":
+        ranks, pos = data.draw(st.one_of(
+            st.tuples(st.integers(-10 ** 6, 2), _ANY),
+            st.tuples(_ANY, _POS)), label="ranks, adv-pos")
+        return ["gen", "kuhn", f"--ranks={ranks}", f"--adv-pos={pos}"]
+    ranks, raises, pos = data.draw(st.one_of(
+        st.tuples(st.one_of(st.integers(-10 ** 6, 1),
+                            st.integers(6, 10 ** 6)), _ANY, _ANY),
+        st.tuples(_ANY, _ANY.filter(lambda r: r not in (1, 2)), _ANY),
+        st.tuples(_ANY, _ANY, _POS)), label="ranks, raises, adv-pos")
+    return ["gen", "leduc", f"--ranks={ranks}", f"--raises={raises}",
+            f"--adv-pos={pos}"]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_gen_bad_parameters_exit_2(tmp_path, capsys, data):
+    out = tmp_path / "game.json"
+    assert _exit_code(capsys, _gen_argv(data) + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@_FUZZ
+@given(tol=st.one_of(st.floats(max_value=0.0),
+                     st.sampled_from([math.nan, math.inf, 1e-9])),
+       entries=st.integers(-10 ** 12, 10))
+def test_oracle_bad_parameters(tmp_path, capsys, tol, entries):
+    src = tmp_path / "game.json"
+    src.write_text(json.dumps(_GAME))
+    code = _exit_code(capsys, ["oracle", str(src), f"--tol={tol!r}",
+                               f"--max-entries={entries}"])
+    # up to 10 matrix entries are too few for the mini game's oracle
+    assert code == (5 if tol == 1e-9 and entries >= 1 else 2)
 
 
 def test_cli_import_leaves_scipy_unloaded():

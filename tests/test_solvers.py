@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pubcoord import PokerSpec, ToySpec, convert_basic, convert_folded, \
-    gen_kuhn3, gen_leduc3, gen_toy
+from pubcoord import PokerSpec, ToySpec, apply_safe_imperfect_recall, \
+    convert_basic, convert_folded, convert_pruned, gen_kuhn3, gen_leduc3, \
+    gen_toy
 from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     EmptyMatrix,
@@ -283,13 +284,6 @@ def test_cfr_rejects_bad_arguments():
         solve_cfr(cg, "cfr", -1)
 
 
-def test_cfr_rejects_trees_deeper_than_its_walk(monkeypatch):
-    # the traversal recurses once per level; deeper trees get a typed error
-    monkeypatch.setattr(solvers, "MAX_WALK_DEPTH", 2)
-    with pytest.raises(GameTooLarge):
-        solve_cfr(_pennies_converted(), "cfr", 1)
-
-
 def test_regret_matching_is_distribution():
     for regs in ([1.0, 2.0, 0.0], [-1.0, -5.0], [0.0, 0.0], [3.0, -2.0]):
         dist = _regret_match(np.array(regs))
@@ -449,3 +443,36 @@ def test_lcfr_plus_matches_oracle_on_multi_node_infosets(seed):
     profile, _ = solve_cfr(cg, "lcfr+", iterations=1500)
     assert expected_value(cg, profile) == pytest.approx(oracle, abs=2e-3)
     assert exploitability(cg, profile) <= 1e-4
+
+
+class _Reached(Exception):
+    """Raised from a ``solve_cfr`` log hook: (team value, exploitability)."""
+
+
+def _lcfr_plus_until(cg, eps: float, budget: int) -> tuple[float, float]:
+    """LCFR+ until the average profile is at most ``eps`` exploitable,
+    checked every 25 iterations; its team value and exploitability."""
+    def hook(t, v, e):
+        if e <= eps:
+            raise _Reached(v, e)
+    try:
+        solve_cfr(cg, "lcfr+", budget, log_every=25, log_hook=hook)
+    except _Reached as reached:
+        return reached.args
+    pytest.fail(f"LCFR+ not {eps}-exploitable within {budget} iterations")
+
+
+# The paper's claim at Leduc scale, where the TMECor oracle cannot run:
+# every conversion has the same value.  An eps-exploitable profile's value
+# is within eps of the game value, which certifies the bracket below
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_leduc_values_agree_across_modes(pos):
+    g = gen_leduc3(PokerSpec("leduc", 2, 1, adversary_position=pos))
+    folded = convert_folded(g)
+    modes = {"basic": convert_basic(g), "pruned": convert_pruned(g),
+             "folded": folded}
+    v_ir, e_ir = _lcfr_plus_until(apply_safe_imperfect_recall(folded),
+                                  1e-3, 1000)
+    for mode, cg in modes.items():
+        v, e = _lcfr_plus_until(cg, 1e-3, 1000)
+        assert abs(v - v_ir) <= e + e_ir, mode
