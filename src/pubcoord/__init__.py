@@ -3,8 +3,8 @@
 Convert team-vs-adversary extensive-form games into two-player zero-sum
 games solvable by CFR-family algorithms, with information-lossless
 pruned/folded/safe-imperfect-recall representations, benchmark generators
-(toy, 3-player Kuhn and Leduc poker), node-census analytics and brute-force
-team-maxmin-with-correlation oracles.
+(toy, 3-player Kuhn and Leduc poker), node-census analytics and an exact
+team-maxmin-with-correlation oracle.
 """
 from .model import (  # noqa: F401
     CHANCE,

@@ -31,6 +31,7 @@ from .errors import GameError, GameTooLarge, SpecOutOfBounds
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
 from .model import is_public_turn_taking, make_public_turn_taking, validate_game
 from .solvers import (
+    DEFAULT_MATRIX_LIMIT,
     compile_converted,
     count_reduced_plans,
     exploitability,
@@ -282,10 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_solve)
 
-    o = sub.add_parser("oracle", help="brute-force TMECor value")
+    o = sub.add_parser("oracle", help="exact TMECor value by double oracle")
     o.add_argument("input")
     o.add_argument("--tol", type=float, default=1e-9)
-    o.add_argument("--max-entries", type=int, default=10_000_000)
+    o.add_argument("--max-entries", type=int, default=DEFAULT_MATRIX_LIMIT,
+                   help="bound on enumerated joint team plans x "
+                        "value-carrying terminals (exit 5 above it)")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_oracle)
 

@@ -151,6 +151,12 @@ def gen_kuhn3(spec: PokerSpec) -> VEFG:
         raise SpecOutOfBounds(
             f"adversary position must be 0, 1 or 2; got "
             f"{spec.adversary_position}")
+    r = spec.ranks
+    # chance nodes for the root and the partial deals, then a 25-node
+    # betting tree under each full deal
+    if 1 + r + r * (r - 1) + 25 * r * (r - 1) * (r - 2) > _NODE_LIMIT:
+        raise SpecOutOfBounds(
+            f"Kuhn with {r} ranks would have more than {_NODE_LIMIT} nodes")
     return _gen_poker(spec)
 
 

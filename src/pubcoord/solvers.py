@@ -1,4 +1,4 @@
-"""Equilibrium solvers for converted games and brute-force team oracles.
+"""Equilibrium solvers for converted games and an exact team oracle.
 
 Provides:
 
@@ -7,8 +7,8 @@ Provides:
   choices).
 - ``matrix_game_solve`` — zero-sum matrix game solving by linear programming
   with a certified pure-response gap.
-- ``tmecor_bruteforce`` — team-maxmin-with-correlation oracle: builds the
-  payoff matrix over joint team plans vs. opponent plans and solves it.
+- ``tmecor_bruteforce`` — team-maxmin-with-correlation oracle: an exact
+  double oracle over joint team plans, for teams of any size.
 - ``solve_cfr`` — CFR / CFR+ / Linear CFR+ on a converted two-player
   zero-sum game, with a convergence log.
 - ``best_response`` / ``exploitability`` / ``expected_value`` — evaluation
@@ -21,6 +21,8 @@ the converted game, built by ``compile_converted``.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -264,7 +266,7 @@ def matrix_game_solve(matrix, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
-# TMECor brute-force oracle
+# TMECor oracle
 # ---------------------------------------------------------------------------
 
 
@@ -305,93 +307,22 @@ def _terminal_constraints(game: VEFG, players: list[PlayerRole]):
 
 def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
                       max_entries: int = DEFAULT_MATRIX_LIMIT):
-    """Team-maxmin-with-correlation value of an original team game.
+    """Team-maxmin-with-correlation value of an original team game, by an
+    exact double oracle (McMahan, Gordon & Blum, ICML 2003).
 
-    Small games are solved exactly over the full matrix of joint reduced
-    team plans vs. opponent reduced plans.  When that matrix exceeds
-    ``max_entries`` but one team member's plan set is still enumerable, an
-    exact double-oracle scheme is used instead: a restricted matrix game is
-    grown by alternating exact best responses (enumeration over the smaller
-    member's plans combined with a best-response dynamic program over the
-    other member's infoset forest, and a plain best-response dynamic program
-    for the opponent) until neither side can gain more than ``tol``.  Games
-    beyond both regimes raise :class:`GameTooLarge`.
+    A restricted matrix game of joint team plans vs. opponent plans is grown
+    by alternating exact best responses until neither side can gain more
+    than ``tol``.  The team's best response enumerates the joint reduced
+    plans of all members but the one with the most plans, and best-responds
+    that member by a dynamic program over its infoset forest; the opponent's
+    is the same dynamic program.  Teams of any size are solved.  When the
+    enumerated joint plans times the value-carrying terminals exceed
+    ``max_entries``, :class:`GameTooLarge` is raised.
     """
     team = sorted(game.team_players(), key=lambda r: r.sort_key())
-    opp = game.opponent()
     counts = [count_reduced_plans(game, p) for p in team]
-    n_joint = 1
-    for cnt in counts:
-        n_joint *= cnt
-    opp_count = count_reduced_plans(game, opp) if opp is not None else 1
-    if n_joint * opp_count > max_entries:
-        return _tmecor_double_oracle(game, team, opp, counts, tol,
-                                     max_entries)
-    return _tmecor_dense(game, team, opp, tol)
-
-
-def _tmecor_dense(game: VEFG, team, opp, tol: float):
-    team_plans = [reduced_normal_form_plans(game, p) for p in team]
-    n_joint = 1
-    for plans in team_plans:
-        n_joint *= len(plans)
-    opp_plans = (reduced_normal_form_plans(game, opp)
-                 if opp is not None else [dict()])
-
-    players = list(team) + ([opp] if opp is not None else [])
-    terminals = _terminal_constraints(game, players)
-
-    sizes = [len(plans) for plans in team_plans]
-
-    def consistent(plans, pairs_for_player):
-        return [i for i, plan in enumerate(plans)
-                if all(plan.get(key) == a for key, a in pairs_for_player)]
-
-    u = np.zeros((n_joint, max(1, len(opp_plans))))
-    for reach, util, pairs in terminals:
-        rows_per_member = []
-        for k, p in enumerate(team):
-            pp = [(key, a) for q, key, a in pairs if q == p]
-            rows_per_member.append(consistent(team_plans[k], pp))
-        if opp is not None:
-            po = [(key, a) for q, key, a in pairs if q == opp]
-            cols = consistent(opp_plans, po)
-        else:
-            cols = [0]
-        if not cols or any(not r for r in rows_per_member):
-            continue
-        # joint index = member0 * size1 + member1 (two-member teams; general
-        # mixed-radix for more)
-        joint = [0]
-        for k, rows in enumerate(rows_per_member):
-            stride = 1
-            for s in sizes[k + 1:]:
-                stride *= s
-            joint = [j + r * stride for j in joint for r in rows]
-        u[np.ix_(joint, cols)] += reach * util
-
-    if opp is None:
-        best = int(np.argmax(u[:, 0]))
-        value = float(u[best, 0])
-        team_support = [(1.0, _joint_plans(team_plans, sizes, best))]
-        return TmecorResult(value, team_support, [(1.0, dict())])
-
-    x, y, value = matrix_game_solve(u, tol)
-    team_support = [(float(px), _joint_plans(team_plans, sizes, i))
-                    for i, px in enumerate(x) if px > 1e-12]
-    opp_support = [(float(py), opp_plans[j])
-                   for j, py in enumerate(y) if py > 1e-12]
-    return TmecorResult(value, team_support, opp_support)
-
-
-def _joint_plans(team_plans, sizes, joint_index):
-    out = []
-    rem = joint_index
-    for k in range(len(sizes) - 1, -1, -1):
-        out.append(team_plans[k][rem % sizes[k]])
-        rem //= sizes[k]
-    out.reverse()
-    return out
+    return _tmecor_double_oracle(game, team, game.opponent(), counts, tol,
+                                 max_entries)
 
 
 def _plan_consistent(plan: dict, pairs) -> bool:
@@ -400,69 +331,63 @@ def _plan_consistent(plan: dict, pairs) -> bool:
 
 def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
                           max_entries: int):
-    """Exact double-oracle TMECor for games whose full plan matrix is too
-    large but whose smaller team member still has an enumerable plan set."""
-    if len(team) > 2:
-        raise GameTooLarge(
-            f"double-oracle path supports at most two team members, "
-            f"got {len(team)}")
+    """The double oracle of :func:`tmecor_bruteforce`; ``counts`` holds the
+    team members' reduced-plan counts."""
     players = list(team) + ([opp] if opp is not None else [])
     forests = {p: _plan_forest(game, p) for p in players}
-    if len(team) == 1:
-        small, big = None, team[0]
-        small_count = 1
-    else:
-        si = 0 if counts[0] <= counts[1] else 1
-        small, big = team[si], team[1 - si]
-        small_count = counts[si]
+    # the member with the most plans, the later one on a tie, is decided by
+    # the dynamic program and the others' joint plans are enumerated; with
+    # no team the forest is empty and only ``tmass[()]`` counts
+    dp = max(range(len(team)), key=lambda k: (counts[k], k), default=None)
+    big = team[dp] if team else None
+    big_forest = forests[big] if team else _PlanForest({}, {}, {}, ())
+    rest = [p for p in team if p != big]
+    n_rest = math.prod(c for k, c in enumerate(counts) if k != dp)
 
     raw = _terminal_constraints(game, players)
     # keep only value-carrying terminals; each entry holds the chance-weighted
-    # utility and the per-player (infoset, action) sequences along the path
+    # utility and the (infoset, action) sequences along the path of the
+    # enumerated members (keyed by (player, infoset), as members can share
+    # an observed-sequence key), the DP member and the opponent
     term = []
     for reach, util, pairs in raw:
         wu = reach * util
         if wu == 0.0:
             continue
-        sp = (tuple((k, a) for q, k, a in pairs if q == small)
-              if small is not None else ())
+        sp = tuple(((q, k), a) for q, k, a in pairs if q in rest)
         bp = tuple((k, a) for q, k, a in pairs if q == big)
-        op = (tuple((k, a) for q, k, a in pairs if q == opp)
-              if opp is not None else ())
+        op = tuple((k, a) for q, k, a in pairs if q == opp)
         term.append((wu, sp, bp, op))
 
-    if small_count * max(1, len(term)) > max_entries:
+    if n_rest * max(1, len(term)) > max_entries:
         raise GameTooLarge(
-            f"{small_count} plans for the smaller team member x {len(term)} "
-            f"terminals exceeds the {max_entries}-entry best-response guard")
-    small_plans = (reduced_normal_form_plans(game, small)
-                   if small is not None else [dict()])
-    small_terms = [[ti for ti, (_, sp, _, _) in enumerate(term)
-                    if _plan_consistent(plan, sp)] for plan in small_plans]
+            f"{n_rest} joint plans of the enumerated team members x "
+            f"{len(term)} terminals exceeds the {max_entries}-entry "
+            f"best-response guard")
+    combos = list(itertools.product(
+        *(reduced_normal_form_plans(game, p) for p in rest)))
+    merged = [{(p, k): a for p, plan in zip(rest, combo)
+               for k, a in plan.items()} for combo in combos]
+    rest_terms = [[ti for ti, (_, sp, _, _) in enumerate(term)
+                   if _plan_consistent(plan, sp)] for plan in merged]
 
+    # a joint plan is (index into ``combos``, the DP member's plan)
     def team_best(y_mix):
         """Exact joint-team best response to an opponent mixture
         ``y_mix`` = [(prob, opponent plan)]; returns (value, joint plan)."""
-        if opp is not None:
-            oppw = [sum(py for py, oplan in y_mix
-                        if _plan_consistent(oplan, op))
-                    for (_, _, _, op) in term]
-        else:
-            oppw = [1.0] * len(term)
+        oppw = [sum(py for py, oplan in y_mix if _plan_consistent(oplan, op))
+                for (_, _, _, op) in term]
         best = None
-        for si_, plan in enumerate(small_plans):
+        for i, tis in enumerate(rest_terms):
             tmass: dict = {}
-            for ti in small_terms[si_]:
+            for ti in tis:
                 wu, _, bp, _ = term[ti]
                 w = wu * oppw[ti]
                 if w:
                     tmass[bp] = tmass.get(bp, 0.0) + w
-            v, bplan = _forest_best_plan(forests[big], tmass, 1.0)
+            v, bplan = _forest_best_plan(big_forest, tmass, 1.0)
             if best is None or v > best[0]:
-                joint = {big: bplan}
-                if small is not None:
-                    joint[small] = plan
-                best = (v, joint)
+                best = (v, (i, bplan))
         return best
 
     def opp_best(x_mix):
@@ -470,20 +395,21 @@ def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
         [(prob, joint plan)]; returns (team value, opponent plan)."""
         tmass: dict = {}
         for wu, sp, bp, op in term:
-            w = wu * sum(px for px, jp in x_mix
-                         if _plan_consistent(jp[big], bp)
-                         and (small is None
-                              or _plan_consistent(jp[small], sp)))
+            w = wu * sum(px for px, (i, bplan) in x_mix
+                         if _plan_consistent(bplan, bp)
+                         and _plan_consistent(merged[i], sp))
             if w:
                 tmass[op] = tmass.get(op, 0.0) + w
         v, oplan = _forest_best_plan(forests[opp], tmass, -1.0)
         return v, oplan
 
     def as_support(joint):
-        return [joint[p] for p in team]
+        i, bplan = joint
+        plans = {big: bplan, **dict(zip(rest, combos[i]))}
+        return [plans[p] for p in team]
 
     if opp is None:
-        v, joint = team_best([])
+        v, joint = team_best([(1.0, {})])
         return TmecorResult(v, [(1.0, as_support(joint))], [(1.0, dict())])
 
     _, first_opp = _forest_best_plan(forests[opp], {}, -1.0)
@@ -492,9 +418,10 @@ def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
     joints = [first_joint]
 
     def entry(joint, oplan):
+        i, bplan = joint
         return sum(wu for wu, sp, bp, op in term
-                   if _plan_consistent(joint[big], bp)
-                   and (small is None or _plan_consistent(joint[small], sp))
+                   if _plan_consistent(bplan, bp)
+                   and _plan_consistent(merged[i], sp)
                    and _plan_consistent(oplan, op))
 
     u = np.array([[entry(first_joint, first_opp)]])

@@ -131,7 +131,8 @@ def _gen_argv(data) -> list[str]:
         return ["gen", "toy"] + [f"--{k}={v}" for k, v in values.items()]
     if kind == "kuhn":
         ranks, pos = data.draw(st.one_of(
-            st.tuples(st.integers(-10 ** 6, 2), _ANY),
+            st.tuples(st.one_of(st.integers(-10 ** 6, 2),
+                                st.integers(60, 10 ** 6)), _ANY),
             st.tuples(_ANY, _POS)), label="ranks, adv-pos")
         return ["gen", "kuhn", f"--ranks={ranks}", f"--adv-pos={pos}"]
     ranks, raises, pos = data.draw(st.one_of(
@@ -160,7 +161,8 @@ def test_oracle_bad_parameters(tmp_path, capsys, tol, entries):
     src.write_text(json.dumps(_GAME))
     code = _exit_code(capsys, ["oracle", str(src), f"--tol={tol!r}",
                                f"--max-entries={entries}"])
-    # up to 10 matrix entries are too few for the mini game's oracle
+    # a guard of up to 10 (enumerated joint plans x value-carrying
+    # terminals) is too small for the mini game's oracle
     assert code == (5 if tol == 1e-9 and entries >= 1 else 2)
 
 

@@ -91,6 +91,8 @@ def test_poker_guards():
     with pytest.raises(SpecOutOfBounds):
         gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=3))
     with pytest.raises(SpecOutOfBounds):
+        gen_kuhn3(PokerSpec("kuhn", 60))         # 5,136,601 nodes
+    with pytest.raises(SpecOutOfBounds):
         gen_leduc3(PokerSpec("leduc", 3, raises=3))
     with pytest.raises(SpecOutOfBounds):
         gen_leduc3(PokerSpec("leduc", 1))

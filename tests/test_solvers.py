@@ -2,6 +2,7 @@
 best response and exploitability."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,16 @@ from pubcoord.errors import (
     NotPublicTurnTaking,
     SolverFailure,
 )
-from pubcoord.model import CHANCE, OPPONENT, Edge, Node, VEFG, validate_game
+from pubcoord.model import (
+    CHANCE,
+    OPPONENT,
+    Edge,
+    Node,
+    VEFG,
+    infosets,
+    parse_role,
+    validate_game,
+)
 from pubcoord import solvers
 from pubcoord.solvers import (
     ConvergenceLog,
@@ -39,6 +49,8 @@ from pubcoord.solvers import (
 )
 
 from conftest import ALL, O, T0, T1, mini_team_game
+
+T2 = parse_role("t2")
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +168,114 @@ def test_matrix_value_between_maximin_bounds():
 # ---------------------------------------------------------------------------
 
 
-def test_tmecor_dense_and_double_oracle_agree():
-    for seed in range(6):
-        g = mini_team_game(seed)
-        dense = tmecor_bruteforce(g)
-        do = tmecor_bruteforce(g, max_entries=100)
-        assert do.value == pytest.approx(dense.value, abs=1e-7)
+def _reference_tmecor(game: VEFG) -> float:
+    """TMECor value from the full payoff matrix: every joint team plan (one
+    reduced plan per member) against every opponent plan, each cell the
+    exact expected utility of a tree walk, solved as one matrix game."""
+    team = sorted(game.team_players(), key=lambda r: r.sort_key())
+    opp = game.opponent()
+    players = team + ([opp] if opp is not None else [])
+    key_of = {p: {nid: key for key, members in infosets(game, p).items()
+                  for nid in members} for p in players}
+
+    def value(plans: dict) -> Fraction:
+        def walk(nid: int) -> Fraction:
+            node = game.nodes[nid]
+            if node.is_terminal:
+                return Fraction(node.utility)
+            if node.is_chance:
+                return sum(Fraction(e.prob) * walk(e.child)
+                           for e in node.edges)
+            a = plans[node.player][key_of[node.player][nid]]
+            return walk(next(e.child for e in node.edges if e.label == a))
+        return walk(game.root)
+
+    rows = list(itertools.product(
+        *(reduced_normal_form_plans(game, p) for p in team)))
+    cols = (reduced_normal_form_plans(game, opp) if opp is not None
+            else [{}])
+    u = [[float(value({**dict(zip(team, row)), opp: col})) for col in cols]
+         for row in rows]
+    return matrix_game_solve(u)[2]
+
+
+def _opponent_only_game() -> VEFG:
+    """Chance deals o one of two signals; o then picks l or r."""
+    nodes: list[Node] = []
+
+    def add(n: Node) -> int:
+        nodes.append(n)
+        return len(nodes) - 1
+
+    pays = {("c0", "l"): 2, ("c0", "r"): -1, ("c1", "l"): 0, ("c1", "r"): 3}
+    deals = [Edge(c, add(Node(player=O, edges=tuple(
+        Edge(a, add(Node(utility=Fraction(pays[c, a]))),
+             seen_by=frozenset((O,))) for a in "lr"))),
+        Fraction(1, 2), frozenset((O,))) for c in ("c0", "c1")]
+    root = add(Node(player=CHANCE, edges=tuple(deals)))
+    g = VEFG("opponent-only", (O,), tuple(nodes), root)
+    validate_game(g)
+    return g
+
+
+def team3_game(seed: int, t2_sees_team: bool = True) -> VEFG:
+    """Chance deals a signal seen by t0 and t2; then t0, t1, o and t2 pick
+    one of two actions in turn.  t1 and o see every earlier action but not
+    the signal; t2 sees the signal, o's action and, if ``t2_sees_team``,
+    t0's and t1's.
+    Seeded integer payoffs.  With ``t2_sees_team`` t2 has 2**16 reduced
+    plans and the full plan matrix 16.7M entries."""
+    rng = random.Random(seed)
+    nodes: list[Node] = []
+
+    def add(n: Node) -> int:
+        nodes.append(n)
+        return len(nodes) - 1
+
+    team_seen = frozenset(ALL + (T2,) if t2_sees_team else ALL)
+
+    def turn(hist: tuple) -> int:
+        if len(hist) == 5:
+            return add(Node(utility=Fraction(rng.randint(-3, 3))))
+        player, seen = [(T0, team_seen), (T1, team_seen),
+                        (O, frozenset(ALL + (T2,))),
+                        (T2, frozenset(ALL + (T2,)))][len(hist) - 1]
+        return add(Node(player=player, edges=tuple(
+            Edge(a, turn(hist + (a,)), seen_by=seen) for a in "ab")))
+
+    root = add(Node(player=CHANCE, edges=tuple(
+        Edge(c, turn((c,)), Fraction(1, 2), frozenset((T0, T2)))
+        for c in ("c0", "c1"))))
+    g = VEFG(f"team3-s{seed}", ALL + (T2,), tuple(nodes), root)
+    validate_game(g)
+    return g
+
+
+@pytest.mark.parametrize("game", [
+    *(pytest.param(lambda s=s: mini_team_game(s), id=f"mini-{s}")
+      for s in range(6)),
+    pytest.param(_opponent_only_game, id="opponent-only"),
+    pytest.param(lambda: team3_game(7, t2_sees_team=False), id="team3-7"),
+])
+def test_tmecor_matches_full_matrix_reference(game):
+    g = game()
+    assert tmecor_bruteforce(g).value == pytest.approx(
+        _reference_tmecor(g), abs=1e-9)
+
+
+# seed 7 mixes on both sides (3 team and 3 opponent plans); LCFR+ needs
+# 5,000 iterations there to be 1e-4 exploitable
+@pytest.mark.parametrize("seed,iterations", [
+    (0, 1000), (1, 1000), (2, 1000), (3, 1000), (7, 5000)])
+def test_tmecor_three_member_team_matches_lcfr_plus(seed, iterations):
+    g = team3_game(seed)
+    assert [count_reduced_plans(g, p) for p in (T0, T1, T2, O)] == [
+        4, 4, 2 ** 16, 16]
+    oracle = tmecor_bruteforce(g).value
+    cg = apply_safe_imperfect_recall(convert_folded(g))
+    profile, _ = solve_cfr(cg, "lcfr+", iterations=iterations)
+    assert expected_value(cg, profile) == pytest.approx(oracle, abs=1e-3)
+    assert exploitability(cg, profile) <= 1e-4
 
 
 def test_uncertified_lp_solution_raises(monkeypatch):
@@ -208,8 +322,7 @@ def test_tmecor_team_only_game_maximizes():
     g = gen_toy(ToySpec(2, 2, 1, payoff_seed=11))
     res = tmecor_bruteforce(g)
     # no opponent: value is the best joint plan's expected utility
-    best = max(res.value for _ in [0])
-    assert res.value == best
+    assert res.value == pytest.approx(_reference_tmecor(g), abs=1e-9)
     assert res.opponent_support == [(1.0, dict())]
 
 
