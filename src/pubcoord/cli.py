@@ -287,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("input")
     o.add_argument("--tol", type=float, default=1e-9)
     o.add_argument("--max-entries", type=int, default=DEFAULT_MATRIX_LIMIT,
-                   help="bound on enumerated joint team plans x "
-                        "value-carrying terminals (exit 5 above it)")
+                   help="bound on the oracle's boolean reach array, "
+                        "enumerated joint team plans x value-carrying "
+                        "terminals (exit 5 above it)")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_oracle)
 

@@ -2,13 +2,17 @@
 
 Provides:
 
-- ``reduced_normal_form_plans`` — enumeration of a player's reduced plans
-  (actions assigned only at infosets reachable given the plan's own earlier
-  choices).
+- ``reduced_normal_form_plans`` / ``count_reduced_plans`` — a player's
+  reduced plans (actions assigned only at infosets reachable given the
+  plan's own earlier choices), enumerated or counted over its sequences.
 - ``matrix_game_solve`` — zero-sum matrix game solving by linear programming
   with a certified pure-response gap.
 - ``tmecor_bruteforce`` — team-maxmin-with-correlation oracle: an exact
-  double oracle over joint team plans, for teams of any size.
+  double oracle over joint team plans, for teams of any size, in sequence
+  form.  One walk gives every player's sequences; a plan is a boolean vector
+  over them, and both sides' best responses are one vectorised dynamic
+  program.  ``max_entries`` bounds its one large array, the boolean reach of
+  the enumerated joint team plans x the value-carrying terminals.
 - ``solve_cfr`` — CFR / CFR+ / Linear CFR+ on a converted two-player
   zero-sum game, with a convergence log.
 - ``best_response`` / ``exploitability`` / ``expected_value`` — evaluation
@@ -21,7 +25,6 @@ the converted game, built by ``compile_converted``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +49,6 @@ from .model import (
     OPPONENT,
     PlayerRole,
     VEFG,
-    infosets,
-    recursion_headroom,
 )
 
 # A behavioral profile: per player name ("coord" / "o"), a map from infoset
@@ -65,146 +66,137 @@ def linprog(*args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Reduced normal-form plans
+# Sequence form and reduced normal-form plans
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _PlanForest:
-    """A player's infoset forest: each infoset key carries the player's own
-    (infoset, action) history, and infosets unlocked by each choice."""
+class _SeqForest:
+    """One player's infoset forest in sequence form (von Stengel, GEB 1996).
 
-    own_seq: dict[tuple, tuple]
-    actions: dict[tuple, tuple[str, ...]]
-    children: dict[tuple, tuple]  # (own seq incl. chosen action) -> iset keys
-    roots: tuple
+    Sequence 0 is the empty sequence.  Infosets are numbered parents first:
+    infoset ``i`` is reached right after the player's own sequence
+    ``parent[i]`` and owns the action sequences ``first[i] .. first[i] +
+    len(actions[i]) - 1``.  A reduced plan is a boolean vector over the
+    sequences, true at the ones it plays."""
+
+    keys: list = field(default_factory=list)
+    actions: list = field(default_factory=list)
+    parent: list = field(default_factory=list)
+    first: list = field(default_factory=list)
+    size: int = 1
+
+    def count(self) -> int:
+        """Number of reduced plans: a product over the infosets reached after
+        each sequence of a sum over their actions, bottom-up."""
+        n = [1] * self.size
+        for i in reversed(range(len(self.keys))):
+            f = self.first[i]
+            n[self.parent[i]] *= sum(n[f:f + len(self.actions[i])])
+        return n[0]
+
+    def plans(self) -> np.ndarray:
+        """Every reduced plan, one row each: :meth:`count`'s pass with each
+        product a cartesian product of partial plans."""
+        below = [np.zeros((1, self.size), dtype=bool)] * self.size
+        for i in reversed(range(len(self.keys))):
+            f, p = self.first[i], self.parent[i]
+            alt = np.concatenate([below[s] | (np.arange(self.size) == s)
+                                  for s in range(f, f + len(self.actions[i]))])
+            below[p] = (below[p][:, None] | alt[None]).reshape(-1, self.size)
+        below[0][:, 0] = True
+        return below[0]
+
+    def as_dict(self, plan: np.ndarray) -> dict:
+        """``plan`` as a map infoset key -> action."""
+        played = plan.tolist()
+        return {key: a for key, acts, f in zip(self.keys, self.actions,
+                                                self.first)
+                for k, a in enumerate(acts) if played[f + k]}
+
+    def best(self, gain: np.ndarray) -> tuple[int, float, np.ndarray]:
+        """Best response to each row of ``gain`` (rows x sequences: the
+        payoff collected by playing each sequence), by one dynamic program
+        over the infosets in reverse, in place.  Returns the best row, its
+        value and its plan; ties go to the first best action and row."""
+        choice = np.empty((len(self.keys), len(gain)), dtype=np.int64)
+        for i in reversed(range(len(self.keys))):
+            f = self.first[i]
+            block = gain[:, f:f + len(self.actions[i])]
+            choice[i] = block.argmax(axis=1)
+            gain[:, self.parent[i]] += block.max(axis=1)
+        r = int(gain[:, 0].argmax())
+        plan = np.zeros(self.size, dtype=bool)
+        plan[0] = True
+        for i, (p, f) in enumerate(zip(self.parent, self.first)):
+            if plan[p]:
+                plan[f + choice[i, r]] = True
+        return r, float(gain[r, 0]), plan
 
 
-def _plan_forest(game: VEFG, player: PlayerRole) -> _PlanForest:
-    isets = infosets(game, player)
-    own_seq: dict[tuple, tuple] = {}
-    actions: dict[tuple, tuple[str, ...]] = {}
-    node_key = {}
-    for key, members in isets.items():
-        actions[key] = tuple(e.label for e in game.nodes[members[0]].edges)
-        for nid in members:
-            node_key[nid] = key
-
-    def walk(nid: int, seq: tuple) -> None:
+def _sequence_form(game: VEFG, players: list):
+    """One walk of ``game``: a :class:`_SeqForest` per listed player (empty
+    for ``None``), and per value-carrying terminal, in depth-first order,
+    its chance-weighted utility and each player's sequence id (an array of
+    players x terminals).  A player whose infoset follows different own
+    sequences on two visits raises :class:`ImperfectRecallPlayer`."""
+    index = {p: k for k, p in enumerate(players) if p is not None}
+    forests = [_SeqForest() for _ in players]
+    ids: list[dict] = [{} for _ in players]  # infoset key -> number
+    wu, seqs = [], []
+    stack = [(game.root, Fraction(1), ((),) * len(players),
+              (0,) * len(players))]
+    while stack:
+        nid, reach, keys, seq = stack.pop()
         node = game.nodes[nid]
         if node.is_terminal:
-            return
-        if node.player == player:
-            key = node_key[nid]
-            prev = own_seq.get(key)
-            if prev is None:
-                own_seq[key] = seq
-            elif prev != seq:
+            w = float(reach) * float(node.utility)
+            if w != 0.0:
+                wu.append(w)
+                seqs.append(seq)
+            continue
+        k = index.get(node.player)
+        if k is not None:
+            f, key = forests[k], keys[k]
+            labels = tuple(e.label for e in node.edges)
+            i = ids[k].setdefault(key, len(f.keys))
+            if i == len(f.keys):
+                f.keys.append(key)
+                f.actions.append(labels)
+                f.parent.append(seq[k])
+                f.first.append(f.size)
+                f.size += len(labels)
+            elif f.parent[i] != seq[k]:
                 raise ImperfectRecallPlayer(
-                    f"infoset {key!r} of {player.name} reached with own "
-                    f"sequences {prev!r} and {seq!r}")
-            for e in node.edges:
-                walk(e.child, seq + ((key, e.label),))
-        else:
-            for e in node.edges:
-                walk(e.child, seq)
-
-    with recursion_headroom(len(game.nodes)):
-        walk(game.root, ())
-
-    children: dict[tuple, list] = {}
-    roots: list = []
-    for key, seq in own_seq.items():
-        if not seq:
-            roots.append(key)
-        else:
-            children.setdefault(seq, []).append(key)
-    roots.sort()
-    return _PlanForest(own_seq=own_seq, actions=actions,
-                       children={k: tuple(sorted(v))
-                                 for k, v in children.items()},
-                       roots=tuple(roots))
+                    f"infoset {key!r} of {node.player.name} reached after "
+                    f"own sequences {f.parent[i]} and {seq[k]}")
+            elif f.actions[i] != labels:
+                raise ActionMismatchWithinInfoset(
+                    f"infoset {key!r} of {node.player.name} has actions "
+                    f"{f.actions[i]} and {labels}")
+        for a in range(len(node.edges) - 1, -1, -1):
+            e = node.edges[a]
+            stack.append((
+                e.child, reach * Fraction(e.prob) if node.is_chance else reach,
+                tuple(kj + (e.label,) if p in e.seen_by else kj
+                      for p, kj in zip(players, keys)),
+                seq if k is None else seq[:k] + (f.first[i] + a,)
+                + seq[k + 1:]))
+    return (forests, np.array(wu),
+            np.array(seqs, dtype=np.int64).reshape(-1, len(players)).T)
 
 
 def reduced_normal_form_plans(game: VEFG, player: PlayerRole) -> list[dict]:
     """All reduced normal-form plans of ``player``: maps infoset key ->
     action, defined exactly at the infosets reachable given the plan's own
     earlier choices."""
-    f = _plan_forest(game, player)
-    plans: list[dict] = []
-
-    def enum(frontier: tuple, assignment: dict) -> None:
-        if not frontier:
-            plans.append(dict(assignment))
-            return
-        key, rest = frontier[0], frontier[1:]
-        for a in f.actions[key]:
-            unlocked = f.children.get(f.own_seq[key] + ((key, a),), ())
-            assignment[key] = a
-            enum(rest + unlocked, assignment)
-            del assignment[key]
-
-    enum(f.roots, {})
-    return plans
+    f = _sequence_form(game, [player])[0][0]
+    return [f.as_dict(plan) for plan in f.plans()]
 
 
 def count_reduced_plans(game: VEFG, player: PlayerRole) -> int:
     """Number of reduced plans, computed without enumerating them."""
-    f = _plan_forest(game, player)
-
-    def count(key: tuple) -> int:
-        total = 0
-        for a in f.actions[key]:
-            prod = 1
-            for child in f.children.get(f.own_seq[key] + ((key, a),), ()):
-                prod *= count(child)
-            total += prod
-        return total
-
-    total = 1
-    for r in f.roots:
-        total *= count(r)
-    return total
-
-
-def _forest_best_plan(f: _PlanForest, tmass: dict, sign: float):
-    """Plan maximizing ``sign *`` the summed mass of consistent terminals.
-
-    ``tmass[seq]`` is the total weight of terminals whose own-(infoset,
-    action) sequence for this player equals ``seq``; the unconditional mass
-    ``tmass[()]`` of terminals the player never influences is included in
-    the returned value.
-    """
-    best_action: dict = {}
-    memo: dict = {}
-
-    def val(key: tuple) -> float:
-        if key in memo:
-            return memo[key]
-        best, best_a = None, None
-        for a in f.actions[key]:
-            seq = f.own_seq[key] + ((key, a),)
-            v = sign * tmass.get(seq, 0.0)
-            for child in f.children.get(seq, ()):
-                v += val(child)
-            if best is None or v > best:
-                best, best_a = v, a
-        best_action[key] = best_a
-        memo[key] = best
-        return best
-
-    total = sign * tmass.get((), 0.0)
-    for r in f.roots:
-        total += val(r)
-    # collect the reduced plan along chosen branches only
-    plan: dict = {}
-    frontier = list(f.roots)
-    while frontier:
-        key = frontier.pop()
-        a = best_action[key]
-        plan[key] = a
-        frontier.extend(f.children.get(f.own_seq[key] + ((key, a),), ()))
-    return sign * total, plan
+    return _sequence_form(game, [player])[0][0].count()
 
 
 # ---------------------------------------------------------------------------
@@ -212,50 +204,36 @@ def _forest_best_plan(f: _PlanForest, tmass: dict, sign: float):
 # ---------------------------------------------------------------------------
 
 
+def _maximin(u: np.ndarray) -> np.ndarray:
+    """The row player's maximin strategy of ``u`` by one LP, max v s.t.
+    x^T U >= v, sum x = 1, x >= 0, on ``u`` shifted to positive values for
+    numerical stability."""
+    n, m = u.shape
+    us = u - float(u.min()) + 1.0
+    c = np.zeros(n + 1)
+    c[-1] = -1.0  # linprog minimizes
+    res = linprog(c, A_ub=np.hstack([-us.T, np.ones((m, 1))]),
+                  b_ub=np.zeros(m), A_eq=np.append(np.ones(n), 0.0)[None],
+                  b_eq=[1.0], bounds=[(0, None)] * n + [(None, None)],
+                  method="highs")
+    if not res.success:
+        raise SolverFailure(f"LP failed: {res.message}")
+    x = np.maximum(res.x[:n], 0.0)
+    return x / x.sum()
+
+
 def matrix_game_solve(matrix, tol: float = 1e-9):
     """Solve a zero-sum matrix game (row player maximizes).
 
     Returns ``(row_strategy, col_strategy, value)`` as numpy arrays and a
-    float; the best pure-response gap of both players is certified ``<= tol``
-    (:class:`SolverFailure` signals an LP failure beyond tolerance).
+    float.  The column player is solved as the row player of ``-U^T``; the
+    best pure-response gap of both players is certified ``<= tol``, and an
+    LP failure or a larger gap raises :class:`SolverFailure`.
     """
     u = np.asarray(matrix, dtype=float)
     if u.ndim != 2 or u.size == 0:
         raise EmptyMatrix(f"matrix with shape {u.shape} has no entries")
-    n, m = u.shape
-    # shift to positive values for numerical stability
-    shift = float(u.min())
-    us = u - shift + 1.0
-
-    # row player: max v s.t. x^T U >= v, sum x = 1, x >= 0
-    # variables [x_0..x_{n-1}, v]; linprog minimizes.
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-us.T, np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * n + [(None, None)], method="highs")
-    if not res.success:
-        raise EmptyMatrix(f"LP failed: {res.message}")
-    x = np.maximum(res.x[:n], 0.0)
-    x /= x.sum()
-
-    # column player: min w s.t. U y <= w, sum y = 1, y >= 0
-    c2 = np.zeros(m + 1)
-    c2[-1] = 1.0
-    a_ub2 = np.hstack([us, -np.ones((n, 1))])
-    b_ub2 = np.zeros(n)
-    a_eq2 = np.zeros((1, m + 1))
-    a_eq2[0, :m] = 1.0
-    res2 = linprog(c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq2, b_eq=[1.0],
-                   bounds=[(0, None)] * m + [(None, None)], method="highs")
-    if not res2.success:
-        raise EmptyMatrix(f"LP failed: {res2.message}")
-    y = np.maximum(res2.x[:m], 0.0)
-    y /= y.sum()
-
+    x, y = _maximin(u), _maximin(-u.T)
     value = float(x @ u @ y)
     row_gap = float(np.max(u @ y)) - value
     col_gap = value - float(np.min(x @ u))
@@ -273,179 +251,132 @@ def matrix_game_solve(matrix, tol: float = 1e-9):
 @dataclass
 class TmecorResult:
     value: float
-    team_support: list  # (prob, per-member plan dicts)
+    team_support: list  # (prob, per-member plan dicts in team order)
     opponent_support: list  # (prob, plan dict)
 
 
-def _terminal_constraints(game: VEFG, players: list[PlayerRole]):
-    """Per terminal: chance reach and, per listed player, the (infoset key,
-    action) pairs on the path."""
-    node_key = {}
-    for p in players:
-        for key, members in infosets(game, p).items():
-            for nid in members:
-                node_key[nid] = (p, key)
-    out = []
-
-    def walk(nid, reach, pairs):
-        node = game.nodes[nid]
-        if node.is_terminal:
-            out.append((float(reach), float(node.utility), pairs))
-            return
-        for e in node.edges:
-            r = reach * Fraction(e.prob) if node.is_chance else reach
-            np_ = pairs
-            if node.player in players:
-                p, key = node_key[nid]
-                np_ = pairs + ((p, key, e.label),)
-            walk(e.child, r, np_)
-
-    with recursion_headroom(len(game.nodes)):
-        walk(game.root, Fraction(1), ())
-    return out
+# entries of the float arrays (reach rows x terminals, and rows x the DP
+# member's sequences) that the team's best response builds at a time
+_CHUNK_ENTRIES = 1 << 20
 
 
 def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
                       max_entries: int = DEFAULT_MATRIX_LIMIT):
     """Team-maxmin-with-correlation value of an original team game, by an
-    exact double oracle (McMahan, Gordon & Blum, ICML 2003).
+    exact double oracle (McMahan, Gordon & Blum, ICML 2003) in sequence form.
 
     A restricted matrix game of joint team plans vs. opponent plans is grown
     by alternating exact best responses until neither side can gain more
-    than ``tol``.  The team's best response enumerates the joint reduced
-    plans of all members but the one with the most plans, and best-responds
-    that member by a dynamic program over its infoset forest; the opponent's
-    is the same dynamic program.  Teams of any size are solved.  When the
-    enumerated joint plans times the value-carrying terminals exceed
-    ``max_entries``, :class:`GameTooLarge` is raised.
+    than ``tol``.  One walk gives each player's sequence form (plans are
+    boolean vectors over its sequences) and each value-carrying terminal's
+    chance-weighted utility and sequences.  The team member with the most
+    reduced plans is best-responded by a dynamic program over its sequences;
+    the joint plans of the others are enumerated once, as a boolean (joint
+    plans x terminals) reach array, and chunks of its rows are answered by
+    one numpy pass each, with no float array over ``2**20`` entries.  The
+    opponent's best response is the same dynamic program.  Teams of any
+    size are solved.  When that reach array would exceed ``max_entries``
+    entries, :class:`GameTooLarge` is raised.
     """
+    return _tmecor_double_oracle(game, tol, max_entries)
+
+
+def _tmecor_double_oracle(game: VEFG, tol: float, max_entries: int):
+    """The double oracle of :func:`tmecor_bruteforce`."""
     team = sorted(game.team_players(), key=lambda r: r.sort_key())
-    counts = [count_reduced_plans(game, p) for p in team]
-    return _tmecor_double_oracle(game, team, game.opponent(), counts, tol,
-                                 max_entries)
-
-
-def _plan_consistent(plan: dict, pairs) -> bool:
-    return all(plan.get(key) == a for key, a in pairs)
-
-
-def _tmecor_double_oracle(game: VEFG, team, opp, counts, tol: float,
-                          max_entries: int):
-    """The double oracle of :func:`tmecor_bruteforce`; ``counts`` holds the
-    team members' reduced-plan counts."""
-    players = list(team) + ([opp] if opp is not None else [])
-    forests = {p: _plan_forest(game, p) for p in players}
+    forests, wu, seq = _sequence_form(game, [*team, game.opponent()])
+    # with no opponent its forest is empty: one plan, playing sequence 0
+    *members, opp = forests
+    counts = [f.count() for f in members]
     # the member with the most plans, the later one on a tie, is decided by
     # the dynamic program and the others' joint plans are enumerated; with
-    # no team the forest is empty and only ``tmass[()]`` counts
+    # no team the DP member is an empty forest
     dp = max(range(len(team)), key=lambda k: (counts[k], k), default=None)
-    big = team[dp] if team else None
-    big_forest = forests[big] if team else _PlanForest({}, {}, {}, ())
-    rest = [p for p in team if p != big]
-    n_rest = math.prod(c for k, c in enumerate(counts) if k != dp)
-
-    raw = _terminal_constraints(game, players)
-    # keep only value-carrying terminals; each entry holds the chance-weighted
-    # utility and the (infoset, action) sequences along the path of the
-    # enumerated members (keyed by (player, infoset), as members can share
-    # an observed-sequence key), the DP member and the opponent
-    term = []
-    for reach, util, pairs in raw:
-        wu = reach * util
-        if wu == 0.0:
-            continue
-        sp = tuple(((q, k), a) for q, k, a in pairs if q in rest)
-        bp = tuple((k, a) for q, k, a in pairs if q == big)
-        op = tuple((k, a) for q, k, a in pairs if q == opp)
-        term.append((wu, sp, bp, op))
-
-    if n_rest * max(1, len(term)) > max_entries:
+    big, big_seq = ((members[dp], seq[dp]) if team
+                    else (_SeqForest(), np.zeros(len(wu), dtype=np.int64)))
+    # terminals sorted by the DP member's sequence, so that a terminal
+    # gain reduces onto its sequences by contiguous runs
+    order = np.argsort(big_seq, kind="stable")
+    wu, seq, big_seq = wu[order], seq[:, order], big_seq[order]
+    cols, starts = np.unique(big_seq, return_index=True)
+    rest = [k for k in range(len(team)) if k != dp]
+    n_rest = math.prod(counts[k] for k in rest)
+    if n_rest * max(1, len(wu)) > max_entries:
         raise GameTooLarge(
             f"{n_rest} joint plans of the enumerated team members x "
-            f"{len(term)} terminals exceeds the {max_entries}-entry "
+            f"{len(wu)} terminals exceeds the {max_entries}-entry "
             f"best-response guard")
-    combos = list(itertools.product(
-        *(reduced_normal_form_plans(game, p) for p in rest)))
-    merged = [{(p, k): a for p, plan in zip(rest, combo)
-               for k, a in plan.items()} for combo in combos]
-    rest_terms = [[ti for ti, (_, sp, _, _) in enumerate(term)
-                   if _plan_consistent(plan, sp)] for plan in merged]
+    # which terminals each enumerated joint plan lets through, in
+    # ``itertools.product`` order of the members' plans
+    rest_plans = [members[k].plans() for k in rest]
+    reach = np.ones((1, len(wu)), dtype=bool)
+    for k, plans in zip(rest, rest_plans):
+        reach = (reach[:, None] & plans[:, seq[k]][None]).reshape(
+            len(reach) * len(plans), len(wu))
+    step = max(1, _CHUNK_ENTRIES // max(1, len(wu), big.size))
 
-    # a joint plan is (index into ``combos``, the DP member's plan)
-    def team_best(y_mix):
-        """Exact joint-team best response to an opponent mixture
-        ``y_mix`` = [(prob, opponent plan)]; returns (value, joint plan)."""
-        oppw = [sum(py for py, oplan in y_mix if _plan_consistent(oplan, op))
-                for (_, _, _, op) in term]
+    # a joint plan is (row of ``reach``, the DP member's plan)
+    def team_best(oppw):
+        """Exact joint-team best response to the opponent mixture's reach
+        ``oppw`` of each terminal; returns (value, joint plan).  The rows of
+        ``reach`` go through in chunks, so that no float array exceeds
+        ``_CHUNK_ENTRIES`` entries; the first best row wins a tie."""
+        w = wu * oppw
         best = None
-        for i, tis in enumerate(rest_terms):
-            tmass: dict = {}
-            for ti in tis:
-                wu, _, bp, _ = term[ti]
-                w = wu * oppw[ti]
-                if w:
-                    tmass[bp] = tmass.get(bp, 0.0) + w
-            v, bplan = _forest_best_plan(big_forest, tmass, 1.0)
+        for i in range(0, len(reach), step):
+            gain = np.zeros((len(reach[i:i + step]), big.size))
+            if len(cols):
+                gain[:, cols] = np.add.reduceat(reach[i:i + step] * w,
+                                                starts, axis=1)
+            r, v, plan = big.best(gain)
             if best is None or v > best[0]:
-                best = (v, (i, bplan))
+                best = v, (i + r, plan)
         return best
 
-    def opp_best(x_mix):
-        """Exact opponent best response to a team mixture ``x_mix`` =
-        [(prob, joint plan)]; returns (team value, opponent plan)."""
-        tmass: dict = {}
-        for wu, sp, bp, op in term:
-            w = wu * sum(px for px, (i, bplan) in x_mix
-                         if _plan_consistent(bplan, bp)
-                         and _plan_consistent(merged[i], sp))
-            if w:
-                tmass[op] = tmass.get(op, 0.0) + w
-        v, oplan = _forest_best_plan(forests[opp], tmass, -1.0)
-        return v, oplan
+    def opp_best(teamw):
+        """Exact opponent best response to the team mixture's reach
+        ``teamw`` of each terminal; returns (team value, opponent plan)."""
+        gain = np.bincount(seq[-1], -wu * teamw, opp.size)[None]
+        _, v, plan = opp.best(gain)
+        return -v, plan
 
     def as_support(joint):
-        i, bplan = joint
-        plans = {big: bplan, **dict(zip(rest, combos[i]))}
-        return [plans[p] for p in team]
+        r, plan = joint
+        idx = np.unravel_index(r, [counts[k] for k in rest])
+        out = {k: members[k].as_dict(plans[i])
+               for k, plans, i in zip(rest, rest_plans, idx)}
+        if team:
+            out[dp] = big.as_dict(plan)
+        return [out[k] for k in range(len(team))]
 
-    if opp is None:
-        v, joint = team_best([(1.0, {})])
-        return TmecorResult(v, [(1.0, as_support(joint))], [(1.0, dict())])
+    def key(joint):
+        return joint[0], joint[1].tobytes()
 
-    _, first_opp = _forest_best_plan(forests[opp], {}, -1.0)
+    _, _, first_opp = opp.best(np.zeros((1, opp.size)))
     opps = [first_opp]
-    _, first_joint = team_best([(1.0, first_opp)])
-    joints = [first_joint]
-
-    def entry(joint, oplan):
-        i, bplan = joint
-        return sum(wu for wu, sp, bp, op in term
-                   if _plan_consistent(bplan, bp)
-                   and _plan_consistent(merged[i], sp)
-                   and _plan_consistent(oplan, op))
-
-    u = np.array([[entry(first_joint, first_opp)]])
+    joints = [team_best(first_opp[seq[-1]])[1]]
     eps = max(tol, 1e-7)
     for _ in range(10_000):
+        # each restricted plan's terminal reach; the matrix entries are
+        # the chance-weighted utilities of the terminals both let through
+        team_reach = np.array([reach[r] & plan[big_seq] for r, plan in joints])
+        opp_reach = np.array([plan[seq[-1]] for plan in opps])
+        u = (team_reach * wu) @ opp_reach.T
         x, y, v = matrix_game_solve(u, tol)
-        x_mix = [(float(px), joints[i]) for i, px in enumerate(x)
-                 if px > 1e-12]
-        y_mix = [(float(py), opps[j]) for j, py in enumerate(y)
-                 if py > 1e-12]
-        tb_v, tb_joint = team_best(y_mix)
-        ob_v, ob_plan = opp_best(x_mix)
+        x, y = np.where(x > 1e-12, x, 0.0), np.where(y > 1e-12, y, 0.0)
+        tb_v, tb_joint = team_best(y @ opp_reach)
+        ob_v, ob_plan = opp_best(x @ team_reach)
         if tb_v <= v + eps and ob_v >= v - eps:
-            team_support = [(px, as_support(jp)) for px, jp in x_mix]
-            opp_support = [(py, op_) for py, op_ in y_mix]
-            return TmecorResult(float(v), team_support, opp_support)
+            return TmecorResult(
+                float(v),
+                [(float(p), as_support(j)) for p, j in zip(x, joints) if p],
+                [(float(p), opp.as_dict(o)) for p, o in zip(y, opps) if p])
         grew = False
-        if tb_v > v + eps and tb_joint not in joints:
-            u = np.vstack([u, [entry(tb_joint, o) for o in opps]])
+        if tb_v > v + eps and key(tb_joint) not in map(key, joints):
             joints.append(tb_joint)
             grew = True
-        if ob_v < v - eps and ob_plan not in opps:
-            u = np.hstack([u, np.array([[entry(jp, ob_plan)]
-                                        for jp in joints])])
+        if ob_v < v - eps and ob_plan.tobytes() not in [
+                o.tobytes() for o in opps]:
             opps.append(ob_plan)
             grew = True
         if not grew:

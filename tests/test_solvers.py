@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -65,24 +66,25 @@ def test_single_infoset_has_a_plans(mini):
     assert len(plans) == count_reduced_plans(mini, O)
 
 
-def test_reduced_plans_match_exhaustive_enumeration(kuhn0):
-    t0 = kuhn0.team_players()[0]
-    plans = reduced_normal_form_plans(kuhn0, t0)
-    assert len(plans) == count_reduced_plans(kuhn0, t0)
-    assert len(plans) == len({tuple(sorted(p.items())) for p in plans})
+@pytest.mark.parametrize("name", ["t0", "t1", "o"])
+def test_reduced_plans_match_exhaustive_enumeration(kuhn0, name):
+    player = parse_role(name)
+    plans = reduced_normal_form_plans(kuhn0, player)
+    assert len(plans) == count_reduced_plans(kuhn0, player)
+    got = {tuple(sorted(p.items())) for p in plans}
+    assert len(plans) == len(got)
     # independent oracle: exhaustive assignment enumeration filtered down to
     # reachable infosets
-    from pubcoord.model import infosets
-    import itertools
-    isets = infosets(kuhn0, t0)
+    isets = infosets(kuhn0, player)
     keys = sorted(isets)
+    assert len(keys) == 12
     axes = [[e.label for e in kuhn0.nodes[isets[k][0]].edges] for k in keys]
     seen = set()
     for combo in itertools.product(*axes):
         full = dict(zip(keys, combo))
-        reach = _reachable(kuhn0, t0, full)
+        reach = _reachable(kuhn0, player, full)
         seen.add(tuple(sorted((k, full[k]) for k in reach)))
-    assert len(plans) == len(seen)
+    assert got == seen
 
 
 def _reachable(g, player, full_plan):
@@ -168,15 +170,11 @@ def test_matrix_value_between_maximin_bounds():
 # ---------------------------------------------------------------------------
 
 
-def _reference_tmecor(game: VEFG) -> float:
-    """TMECor value from the full payoff matrix: every joint team plan (one
-    reduced plan per member) against every opponent plan, each cell the
-    exact expected utility of a tree walk, solved as one matrix game."""
-    team = sorted(game.team_players(), key=lambda r: r.sort_key())
-    opp = game.opponent()
-    players = team + ([opp] if opp is not None else [])
+def _pure_value(game: VEFG):
+    """A function giving the exact expected utility of a pure profile (a map
+    player -> plan dict) by a tree walk."""
     key_of = {p: {nid: key for key, members in infosets(game, p).items()
-                  for nid in members} for p in players}
+                  for nid in members} for p in game.players}
 
     def value(plans: dict) -> Fraction:
         def walk(nid: int) -> Fraction:
@@ -189,7 +187,16 @@ def _reference_tmecor(game: VEFG) -> float:
             a = plans[node.player][key_of[node.player][nid]]
             return walk(next(e.child for e in node.edges if e.label == a))
         return walk(game.root)
+    return value
 
+
+def _reference_tmecor(game: VEFG) -> float:
+    """TMECor value from the full payoff matrix: every joint team plan (one
+    reduced plan per member) against every opponent plan, each cell the
+    exact expected utility of a tree walk, solved as one matrix game."""
+    team = sorted(game.team_players(), key=lambda r: r.sort_key())
+    opp = game.opponent()
+    value = _pure_value(game)
     rows = list(itertools.product(
         *(reduced_normal_form_plans(game, p) for p in team)))
     cols = (reduced_normal_form_plans(game, opp) if opp is not None
@@ -287,6 +294,14 @@ def test_uncertified_lp_solution_raises(monkeypatch):
         matrix_game_solve([[1, -1], [-1, 1]])
 
 
+def test_failed_lp_raises_solver_failure(monkeypatch):
+    from types import SimpleNamespace
+    monkeypatch.setattr(solvers, "linprog", lambda c, **kw: SimpleNamespace(
+        success=False, x=None, message="infeasible"))
+    with pytest.raises(SolverFailure, match="LP failed: infeasible"):
+        matrix_game_solve([[1, -1], [-1, 1]])
+
+
 def test_double_oracle_stall_raises(monkeypatch):
     # a restricted value no best response can reach: neither side adds a
     # new plan, so the oracle stalls on its first round
@@ -330,6 +345,88 @@ def test_tmecor_guard_rejects_leduc():
     g = gen_leduc3(PokerSpec("leduc", 3, raises=1))
     with pytest.raises(GameTooLarge):
         tmecor_bruteforce(g)
+
+
+def test_tmecor_deep_team_only_toy_matches_tree_max():
+    # t0 sees the deal and its own moves, so each of its infosets is one node
+    # and its best plan maxes node by node; t1 acts once, blind, so the value
+    # is a max over t1's plans of that walk.  t0 has 16,381 sequences against
+    # 16,384 terminals: a dense (terminals x sequences) float array would
+    # take 2 GB
+    g = gen_toy(ToySpec(2, 2, 12, payoff_seed=1))
+    t0, t1 = sorted(g.team_players(), key=lambda r: r.sort_key())
+    assert all(len(m) == 1 for m in infosets(g, t0).values())
+    [t1_key] = infosets(g, t1)
+
+    def walk(nid: int, b: str) -> Fraction:
+        node = g.nodes[nid]
+        if node.is_terminal:
+            return Fraction(node.utility)
+        if node.is_chance:
+            return sum(Fraction(e.prob) * walk(e.child, b)
+                       for e in node.edges)
+        if node.player == t1:
+            return walk(next(e.child for e in node.edges if e.label == b), b)
+        return max(walk(e.child, b) for e in node.edges)
+
+    expected = max(walk(g.root, plan[t1_key])
+                   for plan in reduced_normal_form_plans(g, t1))
+    tracemalloc.start()
+    try:
+        value = tmecor_bruteforce(g).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(float(expected), abs=1e-12)
+    assert peak < 64 << 20
+
+
+def test_tmecor_row_chunks_do_not_change_the_answer(kuhn0, monkeypatch):
+    # one enumerated joint plan per chunk of the team's best response
+    whole = tmecor_bruteforce(kuhn0)
+    monkeypatch.setattr(solvers, "_CHUNK_ENTRIES", 1)
+    assert tmecor_bruteforce(kuhn0) == whole
+
+
+@pytest.mark.parametrize("game", [
+    *(pytest.param(lambda pos=pos: gen_kuhn3(PokerSpec(
+        "kuhn", 3, adversary_position=pos)), id=f"kuhn3-{pos}")
+      for pos in range(3)),
+    *(pytest.param(lambda s=s: mini_team_game(s), id=f"mini-{s}")
+      for s in range(6)),
+    pytest.param(lambda: team3_game(7, t2_sees_team=False), id="team3-7"),
+    pytest.param(_opponent_only_game, id="opponent-only"),
+    pytest.param(lambda: gen_toy(ToySpec(2, 2, 1, payoff_seed=11)),
+                 id="team-only"),
+])
+def test_tmecor_supports_realise_the_value(game):
+    g = game()
+    res = tmecor_bruteforce(g)
+    team = sorted(g.team_players(), key=lambda r: r.sort_key())
+    opp = g.opponent()
+    valid = {p: {tuple(sorted(plan.items()))
+                 for plan in reduced_normal_form_plans(g, p)}
+             for p in team + ([opp] if opp is not None else [])}
+    for _, plans in res.team_support:
+        assert len(plans) == len(team)
+        for p, plan in zip(team, plans):
+            assert tuple(sorted(plan.items())) in valid[p]
+    if opp is not None:
+        for _, plan in res.opponent_support:
+            assert tuple(sorted(plan.items())) in valid[opp]
+    value = _pure_value(g)
+    mixed = sum(Fraction(px) * Fraction(py)
+                * value({**dict(zip(team, tplans)), opp: oplan})
+                for px, tplans in res.team_support
+                for py, oplan in res.opponent_support)
+    assert abs(float(mixed) - res.value) <= 1e-9
+
+
+def test_tmecor_kuhn4_value():
+    g = gen_kuhn3(PokerSpec("kuhn", 4, adversary_position=0))
+    assert [count_reduced_plans(g, p) for p in g.players] == [
+        10000, 65536, 6561]
+    assert tmecor_bruteforce(g).value == pytest.approx(5 / 132, abs=1e-9)
 
 
 def test_tmecor_supports_are_distributions(kuhn0):
