@@ -29,10 +29,9 @@ from .convert import (
 )
 from .errors import GameError, GameTooLarge, SpecOutOfBounds
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
-from .model import is_public_turn_taking, make_public_turn_taking, validate_game
+from .model import is_public_turn_taking, make_public_turn_taking
 from .solvers import (
     DEFAULT_MATRIX_LIMIT,
-    compile_converted,
     count_reduced_plans,
     exploitability,
     expected_value,
@@ -132,7 +131,6 @@ def cmd_convert(args) -> int:
                         "--safe-ir needs exclusion data; it cannot be "
                         "combined with --mode basic")
     game = _load(args.input, converted=False)
-    validate_game(game)
     if not is_public_turn_taking(game):
         print(f"warning: {game.name} is not public-turn-taking; "
               "applying the turn-taking transform", file=sys.stderr)
@@ -168,11 +166,10 @@ def cmd_solve(args) -> int:
         raise _CliError(EXIT_PARAMS,
                         f"iterations must be >= 0, got {args.iterations}")
     cg = _load(args.input, converted=True)
-    compiled = compile_converted(cg)
     profile, log = solve_cfr(cg, algo=args.algo, iterations=args.iterations,
-                             log_every=args.log_every, compiled=compiled)
-    value = expected_value(cg, profile, compiled=compiled)
-    expl = exploitability(cg, profile, compiled=compiled)
+                             log_every=args.log_every)
+    value = expected_value(cg, profile)
+    expl = exploitability(cg, profile)
     if args.csv:
         _write(args.csv, lambda p: Path(p).write_text(log.to_csv()))
     if args.strategy:

@@ -276,10 +276,17 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         # the single current state with weight 1.
         h = belief[0][0]
         node = g.nodes[h]
+        # the belief lies within the support, so one actor (or all
+        # terminals) there means one for the belief too
+        other = next((s for s in support
+                      if g.nodes[s].player is not node.player), None)
+        if other is not None:
+            raise NotPublicTurnTaking(
+                f"game {game.name!r} hides who acts from the coordinator: "
+                f"source states {h} and {other} have different actors")
         if node.is_terminal:
             if not fold:
                 return b.emit(Node(utility=node.utility), "copy")
-            assert all(g.nodes[s].is_terminal for s, _ in belief)
             util = sum((w * Fraction(g.nodes[s].utility) for s, w in belief),
                        Fraction(0))
             return b.emit(Node(utility=util), "copy")
@@ -539,42 +546,34 @@ def exact_expected_value(game: VEFG, choice) -> Fraction:
     return total
 
 
-def _random_profile(g: VEFG, cg: ConvertedGame, rng: random.Random):
-    joint_plan = {}
-    for iid, ref in enumerate(cg.iset_refs):
-        joint_plan[ref] = rng.choice(cg.iset_actions[iid])
-    opp_plan: dict[InfosetKey, str] = {}
-    opp = g.opponent()
-    if opp is not None:
-        for key, members in sorted(infosets(g, opp).items()):
-            labels = tuple(e.label for e in g.nodes[members[0]].edges)
-            opp_plan[key] = rng.choice(labels)
-    return joint_plan, opp_plan
-
-
 def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
                              seed: int = 0) -> dict:
     """Sample pure profiles, map the team plan through rho, and compare exact
     expected utilities in the original and converted games."""
     g = _prepare(game)
-    if (list(cg.iset_refs), list(cg.iset_actions)) != _team_isets(g)[:2]:
+    refs, actions, iset_of = _team_isets(g)
+    if (list(cg.iset_refs), list(cg.iset_actions)) != (refs, actions):
         raise SchemaError(f"the team infosets of {cg.game.name} are not "
                           f"those of {game.name}")
     rng = random.Random(seed)
-    # per-node infoset references in the original (refined) game
-    team_seq = {p: seen_sequences(g, p) for p in g.team_players()}
     opp = g.opponent()
+    # (key, action labels) of the opponent's infosets, in sorted key order
+    opp_isets = ([(key, tuple(e.label for e in g.nodes[members[0]].edges))
+                  for key, members in sorted(infosets(g, opp).items())]
+                 if opp is not None else [])
     opp_seq_orig = seen_sequences(g, opp) if opp is not None else None
     opp_seq_conv = (seen_sequences(cg.game, OPPONENT)
                     if opp is not None else None)
     report = {"samples": samples, "max_abs_diff": 0.0}
     for _ in range(samples):
-        joint_plan, opp_plan = _random_profile(g, cg, rng)
+        # pure plans, the team's first: draw order fixes a seed's report
+        joint_plan = {ref: rng.choice(acts) for ref, acts in zip(refs, actions)}
+        opp_plan = {key: rng.choice(acts) for key, acts in opp_isets}
 
         def choice_orig(nid: int) -> int:
             node = g.nodes[nid]
             if node.player.kind == "team":
-                a = joint_plan[(node.player, team_seq[node.player][nid])]
+                a = joint_plan[refs[iset_of[nid]]]
             else:
                 a = opp_plan[opp_seq_orig[nid]]
             return next(i for i, e in enumerate(node.edges) if e.label == a)

@@ -244,25 +244,44 @@ def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
     return out
 
 
-def infosets(game: VEFG, player: PlayerRole) -> dict[InfosetKey, list[int]]:
-    """Partition the player's decision nodes by observed-action sequence."""
-    groups: dict[InfosetKey, list[int]] = {}
+def _group(game: VEFG, observers: frozenset[PlayerRole],
+           actor: Optional[PlayerRole] = None) -> dict[InfosetKey, list[int]]:
+    """Reachable nodes grouped by the labels that every observer saw on the
+    way, members ascending; with ``actor``, only that player's decision
+    nodes."""
+    nodes, groups = game.nodes, {}
     stack: list[tuple[int, InfosetKey]] = [(game.root, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        nid, seq = stack.pop()
-        node = game.nodes[nid]
-        if node.player == player:
+        nid, seq = pop()
+        node = nodes[nid]
+        if actor is None or node.player is actor:  # roles are interned
             groups.setdefault(seq, []).append(nid)
         for e in node.edges:
-            stack.append((e.child, seq + (e.label,) if player in e.seen_by else seq))
-    for key, members in groups.items():
+            push((e.child, seq + (e.label,) if observers <= e.seen_by else seq))
+    for members in groups.values():
         members.sort()
-        actions = tuple(e.label for e in game.nodes[members[0]].edges)
+    return groups
+
+
+def _action_mismatches(game: VEFG, groups: dict[InfosetKey, list[int]]):
+    """``(first, nid, key)`` for every node ``nid`` whose action labels
+    differ from those of ``first``, the lowest node of its group ``key``."""
+    for key, members in groups.items():
+        actions = [e.label for e in game.nodes[members[0]].edges]
         for nid in members[1:]:
-            if tuple(e.label for e in game.nodes[nid].edges) != actions:
-                raise ActionMismatchWithinInfoset(
-                    f"nodes {members[0]} and {nid} share infoset "
-                    f"{key!r} of {player.name} but have different actions")
+            if [e.label for e in game.nodes[nid].edges] != actions:
+                yield members[0], nid, key
+
+
+def infosets(game: VEFG, player: PlayerRole) -> dict[InfosetKey, list[int]]:
+    """Partition the player's decision nodes by observed-action sequence."""
+    groups = _group(game, frozenset((player,)), player)
+    bad = next(_action_mismatches(game, groups), None)
+    if bad is not None:
+        raise ActionMismatchWithinInfoset(
+            f"nodes {bad[0]} and {bad[1]} share infoset {bad[2]!r} of "
+            f"{player.name} but have different actions")
     return groups
 
 
@@ -272,17 +291,7 @@ def public_states(game: VEFG, observer_set: Iterable[PlayerRole]
     observers = frozenset(observer_set)
     if not observers:
         raise UnknownPlayer("empty observer set")
-    groups: dict[InfosetKey, list[int]] = {}
-    stack: list[tuple[int, InfosetKey]] = [(game.root, ())]
-    while stack:
-        nid, seq = stack.pop()
-        groups.setdefault(seq, []).append(nid)
-        for e in game.nodes[nid].edges:
-            pub = observers <= e.seen_by
-            stack.append((e.child, seq + (e.label,) if pub else seq))
-    for members in groups.values():
-        members.sort()
-    return groups
+    return _group(game, observers)
 
 
 def validate_perfect_recall(game: VEFG) -> list[tuple[PlayerRole, int]]:
@@ -294,23 +303,12 @@ def validate_perfect_recall(game: VEFG) -> list[tuple[PlayerRole, int]]:
                 if node.player not in e.seen_by:
                     violations.append((node.player, nid))
                     break
-    # Consistent action sequences: grouping by seen-sequence must give uniform
-    # action lists; report the offending nodes instead of raising.
+    # nodes sharing an infoset must offer the same actions; report each
+    # offender, groups in order of their lowest node
     for player in game.players:
-        try:
-            infosets(game, player)
-        except ActionMismatchWithinInfoset:
-            groups: dict[InfosetKey, list[int]] = {}
-            seqs = seen_sequences(game, player)
-            for nid, node in enumerate(game.nodes):
-                if node.player == player:
-                    groups.setdefault(seqs[nid], []).append(nid)
-            for members in groups.values():
-                members.sort()
-                ref = tuple(e.label for e in game.nodes[members[0]].edges)
-                for nid in members[1:]:
-                    if tuple(e.label for e in game.nodes[nid].edges) != ref:
-                        violations.append((player, nid))
+        groups = _group(game, frozenset((player,)), player)
+        violations.extend((player, nid) for _, nid, _ in
+                          sorted(_action_mismatches(game, groups)))
     return violations
 
 
@@ -336,31 +334,21 @@ def team_perfect_recall_refinement(game: VEFG) -> VEFG:
 def is_public_turn_taking(game: VEFG) -> bool:
     """True iff within every infoset all histories share the acting-player
     sequence of their prefixes."""
-    # Carry, per strategic player, the observed sequence, plus the acting
-    # sequence of the path; compare acting sequences within each infoset.
-    players = game.players
-    first: dict[tuple[PlayerRole, InfosetKey], tuple] = {}
-    stack: list[tuple[int, tuple[InfosetKey, ...], tuple]] = [
-        (game.root, tuple(() for _ in players), ())]
+    # number the acting sequences, then compare numbers within each infoset
+    acting = [0] * len(game.nodes)
+    number: dict[tuple[int, PlayerRole], int] = {}
+    stack = [game.root]
     while stack:
-        nid, seqs, acts = stack.pop()
+        nid = stack.pop()
         node = game.nodes[nid]
-        if node.player is not None and not node.is_chance:
-            pi = players.index(node.player)
-            key = (node.player, seqs[pi])
-            if key in first:
-                if first[key] != acts:
-                    return False
-            else:
-                first[key] = acts
         if node.edges:
-            next_acts = acts + (node.player,)
+            a = number.setdefault((acting[nid], node.player), len(number) + 1)
             for e in node.edges:
-                nseqs = tuple(
-                    seq + (e.label,) if p in e.seen_by else seq
-                    for p, seq in zip(players, seqs))
-                stack.append((e.child, nseqs, next_acts))
-    return True
+                acting[e.child] = a
+                stack.append(e.child)
+    return all(len({acting[nid] for nid in members}) == 1
+               for p in game.players
+               for members in _group(game, frozenset((p,)), p).values())
 
 
 def make_public_turn_taking(game: VEFG) -> VEFG:

@@ -21,7 +21,8 @@ Provides:
   imperfect-recall keys are expanded onto it.
 
 CFR and the evaluation utilities run as passes over one flat array form of
-the converted game, built by ``compile_converted``.
+the converted game, built by ``compile_converted`` on the first call for a
+converted game and kept on it.
 """
 from __future__ import annotations
 
@@ -404,7 +405,7 @@ class _Partition:
     groups: list[np.ndarray]  # per action count n: its infosets' slots
 
     def normalize(self, flat: np.ndarray) -> np.ndarray:
-        """:func:`_regret_match`'s normalisation of every infoset's slots."""
+        """:func:`_normalize_rows` of every infoset's slots."""
         out = np.empty_like(flat)
         for slots in self.groups:
             out[slots] = _normalize_rows(flat[slots])
@@ -528,7 +529,11 @@ def _partition(keys: list, labels: list, local: np.ndarray) -> _Partition:
 
 def compile_converted(cg: ConvertedGame) -> _Compiled:
     """Flatten a converted game for CFR and evaluation (see
-    :class:`_Compiled`)."""
+    :class:`_Compiled`), once: the form is kept on ``cg``, as
+    ``functools.cached_property`` would, since a ``ConvertedGame`` is
+    immutable and nothing writes into the form's arrays."""
+    if "_compiled" in vars(cg):
+        return vars(cg)["_compiled"]
     nodes = cg.game.nodes
     coord_keys = coordinator_node_keys(cg)
     order = [cg.game.root]    # breadth-first id -> game node id
@@ -586,9 +591,10 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
         sides[name] = _Side(
             nodes=side_nodes, profile=profile, pr=pr,
             edges=np.repeat(first_a[side_nodes], counts) + local)
-    return _Compiled(utility=np.array(utility), first=first_a,
-                     parent=parent_a, prob=np.array(prob, dtype=float),
-                     levels=levels, sides=sides)
+    c = vars(cg)["_compiled"] = _Compiled(
+        utility=np.array(utility), first=first_a, parent=parent_a,
+        prob=np.array(prob, dtype=float), levels=levels, sides=sides)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +622,6 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     x = x / s[:, None]
     x[empty] = 1.0 / x.shape[1]
     return x
-
-
-def _regret_match(regrets: np.ndarray) -> np.ndarray:
-    """Regret matching at one infoset: positive regrets normalised, uniform
-    when none is positive.  CFR applies it to every infoset at once through
-    :meth:`_Partition.normalize`."""
-    return _normalize_rows(np.maximum(regrets, 0.0)[None, :])[0]
 
 
 def _traversal(c: _Compiled, me: str) -> Callable:
@@ -693,8 +692,7 @@ def _iterate(c: _Compiled, walks: list, algo: str, t: int,
 
 def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
               iterations: int = 1000, log_every: int = 0,
-              log_hook: Optional[Callable] = None,
-              compiled: Optional[_Compiled] = None):
+              log_hook: Optional[Callable] = None):
     """Run a CFR-family algorithm on a converted two-player zero-sum game.
 
     ``algo`` is one of ``cfr`` (simultaneous updates), ``cfr+`` (alternating
@@ -714,7 +712,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     if iterations < 0:
         raise InvalidIterationCount(f"iterations must be >= 0, "
                                     f"got {iterations}")
-    c = compiled if compiled is not None else compile_converted(cg)
+    c = compile_converted(cg)
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     regrets = [np.zeros(p.offset[-1]) for p in parts]
     strat = [np.zeros(p.offset[-1]) for p in parts]
@@ -729,8 +727,8 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
         _iterate(c, walks, algo, t, regrets, strat)
         if log_every and (t % log_every == 0 or t == iterations):
             prof = average_profile()
-            v = expected_value(cg, prof, compiled=c)
-            e = exploitability(cg, prof, compiled=c)
+            v = expected_value(cg, prof)
+            e = exploitability(cg, prof)
             log.rows.append((t, v, e))
             if log_hook is not None:
                 log_hook(t, v, e)
@@ -747,16 +745,14 @@ def _profile_weights(c: _Compiled, profile: Profile, names) -> np.ndarray:
                       for name in names})
 
 
-def expected_value(cg: ConvertedGame, profile: Profile,
-                   compiled: Optional[_Compiled] = None) -> float:
+def expected_value(cg: ConvertedGame, profile: Profile) -> float:
     """Team expected utility of a behavioral profile, one bottom-up pass."""
-    c = compiled if compiled is not None else compile_converted(cg)
+    c = compile_converted(cg)
     w = _profile_weights(c, profile, c.sides)
     return float(c.backup(w, c.utility.copy())[0])
 
 
-def best_response(cg: ConvertedGame, profile: Profile, responder: str,
-                  compiled: Optional[_Compiled] = None):
+def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     """Best-response value and pure strategy for ``responder`` ("coord" or
     "o") against the other side's behavior in ``profile``.
 
@@ -766,7 +762,7 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str,
     infoset is decided at the depth of its nodes, which in a converted
     (public turn-taking) game is one depth.
     """
-    c = compiled if compiled is not None else compile_converted(cg)
+    c = compile_converted(cg)
     if responder == "o" and not c.has_opponent:
         raise IncompleteProfile("game has no opponent to respond with")
     w = _profile_weights(c, profile, [s for s in c.sides if s != responder])
@@ -805,17 +801,15 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str,
         part.keys, part.actions, best.tolist())}
 
 
-def exploitability(cg: ConvertedGame, profile: Profile,
-                   compiled: Optional[_Compiled] = None) -> float:
+def exploitability(cg: ConvertedGame, profile: Profile) -> float:
     """Sum of both players' best-response gaps (0 exactly at equilibrium).
 
     For games without an opponent this reduces to the coordinator's
     improvement potential max-value - current value.
     """
-    c = compiled if compiled is not None else compile_converted(cg)
-    v = expected_value(cg, profile, compiled=c)
-    br_t, _ = best_response(cg, profile, "coord", compiled=c)
-    if not c.has_opponent:
+    v = expected_value(cg, profile)
+    br_t, _ = best_response(cg, profile, "coord")
+    if OPPONENT not in cg.game.players:
         return br_t - v
-    br_o, _ = best_response(cg, profile, "o", compiled=c)
+    br_o, _ = best_response(cg, profile, "o")
     return (br_t - v) + (br_o - (-v))

@@ -47,6 +47,22 @@ def mini_team_game(seed: int = 0, chance_outcomes: int = 2) -> VEFG:
     return g
 
 
+def hidden_actor_game(terminal_first: bool = True) -> VEFG:
+    """Chance, seen by t0 alone, either ends the game (c0) or lets t0 act
+    (c1): the team's common view cannot tell whether anyone acts next."""
+    nodes = (Node(utility=Fraction(1)), Node(utility=Fraction(0)),
+             Node(utility=Fraction(2)),
+             Node(player=T0, edges=(Edge("a", 1, seen_by=frozenset(ALL)),
+                                    Edge("b", 2, seen_by=frozenset(ALL)))))
+    outcomes = (Edge("c0", 0, Fraction(1, 2), frozenset({T0})),
+                Edge("c1", 3, Fraction(1, 2), frozenset({T0})))
+    root = Node(player=CHANCE, edges=outcomes if terminal_first
+                else outcomes[::-1])
+    g = VEFG("hidden-actor", ALL, (*nodes, root), 4)
+    validate_game(g)
+    return g
+
+
 @pytest.fixture(scope="session")
 def kuhn0():
     return gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0))

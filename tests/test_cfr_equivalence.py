@@ -199,15 +199,14 @@ def test_evaluation_matches_reference(name, make):
     cg = make()
     c, rc = solvers.compile_converted(cg), ref.compile_reference(cg)
     for profile in (_uniform(c), solvers.solve_cfr(cg, "cfr+", 10)[0]):
-        assert solvers.expected_value(cg, profile, compiled=c) == \
+        assert solvers.expected_value(cg, profile) == \
             pytest.approx(ref.expected_value(rc, profile), abs=1e-12)
         for responder in c.sides:
-            value, choice = solvers.best_response(cg, profile, responder,
-                                                  compiled=c)
+            value, choice = solvers.best_response(cg, profile, responder)
             want, want_choice = ref.best_response(rc, profile, responder)
             assert value == pytest.approx(want, abs=1e-12)
             assert choice == want_choice
-        assert solvers.exploitability(cg, profile, compiled=c) == \
+        assert solvers.exploitability(cg, profile) == \
             pytest.approx(ref.exploitability(rc, profile), abs=1e-12)
 
 

@@ -249,6 +249,20 @@ def test_malformed_input_exits_4(tmp_path, toy_path, conv_path, command,
     assert "error:" in err
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_convert_actor_hidden_from_coordinator_exits_4(tmp_path, optimize):
+    from conftest import hidden_actor_game
+    g = tmp_path / "hidden.json"
+    io_json.save_game(hidden_actor_game(), str(g))
+    for mode in ("basic", "pruned", "folded"):
+        code, _, err = run_subprocess("convert", g, "--mode", mode, "--out",
+                                      tmp_path / "c.json", optimize=optimize)
+        assert code == 4, err
+        assert "Traceback" not in err
+        assert "hides who acts" in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_solve_and_oracle_survive_python_O(tmp_path):
     g, c = tmp_path / "kuhn.json", tmp_path / "conv.json"
     assert run_subprocess("gen", "kuhn", "--ranks", "3", "--out", g)[0] == 0

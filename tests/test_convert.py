@@ -23,16 +23,27 @@ from pubcoord import (
     map_team_to_coordinator,
 )
 from pubcoord.convert import coordinator_node_keys, game_digest
-from pubcoord.errors import ExclusionDataMissing, NotATeamGame
+from pubcoord.errors import (
+    ActionMismatchWithinInfoset,
+    ExclusionDataMissing,
+    ImperfectRecallInput,
+    NotATeamGame,
+    NotPublicTurnTaking,
+)
 from pubcoord.model import (
+    CHANCE,
     COORDINATOR,
     OPPONENT,
+    Edge,
+    Node,
+    VEFG,
     infosets,
+    is_public_turn_taking,
     validate_game,
     validate_perfect_recall,
 )
 
-from conftest import mini_team_game
+from conftest import ALL, O, T0, hidden_actor_game, mini_team_game
 
 CONVERTERS = {"basic": convert_basic, "pruned": convert_pruned,
               "folded": convert_folded}
@@ -124,6 +135,37 @@ def test_convert_requires_team(kuhn0):
     no_team = replace(kuhn0, players=(OPPONENT,))
     with pytest.raises(NotATeamGame):
         convert_basic(no_team)
+
+
+@pytest.mark.parametrize("terminal_first", [True, False])
+@pytest.mark.parametrize("mode", sorted(CONVERTERS))
+def test_actor_hidden_from_coordinator_is_rejected(mode, terminal_first):
+    # every model-layer check passes; only the team's common view mixes a
+    # terminal with a t0 decision
+    g = hidden_actor_game(terminal_first)
+    assert not validate_perfect_recall(g) and is_public_turn_taking(g)
+    with pytest.raises(NotPublicTurnTaking):
+        CONVERTERS[mode](g)
+
+
+def test_action_mismatch_within_infoset_is_caught():
+    # chance, hidden from t0, leads to two t0 nodes with different labels
+    terms = tuple(Node(utility=Fraction(u)) for u in range(4))
+    t0x, t0y = (Node(player=T0, edges=(
+        Edge(a, k, seen_by=frozenset(ALL)),
+        Edge(b, k + 1, seen_by=frozenset(ALL)))) for a, b, k in
+        (("l", "r", 0), ("p", "q", 2)))
+    root = Node(player=CHANCE, edges=(
+        Edge("x", 4, Fraction(1, 2), frozenset({O})),
+        Edge("y", 5, Fraction(1, 2), frozenset({O}))))
+    g = VEFG("mismatch", ALL, (*terms, t0x, t0y, root), 6)
+    validate_game(g)
+    with pytest.raises(ActionMismatchWithinInfoset):
+        infosets(g, T0)
+    assert validate_perfect_recall(g) == [(T0, 5)]
+    for convert in CONVERTERS.values():
+        with pytest.raises(ImperfectRecallInput):
+            convert(g)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,19 @@ def test_public_states_cover_all_nodes(mini):
     assert members == list(range(len(mini.nodes)))
 
 
+def test_public_states_of_the_team(mini):
+    # the deal is hidden from t1, so the team shares only the public moves;
+    # ids: t1 node of (deal, a, b) at 12 * deal + 6 * a + 3 * b + 2 with
+    # its U / D terminals just before, o nodes 24-27, t0 nodes 28-29, root 30
+    want = {(): [28, 29, 30], ("L",): [24, 26], ("R",): [25, 27]}
+    for i, (a, b) in enumerate(("Ll", "Lr", "Rl", "Rr")):
+        t1 = [3 * i + 2, 3 * i + 14]
+        want[a, b] = t1
+        want[a, b, "U"] = [n - 2 for n in t1]
+        want[a, b, "D"] = [n - 1 for n in t1]
+    assert public_states(mini, {T0, T1}) == want
+
+
 def test_seen_sequences_prefix_monotone(mini):
     seqs = seen_sequences(mini, T0)
     for nid, node in enumerate(mini.nodes):

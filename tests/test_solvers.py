@@ -37,7 +37,6 @@ from pubcoord.model import (
 from pubcoord import solvers
 from pubcoord.solvers import (
     ConvergenceLog,
-    _regret_match,
     best_response,
     compile_converted,
     count_reduced_plans,
@@ -495,11 +494,13 @@ def test_cfr_rejects_bad_arguments():
 
 
 def test_regret_matching_is_distribution():
+    def regret_match(r):
+        return solvers._normalize_rows(np.maximum(r, 0.0)[None])[0]
     for regs in ([1.0, 2.0, 0.0], [-1.0, -5.0], [0.0, 0.0], [3.0, -2.0]):
-        dist = _regret_match(np.array(regs))
+        dist = regret_match(np.array(regs))
         assert dist.min() >= 0
         assert dist.sum() == pytest.approx(1.0)
-    assert _regret_match(np.array([-1.0, -2.0])) == pytest.approx([0.5, 0.5])
+    assert regret_match(np.array([-1.0, -2.0])) == pytest.approx([0.5, 0.5])
 
 
 def test_cfr_value_matches_oracle_on_mini():
@@ -565,6 +566,44 @@ def test_exploitability_nonnegative_and_zero_at_equilibrium(mini):
     assert exploitability(cg, prof) >= -1e-12
     profile, _ = solve_cfr(cg, "lcfr+", iterations=3000)
     assert exploitability(cg, profile) <= 1e-2
+
+
+def _same(a, b) -> bool:
+    """Equal field by field, arrays by dtype and content."""
+    import dataclasses
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_converted_game_compiles_once(mini):
+    from dataclasses import replace
+    from pubcoord import io_json
+    cg = apply_safe_imperfect_recall(convert_pruned(mini))
+    saved = io_json.converted_to_dict(cg)
+    c = compile_converted(cg)
+    assert compile_converted(cg) is c
+    # the kept form is not part of the game's value
+    copy = replace(cg)
+    assert copy == cg and hash(copy) == hash(cg) and repr(copy) == repr(cg)
+    assert io_json.converted_to_dict(cg) == saved
+    # new objects compile afresh
+    assert compile_converted(copy) is not c
+    assert compile_converted(apply_safe_imperfect_recall(cg)) is not c
+    # solving and evaluating leave the kept arrays as compiled
+    profile, _ = solve_cfr(cg, "lcfr+", iterations=20, log_every=10)
+    exploitability(cg, profile)
+    best_response(cg, profile, "o")
+    assert compile_converted(cg) is c
+    assert _same(c, compile_converted(replace(cg)))
 
 
 def test_compile_rejects_action_mismatch_within_infoset():
