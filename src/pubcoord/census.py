@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .convert import ConvertedGame, coordinator_node_keys
-from .errors import NonDivisibleLevelProfile, SpecOutOfBounds
-from .model import COORDINATOR, OPPONENT, infosets, team_member
+import numpy as np
+
+from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame
+from .errors import (
+    ActionMismatchWithinInfoset,
+    NonDivisibleLevelProfile,
+    SpecOutOfBounds,
+)
+from .model import CHANCE, COORDINATOR, OPPONENT, team_member
 
 
 @dataclass(frozen=True)
@@ -29,36 +35,51 @@ class NodeCensus:
 
 
 def census(cg: ConvertedGame, compact: bool = False) -> NodeCensus:
-    """Count converted-game nodes by category.
+    """Count converted-game nodes by category, from the columns of
+    ``cg.tree``.
 
     With ``compact=True``, probability-one dummy chance nodes of the basic and
     pruned representations (which merely replay the extracted action) are
     merged into their parent edge and not counted.  Folded prescription-chance
-    nodes are structural and never compacted.
+    nodes are structural and never compacted.  Nodes of one opponent infoset
+    that offer different actions raise
+    :class:`~pubcoord.errors.ActionMismatchWithinInfoset`.
     """
-    g = cg.game
-    coord = adversary = terminal = chance = single = 0
-    for nid, node in enumerate(g.nodes):
-        if compact and cg.node_kind[nid] == "dummy":
-            continue
-        if node.is_terminal:
-            terminal += 1
-        elif node.is_chance:
-            chance += 1
-            if len(node.edges) == 1:
-                single += 1
-        elif node.player == COORDINATOR:
-            coord += 1
-        else:
-            adversary += 1
-    coord_isets = len(set(coordinator_node_keys(cg).values()))
-    adv_isets = (len(infosets(g, OPPONENT)) if OPPONENT in g.players else 0)
+    tree = cg.tree
+    # per node: 0 terminal, 1 chance, 2 coordinator, 3 any other player
+    kind = np.array([0 if r is None else 1 if r is CHANCE else
+                     2 if r is COORDINATOR else 3 for r in tree.roles],
+                    dtype=np.int64)[tree.player]
+    single = tree.count() == 1
+    if compact:
+        keep = np.array([k != "dummy" for k in cg.node_kind], dtype=bool)
+        kind, single = kind[keep], single[keep]
+    terminal, chance, coord, adversary = np.bincount(kind, minlength=4)
+    coord_nodes = np.flatnonzero(tree.played_by(COORDINATOR))
+    walk = tree.walk()
+    if cg.safe_ir_applied:
+        coord_isets = len({cg.supports[v] for v in coord_nodes.tolist()})
+    else:
+        coord_isets = np.unique(walk.seq[COORD_SEEN][coord_nodes]).size
+    adv_isets = 0
+    if OPPONENT in tree.players:
+        nodes = np.flatnonzero(tree.played_by(OPPONENT))
+        seqs = walk.seq[OPP_SEEN][nodes]
+        _, first, inv = np.unique(seqs, return_index=True, return_inverse=True)
+        bad = tree.first_mismatch(nodes, nodes[first][inv])
+        if bad >= 0:
+            key = walk.keys(OPP_SEEN)[seqs[bad]]
+            raise ActionMismatchWithinInfoset(
+                f"nodes {nodes[first][inv][bad]} and {nodes[bad]} share "
+                f"infoset {key!r} of {OPPONENT.name} but have different "
+                "actions")
+        adv_isets = first.size
     return NodeCensus(
-        coordinator_nodes=coord, adversary_nodes=adversary,
-        terminal_nodes=terminal, chance_nodes=chance,
-        chance_single_child=single,
-        total_nodes=coord + adversary + terminal + chance,
-        coordinator_infosets=coord_isets, adversary_infosets=adv_isets)
+        coordinator_nodes=int(coord), adversary_nodes=int(adversary),
+        terminal_nodes=int(terminal), chance_nodes=int(chance),
+        chance_single_child=int(np.count_nonzero(single & (kind == 1))),
+        total_nodes=int(coord + adversary + terminal + chance),
+        coordinator_infosets=int(coord_isets), adversary_infosets=adv_isets)
 
 
 def toy_formula_count(cg: ConvertedGame) -> int:
@@ -67,7 +88,7 @@ def toy_formula_count(cg: ConvertedGame) -> int:
     prescription-chance nodes in folded mode."""
     p1 = team_member(0)
     total = 0
-    for nid in range(len(cg.game.nodes)):
+    for nid in range(len(cg.node_kind)):
         if cg.origin_player[nid] == p1 and cg.node_kind[nid] in (
                 "coord", "presc"):
             total += 1

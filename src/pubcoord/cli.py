@@ -29,7 +29,7 @@ from .convert import (
 )
 from .errors import GameError, GameTooLarge, SpecOutOfBounds
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
-from .model import is_public_turn_taking, make_public_turn_taking
+from .model import gc_paused, is_public_turn_taking, make_public_turn_taking
 from .solvers import (
     DEFAULT_MATRIX_LIMIT,
     count_reduced_plans,
@@ -64,21 +64,22 @@ def _emit(summary: dict, as_json: bool) -> None:
 def _load(path: str, converted: bool):
     """Parse ``path`` once and build the game it holds; ``converted`` says
     which kind the command needs, told apart by the ``origin`` section."""
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    if (isinstance(d, dict) and "origin" in d) != converted:
-        held, needed = (("an original", "a converted") if converted
-                        else ("a converted", "an original"))
-        raise _CliError(EXIT_VALIDATION, f"{path} holds {held} game; "
-                                         f"{needed} game is required")
-    try:
-        return (io_json.converted_from_dict(d) if converted
-                else io_json.game_from_dict(d))
-    except GameError as exc:
-        raise _CliError(EXIT_VALIDATION, f"{path}: {exc}")
+    with gc_paused():  # every object parsed and built is kept
+        try:
+            with open(path) as f:
+                d = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
+        if (isinstance(d, dict) and "origin" in d) != converted:
+            held, needed = (("an original", "a converted") if converted
+                            else ("a converted", "an original"))
+            raise _CliError(EXIT_VALIDATION, f"{path} holds {held} game; "
+                                             f"{needed} game is required")
+        try:
+            return (io_json.converted_from_dict(d) if converted
+                    else io_json.game_from_dict(d))
+        except GameError as exc:
+            raise _CliError(EXIT_VALIDATION, f"{path}: {exc}")
 
 
 def _write(path: str, writer) -> None:
@@ -165,6 +166,9 @@ def cmd_solve(args) -> int:
     if args.iterations < 0:
         raise _CliError(EXIT_PARAMS,
                         f"iterations must be >= 0, got {args.iterations}")
+    if args.log_every < 0:
+        raise _CliError(EXIT_PARAMS,
+                        f"--log-every must be >= 0, got {args.log_every}")
     cg = _load(args.input, converted=True)
     profile, log = solve_cfr(cg, algo=args.algo, iterations=args.iterations,
                              log_every=args.log_every)
@@ -211,6 +215,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise _CliError(EXIT_PARAMS,
+                        f"--samples must be >= 0, got {args.samples}")
     game = _load(args.input, converted=False)
     cg = _load(args.converted, converted=True)
     if cg.source_digest != game_digest(game):

@@ -28,10 +28,19 @@ Many prescriptions lead to the same pair — on Leduc 2×1 the basic builder
 meets 39k–94k pairs but only 2,363 distinct ones.  Every call emits its
 subtree as one contiguous post-order id range ending at the returned id, so
 the builder builds each distinct pair once and replicates it for every
-repeat: it appends a copy of the first range with every child id shifted by
-the copy's distance.  The copy is exact, node for node, because the builder
-is a pure function of the pair; the resulting trees are identical to those of
+repeat.  The copy is exact, node for node, because the builder is a pure
+function of the pair; the resulting trees are identical to those of
 building every call.
+
+The builder keeps the tree as int columns (:class:`ConvertedTree`): per node
+its player, utility and the end of its edges, per edge its label, child,
+probability and who observes it, with labels, probabilities, players and
+utilities numbered in small tables.  A repeat extends every column by a
+slice of itself and shifts the child ids and edge ends.  No ``Node`` or
+``Edge`` is made while converting: ``ConvertedGame.game``, the tree as a
+:class:`~pubcoord.model.VEFG`, is built from the columns the first time it
+is read.  The census, the coordinator's infoset keys and the compiled form
+of :mod:`pubcoord.solvers` read the columns.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
 forgetting prescription components that addressed already-excluded states.
@@ -46,15 +55,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     ExclusionDataMissing,
     IllegalActionInPlan,
     IllegalPrescription,
     ImperfectRecallInput,
+    InvalidIterationCount,
     NotPublicTurnTaking,
     SchemaError,
 )
@@ -67,6 +81,7 @@ from .model import (
     Node,
     PlayerRole,
     VEFG,
+    gc_paused,
     infosets,
     is_public_turn_taking,
     recursion_headroom,
@@ -77,24 +92,327 @@ from .model import (
 
 TeamInfosetRef = tuple[PlayerRole, InfosetKey]
 
+# bits of ConvertedTree.seen: the coordinator / the opponent observes an edge
+COORD_SEEN, OPP_SEEN = 1, 2
+_SEEN_BY = (frozenset(), frozenset((COORDINATOR,)), frozenset((OPPONENT,)),
+            frozenset((COORDINATOR, OPPONENT)))
+
 
 def game_digest(game: VEFG) -> str:
-    """Stable structural digest used to tie converted games to their source."""
-    import hashlib
+    """Stable structural digest used to tie converted games to their source;
+    kept in ``vars(game)``, as a ``VEFG`` is immutable."""
+    digest = vars(game).get("_digest")
+    if digest is None:
+        import hashlib
 
-    h = hashlib.sha256()
-    h.update(repr((game.name, game.players, game.root)).encode())
-    for node in game.nodes:
-        h.update(repr((node.player, node.utility)).encode())
-        for e in node.edges:
-            h.update(repr((e.label, e.child, e.prob,
-                           sorted(p.name for p in e.seen_by))).encode())
-    return h.hexdigest()
+        h = hashlib.sha256()
+        h.update(repr((game.name, game.players, game.root)).encode())
+        for node in game.nodes:
+            h.update(repr((node.player, node.utility)).encode())
+            for e in node.edges:
+                h.update(repr((e.label, e.child, e.prob,
+                               sorted(p.name for p in e.seen_by))).encode())
+        digest = vars(game)["_digest"] = h.hexdigest()
+    return digest
 
 
-@dataclass(frozen=True)
+def _number_key(x):
+    """Table key of a probability or utility.  Equal numbers of different
+    types (``1``, ``1.0``, ``Fraction(1)``) and the two zeros of a float
+    stay apart, so that the view returns the very values emitted; a
+    ``Fraction`` is keyed by its terms, which hash faster than it does."""
+    kind = x.__class__
+    if kind is Fraction:
+        return kind, x.numerator, x.denominator
+    return (kind, x.hex()) if kind is float else (kind, x)
+
+
+class _Table:
+    """Distinct values in order of first use, numbered by :meth:`id`."""
+
+    def __init__(self, key=None) -> None:
+        self.key = key
+        self.ids: dict = {}
+        self.values: list = []
+
+    def id(self, x) -> int:
+        k = x if self.key is None else self.key(x)
+        i = self.ids.get(k)
+        if i is None:
+            i = self.ids[k] = len(self.values)
+            self.values.append(x)
+        return i
+
+
+class _Columns:
+    """A tree under construction: the columns of :class:`ConvertedTree`, in
+    emission (post-order) id order.  They are C arrays, so that a million
+    edges hold no Python int objects."""
+
+    def __init__(self) -> None:
+        self.roles, self.labels = _Table(), _Table()
+        self.probs, self.utilities = _Table(_number_key), _Table(_number_key)
+        self.player, self.utility, self.end = array("b"), array("i"), array("i")
+        self.label, self.child, self.prob = array("i"), array("i"), array("i")
+        self.seen = array("B")
+
+    def emit(self, player: Optional[PlayerRole], edges=(),
+             utility=0.0) -> int:
+        """Append a node whose ``edges`` are ``(label, child, probability,
+        seen bits)``; returns its id."""
+        for label, child, prob, seen in edges:
+            self.label.append(self.labels.id(label))
+            self.child.append(child)
+            self.prob.append(self.probs.id(prob))
+            self.seen.append(seen)
+        self.player.append(self.roles.id(player))
+        self.utility.append(self.utilities.id(utility))
+        self.end.append(len(self.child))
+        return len(self.player) - 1
+
+    def copy(self, lo: int, root: int) -> int:
+        """Append a copy of the nodes ``lo..root`` and of their edges: every
+        column is extended by its slice, with child ids and edge ends
+        shifted by the distance of the copy; returns the copy of ``root``."""
+        shift = len(self.player) - lo
+        e0, e1 = self.end[lo - 1] if lo else 0, self.end[root]
+        self.end.extend([e + len(self.child) - e0
+                         for e in self.end[lo:root + 1]])
+        self.child.extend([c + shift for c in self.child[e0:e1]])
+        for column in (self.player, self.utility):
+            column.extend(column[lo:root + 1])
+        for column in (self.label, self.prob, self.seen):
+            column.extend(column[e0:e1])
+        return root + shift
+
+    def pack(self, name: str, players: tuple[PlayerRole, ...],
+             root: int) -> "ConvertedTree":
+        """The columns as a :class:`ConvertedTree`; each column is emptied
+        once it is packed."""
+        def take(column: array, dtype) -> np.ndarray:
+            packed = np.array(column, dtype=dtype)
+            del column[:]
+            return packed
+
+        return ConvertedTree(
+            name=name, players=players, root=root,
+            roles=tuple(self.roles.values), labels=tuple(self.labels.values),
+            probs=tuple(self.probs.values),
+            utilities=tuple(self.utilities.values),
+            player=take(self.player, np.int8),
+            utility=take(self.utility, np.int32),
+            end=take(self.end, np.int32), label=take(self.label, np.int32),
+            child=take(self.child, np.int32), prob=take(self.prob, np.int32),
+            seen=take(self.seen, np.uint8))
+
+
+class _Builder(_Columns):
+    """The conversion's columns plus the per-node bookkeeping of
+    :class:`ConvertedGame`, copied along with them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kind: list[str] = []
+        self.oplayer: list[Optional[PlayerRole]] = []
+        self.active: list[Optional[tuple[int, ...]]] = []
+        self.supports: list[Optional[tuple[int, ...]]] = []
+
+    def emit(self, player: Optional[PlayerRole], edges=(), utility=0.0,
+             kind: str = "copy", oplayer=None, active=None,
+             support=None) -> int:
+        self.kind.append(kind)
+        self.oplayer.append(oplayer)
+        self.active.append(active)
+        self.supports.append(tuple(sorted(support))
+                             if support is not None else None)
+        return super().emit(player, edges, utility)
+
+    def copy(self, lo: int, root: int) -> int:
+        """:meth:`_Columns.copy`; the bookkeeping tuples are shared with the
+        original range."""
+        for column in (self.kind, self.oplayer, self.active, self.supports):
+            column.extend(column[lo:root + 1])
+        return super().copy(lo, root)
+
+
+@dataclass
+class _Walk:
+    """A breadth-first pass over a :class:`ConvertedTree`.  ``order`` holds
+    the node ids depth by depth, depth ``d`` at ``order[bounds[d]:bounds[d +
+    1]]``, and ``edges`` their edges, node by node in action order.  Per
+    observer bit, ``seq[bit]`` gives every node id the id of the label
+    sequence that observer saw on the way (-1: unreached); sequence 0 is
+    empty, and ``steps[bit]`` maps ``parent * len(labels) + label`` to the
+    id of every other sequence, numbered in insertion order."""
+
+    order: np.ndarray
+    bounds: list[int]
+    edges: np.ndarray
+    seq: dict[int, np.ndarray]
+    steps: dict[int, dict[int, int]]
+    labels: tuple[str, ...]
+
+    def keys(self, bit: int) -> list[tuple[str, ...]]:
+        """Per sequence id of observer ``bit``, its labels as a tuple, made
+        once per sequence."""
+        keys: list[tuple[str, ...]] = [()]
+        for code in self.steps[bit]:
+            parent, label = divmod(code, len(self.labels))
+            keys.append(keys[parent] + (self.labels[label],))
+        return keys
+
+
+@dataclass(frozen=True, eq=False)
+class ConvertedTree:
+    """A converted game tree as int columns; node ids are the game's.
+
+    Node ``v`` is played by ``roles[player[v]]`` (``None``: a terminal),
+    has utility ``utilities[utility[v]]`` and owns the edges ``end[v - 1]
+    .. end[v] - 1`` (from 0 for node 0).  Edge ``e`` plays
+    ``labels[label[e]]`` into node ``child[e]`` with probability
+    ``probs[prob[e]]`` (``None`` off chance); ``seen[e]`` has the bit
+    ``COORD_SEEN`` when the coordinator observes it and ``OPP_SEEN`` when
+    the opponent does.  The tables hold each value once.  Two trees are
+    equal when their views (:attr:`game`) are.
+    """
+
+    name: str
+    players: tuple[PlayerRole, ...]
+    root: int
+    roles: tuple[Optional[PlayerRole], ...]
+    labels: tuple[str, ...]
+    probs: tuple
+    utilities: tuple
+    player: np.ndarray
+    utility: np.ndarray
+    end: np.ndarray
+    label: np.ndarray
+    child: np.ndarray
+    prob: np.ndarray
+    seen: np.ndarray
+
+    @classmethod
+    def from_game(cls, game: VEFG) -> "ConvertedTree":
+        """The columns of ``game``, which is kept as their view."""
+        b = _Columns()
+        for node in game.nodes:
+            b.emit(node.player, [
+                (e.label, e.child, e.prob,
+                 COORD_SEEN * (COORDINATOR in e.seen_by)
+                 | OPP_SEEN * (OPPONENT in e.seen_by)) for e in node.edges],
+                node.utility)
+        tree = b.pack(game.name, game.players, game.root)
+        vars(tree)["game"] = game
+        return tree
+
+    @cached_property
+    def game(self) -> VEFG:
+        """The tree as a :class:`VEFG`, built in one pass the first time it
+        is read and kept; terminals of one utility share one node."""
+        labels, probs, roles = self.labels, self.probs, self.roles
+        utilities = self.utilities
+        with gc_paused():
+            edges = [Edge(labels[a], c, probs[p], _SEEN_BY[s])
+                     for a, c, p, s in zip(
+                         self.label.tolist(), self.child.tolist(),
+                         self.prob.tolist(), self.seen.tolist())]
+            leaves = [Node(utility=u) for u in utilities]
+            nodes, a = [], 0
+            for r, u, b in zip(self.player.tolist(), self.utility.tolist(),
+                               self.end.tolist()):
+                role = roles[r]
+                nodes.append(leaves[u] if role is None else
+                             Node(role, tuple(edges[a:b]), utilities[u]))
+                a = b
+            return VEFG(self.name, self.players, tuple(nodes), self.root)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConvertedTree):
+            return NotImplemented
+        return self is other or self.game == other.game
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.players, self.root, len(self.player),
+                     len(self.child)))
+
+    def count(self) -> np.ndarray:
+        """Per node, its number of edges."""
+        return np.diff(self.end, prepend=0)
+
+    def played_by(self, role: Optional[PlayerRole]) -> np.ndarray:
+        """Per node, whether ``role`` plays it (``None``: a terminal)."""
+        return np.array([r is role for r in self.roles])[self.player]
+
+    def actions(self, nid: int) -> tuple[str, ...]:
+        """The action labels of node ``nid``."""
+        a, b = (self.end[nid - 1] if nid else 0), self.end[nid]
+        return tuple(self.labels[k] for k in self.label[a:b].tolist())
+
+    def edges_of(self, nodes: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The edge ids of ``nodes``, node by node in action order, given
+        the per-node edge ``count``."""
+        c = count[nodes]
+        return np.repeat(self.end[nodes] - np.cumsum(c), c) + np.arange(
+            c.sum())
+
+    def first_mismatch(self, nodes: np.ndarray, reps: np.ndarray) -> int:
+        """The first index ``i`` at which node ``nodes[i]`` offers other
+        action labels than node ``reps[i]``, or -1."""
+        count = self.count()
+        bad = count[nodes] != count[reps]
+        same = np.flatnonzero(~bad)
+        differ = (self.label[self.edges_of(nodes[same], count)]
+                  != self.label[self.edges_of(reps[same], count)])
+        bad[np.repeat(same, count[nodes[same]])[differ]] = True
+        hit = np.flatnonzero(bad)
+        return int(hit[0]) if hit.size else -1
+
+    def walk(self) -> _Walk:
+        """One level-synchronous pass from the root (see :class:`_Walk`).
+        Per depth and observer, the edges the observer sees get one
+        sequence id per distinct (parent's sequence, label) pair, by one
+        ``np.unique``; the others pass their parent's sequence on."""
+        count = self.count()
+        n_labels = len(self.labels)
+        seq = {bit: np.full(len(self.player), -1, dtype=np.int64)
+               for bit in (COORD_SEEN, OPP_SEEN)}
+        steps: dict[int, dict[int, int]] = {bit: {} for bit in seq}
+        level = np.array([self.root], dtype=np.int64)
+        for s in seq.values():
+            s[level] = 0
+        order, edges, bounds = [], [], [0]
+        while level.size:
+            order.append(level)
+            bounds.append(bounds[-1] + level.size)
+            e = self.edges_of(level, count)
+            kids = self.child[e]
+            at = np.repeat(level, count[level])
+            for bit, s in seq.items():
+                kid_seq = s[at]
+                seen = (self.seen[e] & bit) != 0
+                pairs, inv = np.unique(
+                    kid_seq[seen] * n_labels + self.label[e[seen]],
+                    return_inverse=True)
+                index = steps[bit]
+                ids = [index.setdefault(p, len(index) + 1)
+                       for p in pairs.tolist()]
+                kid_seq[seen] = np.array(ids, dtype=np.int64)[inv]
+                s[kids] = kid_seq
+            edges.append(e)
+            level = kids.astype(np.int64)
+        return _Walk(np.concatenate(order), bounds, np.concatenate(edges),
+                     seq, steps, self.labels)
+
+
+@dataclass(frozen=True, init=False)
 class ConvertedGame:
     """A converted two-player zero-sum game plus conversion bookkeeping.
+
+    ``tree`` holds the game as columns (:class:`ConvertedTree`); ``game``
+    is its :class:`VEFG` view, built on first use and shared by every
+    ``ConvertedGame`` on the same tree, such as ``dataclasses.replace(cg)``
+    and :func:`apply_safe_imperfect_recall`.  A ``game`` given to the
+    constructor (also through ``replace``) becomes the tree and its view.
 
     The per-node tuples are indexed like ``game.nodes``.  ``node_kind`` is
     one of ``coord`` (coordinator decision), ``dummy`` (probability-one
@@ -109,7 +427,6 @@ class ConvertedGame:
     ``itertools.product`` over the active infosets' action lists.
     """
 
-    game: VEFG
     mode: str                     # "basic" | "pruned" | "folded"
     safe_ir_applied: bool
     source_name: str
@@ -120,9 +437,36 @@ class ConvertedGame:
     iset_refs: tuple[TeamInfosetRef, ...]        # team iset id -> (player, key)
     iset_actions: tuple[tuple[str, ...], ...]    # team iset id -> action labels
     supports: tuple[Optional[tuple[int, ...]], ...]
+    tree: ConvertedTree
+
+    def __init__(self, *, mode: str, safe_ir_applied: bool,
+                 source_name: str, source_digest: str, node_kind, origin_player,
+                 active, iset_refs, iset_actions, supports,
+                 tree: Optional[ConvertedTree] = None,
+                 game: Optional[VEFG] = None) -> None:
+        if game is not None:
+            tree = ConvertedTree.from_game(game)
+        for name, value in (
+                ("mode", mode), ("safe_ir_applied", safe_ir_applied),
+                ("source_name", source_name),
+                ("source_digest", source_digest), ("node_kind", node_kind),
+                ("origin_player", origin_player), ("active", active),
+                ("iset_refs", iset_refs), ("iset_actions", iset_actions),
+                ("supports", supports), ("tree", tree)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def game(self) -> VEFG:
+        return self.tree.game
 
 
 def _prepare(game: VEFG) -> VEFG:
+    """``game`` with team perfect recall, checked for perfect recall and
+    public turn-taking; kept in ``vars(game)`` once it passes, so a game
+    that fails raises on every call."""
+    g = vars(game).get("_prepared")
+    if g is not None:
+        return g
     g = team_perfect_recall_refinement(game)
     violations = validate_perfect_recall(g)
     if violations:
@@ -133,11 +477,17 @@ def _prepare(game: VEFG) -> VEFG:
         raise NotPublicTurnTaking(
             f"game {game.name!r} is not public turn-taking; apply "
             "make_public_turn_taking first")
+    vars(game)["_prepared"] = g
     return g
 
 
 def _team_isets(g: VEFG):
-    """Globally-indexed team infosets in canonical (player, key) order."""
+    """Globally-indexed team infosets in canonical (player, key) order:
+    ``(refs, actions, of)`` with ``of`` the infoset id of each team node;
+    kept in ``vars(g)``."""
+    cached = vars(g).get("_team_isets")
+    if cached is not None:
+        return cached
     refs: list[TeamInfosetRef] = []
     actions: list[tuple[str, ...]] = []
     of: dict[int, int] = {}
@@ -148,44 +498,8 @@ def _team_isets(g: VEFG):
             actions.append(tuple(e.label for e in g.nodes[members[0]].edges))
             for nid in members:
                 of[nid] = iid
-    return refs, actions, of
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.nodes: list[Node] = []
-        self.kind: list[str] = []
-        self.oplayer: list[Optional[PlayerRole]] = []
-        self.active: list[Optional[tuple[int, ...]]] = []
-        self.supports: list[Optional[tuple[int, ...]]] = []
-
-    def emit(self, node: Node, kind: str, oplayer=None, active=None,
-             support=None) -> int:
-        self.nodes.append(node)
-        self.kind.append(kind)
-        self.oplayer.append(oplayer)
-        self.active.append(active)
-        self.supports.append(tuple(sorted(support))
-                             if support is not None else None)
-        return len(self.nodes) - 1
-
-    def copy(self, lo: int, root: int) -> int:
-        """Append a copy of the nodes ``lo..root`` with every edge's child
-        shifted by the distance of the copy; returns the copy of ``root``.
-
-        Terminals are immutable and reused; the bookkeeping tuples are
-        shared with the original range."""
-        shift = len(self.nodes) - lo
-        append = self.nodes.append
-        for node in self.nodes[lo:root + 1]:
-            if node.edges:
-                node = Node(node.player, tuple(
-                    Edge(e.label, e.child + shift, e.prob, e.seen_by)
-                    for e in node.edges), node.utility)
-            append(node)
-        for column in (self.kind, self.oplayer, self.active, self.supports):
-            column.extend(column[lo:root + 1])
-        return root + shift
+    cached = vars(g)["_team_isets"] = (tuple(refs), tuple(actions), of)
+    return cached
 
 
 # mode -> (prune, fold)
@@ -193,8 +507,6 @@ _SWITCHES = {"basic": (False, False), "pruned": (True, False),
              "folded": (True, True)}
 
 _ONE = Fraction(1)
-_COORD_ONLY = frozenset((COORDINATOR,))
-_COORD_OPP = frozenset((COORDINATOR, OPPONENT))
 
 
 def _split(pairs) -> list[tuple[str, Fraction, tuple, Edge]]:
@@ -227,13 +539,9 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
     refs, iset_actions, iset_of = _team_isets(g)
     b = _Builder()
 
-    def conv_seen(e: Edge) -> frozenset[PlayerRole]:
-        seen = set()
-        if team_set <= e.seen_by:
-            seen.add(COORDINATOR)
-        if opp is not None and opp in e.seen_by:
-            seen.add(OPPONENT)
-        return frozenset(seen)
+    def conv_seen(e: Edge) -> int:
+        return (COORD_SEEN * (team_set <= e.seen_by)
+                | OPP_SEEN * (opp is not None and opp in e.seen_by))
 
     def next_support(support: tuple[int, ...], e: Edge) -> tuple[int, ...]:
         """Children of the support states after edge ``e``: through ``e``'s
@@ -259,7 +567,7 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         span = spans.get((belief, support))
         if span is not None:
             return b.copy(*span)
-        lo = len(b.nodes)
+        lo = len(b.player)
         root = expand(belief, support)
         spans[belief, support] = (lo, root)
         return root
@@ -286,10 +594,10 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 f"source states {h} and {other} have different actors")
         if node.is_terminal:
             if not fold:
-                return b.emit(Node(utility=node.utility), "copy")
+                return b.emit(None, utility=node.utility)
             util = sum((w * Fraction(g.nodes[s].utility) for s, w in belief),
                        Fraction(0))
-            return b.emit(Node(utility=util), "copy")
+            return b.emit(None, utility=util)
         if node.is_chance and fold:
             if foldable(h):
                 return build(
@@ -304,16 +612,16 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 if q == 0:
                     continue
                 child = build(nb, next_support(support, rep))
-                edges.append(Edge(label, child, q, conv_seen(rep)))
-            return b.emit(Node(player=CHANCE, edges=tuple(edges)), "copy")
+                edges.append((label, child, q, conv_seen(rep)))
+            return b.emit(CHANCE, edges)
         if node.is_chance or (opp is not None and node.player == opp):
             # copied edge by edge; every belief state shares the labels
             edges = []
             for k, e in enumerate(node.edges):
                 nb = tuple((g.nodes[s].edges[k].child, w) for s, w in belief)
                 child = build(nb, next_support(support, e))
-                edges.append(Edge(e.label, child, e.prob, conv_seen(e)))
-            return b.emit(Node(player=node.player, edges=tuple(edges)), "copy")
+                edges.append((e.label, child, e.prob, conv_seen(e)))
+            return b.emit(node.player, edges)
         # team decision node -> coordinator node with one edge per
         # prescription, each resolved by a chance node over the distinct
         # actions it prescribes to the belief states
@@ -339,31 +647,29 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 sup = tuple(c for i in active if not prune or gamma[i] == a
                             for c in kids.get((i, a), ()))
                 child = build(nb, sup)
-                seen = (_COORD_OPP if opp is not None and opp in rep.seen_by
-                        else _COORD_ONLY)
-                out_edges.append(Edge(a, child, q, seen))
-            resolve = b.emit(Node(player=CHANCE, edges=tuple(out_edges)),
-                             "presc" if fold else "dummy",
-                             oplayer=node.player)
+                seen = (COORD_SEEN | OPP_SEEN
+                        if opp is not None and opp in rep.seen_by
+                        else COORD_SEEN)
+                out_edges.append((a, child, q, seen))
+            resolve = b.emit(CHANCE, out_edges, kind="presc" if fold
+                             else "dummy", oplayer=node.player)
             label = "G[" + ",".join(f"{i}={a}" for i, a in gamma.items()) + "]"
-            pres_edges.append(Edge(label, resolve, None, _COORD_ONLY))
-        return b.emit(Node(player=COORDINATOR, edges=tuple(pres_edges)),
-                      "coord", oplayer=node.player, active=active,
-                      support=support)
+            pres_edges.append((label, resolve, None, COORD_SEEN))
+        return b.emit(COORDINATOR, pres_edges, kind="coord",
+                      oplayer=node.player, active=active, support=support)
 
     # two Python frames (build, expand) per source level, plus the root call
     with recursion_headroom(2 * len(g.nodes) + 2):
         root = build(((g.root, _ONE),), (g.root,))
 
     players = ((COORDINATOR, OPPONENT) if opp is not None else (COORDINATOR,))
-    cg = VEFG(name=f"{game.name}[{mode}]", players=players,
-              nodes=tuple(b.nodes), root=root)
     return ConvertedGame(
-        game=cg, mode=mode, safe_ir_applied=False,
-        source_name=game.name, source_digest=game_digest(game),
-        node_kind=tuple(b.kind), origin_player=tuple(b.oplayer),
-        active=tuple(b.active), iset_refs=tuple(refs),
-        iset_actions=tuple(iset_actions), supports=tuple(b.supports))
+        tree=b.pack(f"{game.name}[{mode}]", players, root), mode=mode,
+        safe_ir_applied=False, source_name=game.name,
+        source_digest=game_digest(game), node_kind=tuple(b.kind),
+        origin_player=tuple(b.oplayer), active=tuple(b.active),
+        iset_refs=refs, iset_actions=iset_actions,
+        supports=tuple(b.supports))
 
 
 def convert_basic(game: VEFG) -> ConvertedGame:
@@ -379,20 +685,19 @@ def convert_folded(game: VEFG) -> ConvertedGame:
 
 
 def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
-    """Infoset key per coordinator decision node.
+    """Infoset key per coordinator decision node, read from the columns.
 
     With safe imperfect recall applied this is the merged key
     ``("sir",) + supports[nid]``; otherwise it is the visibility-derived
-    observation sequence.
+    observation sequence, made once per distinct sequence.
     """
-    nodes = cg.game.nodes
+    coord = np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist()
     if cg.safe_ir_applied:
-        return {nid: ("sir",) + cg.supports[nid]
-                for nid, node in enumerate(nodes)
-                if node.player == COORDINATOR}
-    seqs = seen_sequences(cg.game, COORDINATOR)
-    return {nid: seqs[nid] for nid, node in enumerate(nodes)
-            if node.player == COORDINATOR}
+        return {nid: ("sir",) + cg.supports[nid] for nid in coord}
+    walk = cg.tree.walk()
+    keys = walk.keys(COORD_SEEN)
+    return {nid: keys[s] for nid, s in
+            zip(coord, walk.seq[COORD_SEEN][coord].tolist())}
 
 
 def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
@@ -444,12 +749,11 @@ def coordinator_choices(cg: ConvertedGame, joint_plan) -> dict[int, int]:
     digit = [cg.iset_actions[iid].index(_plan_action(cg, joint_plan, iid))
              for iid in range(len(cg.iset_refs))]
     choices: dict[int, int] = {}
-    for nid, node in enumerate(cg.game.nodes):
-        if node.player == COORDINATOR:
-            k = 0
-            for iid in cg.active[nid]:
-                k = k * len(cg.iset_actions[iid]) + digit[iid]
-            choices[nid] = k
+    for nid in np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist():
+        k = 0
+        for iid in cg.active[nid]:
+            k = k * len(cg.iset_actions[iid]) + digit[iid]
+        choices[nid] = k
     return choices
 
 
@@ -550,10 +854,12 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
                              seed: int = 0) -> dict:
     """Sample pure profiles, map the team plan through rho, and compare exact
     expected utilities in the original and converted games."""
+    if samples < 0:
+        raise InvalidIterationCount(f"samples must be >= 0, got {samples}")
     g = _prepare(game)
     refs, actions, iset_of = _team_isets(g)
-    if (list(cg.iset_refs), list(cg.iset_actions)) != (refs, actions):
-        raise SchemaError(f"the team infosets of {cg.game.name} are not "
+    if (cg.iset_refs, cg.iset_actions) != (refs, actions):
+        raise SchemaError(f"the team infosets of {cg.tree.name} are not "
                           f"those of {game.name}")
     rng = random.Random(seed)
     opp = g.opponent()

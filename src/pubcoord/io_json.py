@@ -48,6 +48,7 @@ from .model import (
     Edge,
     Node,
     VEFG,
+    gc_paused,
     parse_role,
     validate_game,
 )
@@ -185,6 +186,8 @@ def converted_to_dict(cg: ConvertedGame) -> dict:
 
 @_schema_checked
 def converted_from_dict(d: dict) -> ConvertedGame:
+    """The converted game of ``d``: its validated tree becomes the columns
+    and is kept as their view."""
     game = game_from_dict(d)
     o = d["origin"]
     n = len(game.nodes)
@@ -236,23 +239,30 @@ def converted_from_dict(d: dict) -> ConvertedGame:
     return cg
 
 
+# Files are written by one ``json.dumps``, which runs the C encoder;
+# ``json.dump`` streams through the pure-Python one.  Loads parse and build
+# under a paused garbage collector: every object they make is kept.
+
+
 def save_game(game: VEFG, path: str) -> None:
+    text = json.dumps(game_to_dict(game))
     with open(path, "w") as f:
-        json.dump(game_to_dict(game), f)
+        f.write(text)
 
 
 def load_game(path: str) -> VEFG:
-    with open(path) as f:
+    with open(path) as f, gc_paused():
         return game_from_dict(json.load(f))
 
 
 def save_converted(cg: ConvertedGame, path: str) -> None:
+    text = json.dumps(converted_to_dict(cg))
     with open(path, "w") as f:
-        json.dump(converted_to_dict(cg), f)
+        f.write(text)
 
 
 def load_converted(path: str) -> ConvertedGame:
-    with open(path) as f:
+    with open(path) as f, gc_paused():
         return converted_from_dict(json.load(f))
 
 

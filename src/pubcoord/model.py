@@ -7,6 +7,7 @@ subsequence of edge labels a player (or a set of players) has seen.
 """
 from __future__ import annotations
 
+import gc
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -215,6 +216,21 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector in the enclosed code and restore
+    its previous state.  For passes that build many immutable, acyclic
+    objects: the collections their allocations would trigger free nothing
+    and rescan every object built so far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def derive_visibility_class(edge: Edge, player_set: Iterable[PlayerRole]) -> str:

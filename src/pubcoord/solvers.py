@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convert import ConvertedGame, coordinator_node_keys
+from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame, ConvertedTree
 from .errors import (
     ActionMismatchWithinInfoset,
     EmptyMatrix,
@@ -46,7 +46,6 @@ from .errors import (
     UnknownPlayer,
 )
 from .model import (
-    COORDINATOR,
     OPPONENT,
     PlayerRole,
     VEFG,
@@ -503,25 +502,30 @@ class _Compiled:
         return val
 
 
-def _partition(keys: list, labels: list, local: np.ndarray) -> _Partition:
-    """Number the infosets of a side's decision nodes, given in ascending
-    order with their keys and action labels; ``local`` holds the action
-    index of each edge leaving them."""
-    index: dict = {}
-    of_node = [index.setdefault(key, len(index)) for key in keys]
-    actions: list = []
-    for i, acts in zip(of_node, labels):
-        if i == len(actions):
-            actions.append(acts)
-        elif actions[i] != acts:
-            raise ActionMismatchWithinInfoset(
-                f"action mismatch within infoset {list(index)[i]!r}: "
-                f"{actions[i]} vs {acts}")
+def _partition(tree: ConvertedTree, nodes: np.ndarray, groups: np.ndarray,
+               key: Callable[[int], tuple], local: np.ndarray) -> _Partition:
+    """Number the infosets of a side's decision nodes, the game ids
+    ``nodes`` in breadth-first order: the nodes of an infoset share their
+    entry of ``groups``, and ``key(group)`` is the infoset's key.
+    ``local`` holds the action index of each edge leaving the nodes."""
+    _, first, inv = np.unique(groups, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    of_node = rank[inv]
+    firsts = first[by_first]
+    keys = [key(g) for g in groups[firsts].tolist()]
+    actions = [tree.actions(v) for v in nodes[firsts].tolist()]
+    bad = tree.first_mismatch(nodes, nodes[firsts][of_node])
+    if bad >= 0:
+        i = of_node[bad]
+        raise ActionMismatchWithinInfoset(
+            f"action mismatch within infoset {keys[i]!r}: {actions[i]} vs "
+            f"{tree.actions(int(nodes[bad]))}")
     count = np.array([len(a) for a in actions], dtype=np.int64)
     offset = np.concatenate(([0], np.cumsum(count)))
-    of_node = np.array(of_node, dtype=np.int64)
     return _Partition(
-        keys=list(index), actions=actions, of_node=of_node, offset=offset,
+        keys=keys, actions=actions, of_node=of_node, offset=offset,
         edge_slot=np.repeat(offset[of_node], count[of_node]) + local,
         groups=[offset[:-1][count == n][:, None] + np.arange(n)
                 for n in np.unique(count).tolist()])
@@ -531,57 +535,58 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
     """Flatten a converted game for CFR and evaluation (see
     :class:`_Compiled`), once: the form is kept on ``cg``, as
     ``functools.cached_property`` would, since a ``ConvertedGame`` is
-    immutable and nothing writes into the form's arrays."""
+    immutable and nothing writes into the form's arrays.  It is read from
+    the columns of ``cg.tree`` by one breadth-first level pass, which also
+    numbers the label sequences each side saw."""
     if "_compiled" in vars(cg):
         return vars(cg)["_compiled"]
-    nodes = cg.game.nodes
-    coord_keys = coordinator_node_keys(cg)
-    order = [cg.game.root]    # breadth-first id -> game node id
-    seqs = [((), ())]         # labels seen by the coordinator / opponent
-    depth = [0]
-    utility, first, parent, prob = [], [], [], []
-    decisions: dict[str, list] = {"coord": [], "o": []}
-    for i, nid in enumerate(order):
-        node = nodes[nid]
-        first.append(len(parent))
-        utility.append(float(node.utility) if node.player is None else 0.0)
-        cs, os = seqs[i]
-        for e in node.edges:
-            order.append(e.child)
-            parent.append(i)
-            depth.append(depth[i] + 1)
-            seqs.append((cs + (e.label,) if COORDINATOR in e.seen_by else cs,
-                         os + (e.label,) if OPPONENT in e.seen_by else os))
-        kind = node.player.kind if node.player is not None else None
-        if kind == "chance":
-            prob.extend(float(e.prob) for e in node.edges)
-        elif kind is not None:
-            prob.extend([1.0] * len(node.edges))
-            labels = tuple(e.label for e in node.edges)
-            if kind == "coordinator":
-                decisions["coord"].append((i, coord_keys[nid], cs, labels))
-            elif kind == "opponent":
-                decisions["o"].append((i, os, os, labels))
-            else:
-                raise UnknownPlayer(f"node {nid} of a converted game "
-                                    f"belongs to {node.player!r}")
+    tree = cg.tree
+    walk = tree.walk()
+    order = walk.order        # breadth-first id -> game node id
+    role = tree.player[order]
+    kinds = [None if r is None else r.kind for r in tree.roles]
+    odd = np.array([k not in (None, "chance", "coordinator", "opponent")
+                    for k in kinds])[role]
+    if odd.any():
+        i = int(np.argmax(odd))
+        raise UnknownPlayer(f"node {order[i]} of a converted game belongs "
+                            f"to {tree.roles[role[i]]!r}")
 
-    parent_a = np.array(parent, dtype=np.int64)
-    first_a = np.array(first, dtype=np.int64)
-    depth_a = np.array(depth, dtype=np.int64)
-    bounds = [0, *(np.flatnonzero(np.diff(depth_a)) + 1).tolist(), len(order)]
-    levels = list(zip(bounds, bounds[1:]))
+    def of_kind(kind) -> np.ndarray:
+        return np.array([k == kind for k in kinds])[role]
+
+    count = tree.count()[order].astype(np.int64)
+    first_a = np.cumsum(count) - count
+    levels = list(zip(walk.bounds, walk.bounds[1:]))
+    depth_a = np.repeat(np.arange(len(levels)), np.diff(walk.bounds))
+    utility = np.array([float(u) for u in tree.utilities])[
+        tree.utility[order]]
+    prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
+                    dtype=float)[tree.prob[walk.edges]]
     sides: dict[str, _Side] = {}
-    for name in ("coord", "o") if OPPONENT in cg.game.players else ("coord",):
-        ids, keys, pr_keys, labels = (list(zip(*decisions[name]))
-                                      or [(), (), (), ()])
-        side_nodes = np.array(ids, dtype=np.int64)
-        counts = np.array([len(a) for a in labels], dtype=np.int64)
+    for name, kind, bit in ((("coord", "coordinator", COORD_SEEN),
+                             ("o", "opponent", OPP_SEEN))
+                            if OPPONENT in tree.players
+                            else (("coord", "coordinator", COORD_SEEN),)):
+        side_nodes = np.flatnonzero(of_kind(kind))
+        nodes = order[side_nodes]
+        counts = count[side_nodes]
         local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts)
                                                     - counts, counts)
-        profile = _partition(keys, labels, local)
-        pr = (_partition(pr_keys, labels, local)
-              if cg.safe_ir_applied and name == "coord" else profile)
+        seqs = walk.seq[bit][nodes]
+        if cg.safe_ir_applied and name == "coord":
+            # profiles key the merged infosets by compatible-state set
+            index: dict = {}
+            merged = np.array([index.setdefault(cg.supports[v], len(index))
+                               for v in nodes.tolist()], dtype=np.int64)
+            supports = list(index)
+            profile = _partition(tree, nodes, merged,
+                                 lambda k: ("sir",) + supports[k], local)
+            pr = _partition(tree, nodes, seqs, walk.keys(bit).__getitem__,
+                            local)
+        else:
+            profile = pr = _partition(tree, nodes, seqs,
+                                      walk.keys(bit).__getitem__, local)
         # best responses decide an infoset at the one depth of its nodes
         at = depth_a[side_nodes]
         if np.any(at != at[np.unique(pr.of_node, return_index=True)[1]][
@@ -592,8 +597,10 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
             nodes=side_nodes, profile=profile, pr=pr,
             edges=np.repeat(first_a[side_nodes], counts) + local)
     c = vars(cg)["_compiled"] = _Compiled(
-        utility=np.array(utility), first=first_a, parent=parent_a,
-        prob=np.array(prob, dtype=float), levels=levels, sides=sides)
+        utility=np.where(of_kind(None), utility, 0.0), first=first_a,
+        parent=np.repeat(np.arange(len(order)), count),
+        prob=np.where(np.repeat(of_kind("chance"), count), prob, 1.0),
+        levels=levels, sides=sides)
     return c
 
 
@@ -712,6 +719,9 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     if iterations < 0:
         raise InvalidIterationCount(f"iterations must be >= 0, "
                                     f"got {iterations}")
+    if log_every < 0:
+        raise InvalidIterationCount(f"log_every must be >= 0, "
+                                    f"got {log_every}")
     c = compile_converted(cg)
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     regrets = [np.zeros(p.offset[-1]) for p in parts]
@@ -809,7 +819,7 @@ def exploitability(cg: ConvertedGame, profile: Profile) -> float:
     """
     v = expected_value(cg, profile)
     br_t, _ = best_response(cg, profile, "coord")
-    if OPPONENT not in cg.game.players:
+    if OPPONENT not in cg.tree.players:
         return br_t - v
     br_o, _ = best_response(cg, profile, "o")
     return (br_t - v) + (br_o - (-v))

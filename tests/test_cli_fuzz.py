@@ -3,7 +3,8 @@
 Valid game and converted JSON documents are mutated (keys dropped, values
 replaced by other types or bad rationals, arrays truncated, text cut short)
 and fed to ``convert``, ``solve`` and ``verify`` in-process.  Bad parameters
-are drawn for ``gen`` and ``oracle``.  Every run must end in a documented
+are drawn for ``gen`` and ``oracle``, and count parameters of either sign
+for ``solve`` and ``verify``.  Every run must end in a documented
 exit code; no exception may escape ``main``.
 """
 from __future__ import annotations
@@ -164,6 +165,24 @@ def test_oracle_bad_parameters(tmp_path, capsys, tol, entries):
     # a guard of up to 10 (enumerated joint plans x value-carrying
     # terminals) is too small for the mini game's oracle
     assert code == (5 if tol == 1e-9 and entries >= 1 else 2)
+
+
+_COUNT = st.one_of(st.integers(-10 ** 6, -1), st.integers(0, 3))
+
+
+@_FUZZ
+@given(iterations=_COUNT, log_every=_COUNT, samples=_COUNT)
+def test_count_parameters(tmp_path, capsys, iterations, log_every, samples):
+    game, conv = tmp_path / "game.json", tmp_path / "conv.json"
+    game.write_text(json.dumps(_GAME))
+    conv.write_text(json.dumps(_CONVERTED))
+    code = _exit_code(capsys, ["solve", str(conv),
+                               f"--iterations={iterations}",
+                               f"--log-every={log_every}"])
+    assert code == (2 if min(iterations, log_every) < 0 else 0)
+    code = _exit_code(capsys, ["verify", str(game), str(conv),
+                               f"--samples={samples}"])
+    assert code == (2 if samples < 0 else 0)
 
 
 def test_cli_import_leaves_scipy_unloaded():

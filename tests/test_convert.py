@@ -2,6 +2,7 @@
 strategy mappings and payoff equivalence."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -22,11 +23,18 @@ from pubcoord import (
     map_coordinator_to_team,
     map_team_to_coordinator,
 )
-from pubcoord.convert import coordinator_node_keys, game_digest
+from pubcoord.census import census
+from pubcoord.convert import (
+    _prepare,
+    _team_isets,
+    coordinator_node_keys,
+    game_digest,
+)
 from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     ExclusionDataMissing,
     ImperfectRecallInput,
+    InvalidIterationCount,
     NotATeamGame,
     NotPublicTurnTaking,
 )
@@ -42,6 +50,8 @@ from pubcoord.model import (
     validate_game,
     validate_perfect_recall,
 )
+
+from pubcoord.solvers import compile_converted
 
 from conftest import ALL, O, T0, hidden_actor_game, mini_team_game
 
@@ -274,6 +284,53 @@ def test_payoff_equivalence_property(seed):
     cg = convert_folded(g)
     report = check_payoff_equivalence(g, cg, samples=25, seed=seed)
     assert report["max_abs_diff"] <= 1e-12
+
+
+def test_payoff_equivalence_rejects_negative_samples(mini):
+    cg = convert_folded(mini)
+    with pytest.raises(InvalidIterationCount):
+        check_payoff_equivalence(mini, cg, samples=-3)
+
+
+# ---------------------------------------------------------------------------
+# columns and the view built on first use
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", sorted(CONVERTERS))
+def test_conversion_and_column_readers_leave_the_view_unbuilt(mini, mode):
+    cg = CONVERTERS[mode](mini)
+    variants = [cg] + ([apply_safe_imperfect_recall(cg)]
+                       if mode != "basic" else [])
+    for v in variants:
+        census(v)
+        census(v, compact=True)
+        coordinator_node_keys(v)
+        compile_converted(v)
+    assert "game" not in vars(cg.tree)
+    # the view is built once, kept beside the columns and shared
+    assert all(v.game is cg.game for v in variants)
+    assert dataclasses.replace(cg).game is cg.game
+    assert "game" in vars(cg.tree)
+
+
+def test_a_given_game_becomes_the_tree_and_its_view(mini):
+    cg = convert_pruned(mini)
+    g = cg.game
+    copy = dataclasses.replace(cg, game=g)
+    assert copy.tree is not cg.tree and copy.game is g and copy == cg
+
+
+def test_source_prerequisites_are_derived_once(mini):
+    g = _prepare(mini)
+    assert _prepare(mini) is g
+    assert _team_isets(g) is _team_isets(g)
+    assert game_digest(mini) == game_digest(dataclasses.replace(mini))
+    # a game that fails its checks raises on every call
+    no_team = dataclasses.replace(mini, players=(O,))
+    for _ in range(2):
+        with pytest.raises(NotATeamGame):
+            _prepare(no_team)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_converted_roundtrip_toy_safe_ir(tmp_path):
     assert load_converted(str(p)) == cg
 
 
+def test_saved_files_are_one_json_dumps(tmp_path, mini):
+    cg = apply_safe_imperfect_recall(convert_folded(mini))
+    save_game(mini, str(tmp_path / "g.json"))
+    save_converted(cg, str(tmp_path / "c.json"))
+    assert (tmp_path / "g.json").read_text() == json.dumps(game_to_dict(mini))
+    assert (tmp_path / "c.json").read_text() == json.dumps(
+        converted_to_dict(cg))
+
+
 def test_converted_beliefs_exact(mini):
     cg = convert_folded(mini)
     back = converted_from_dict(converted_to_dict(cg))

@@ -278,3 +278,21 @@ def test_infosets_partition_property(seed, c):
         members = sorted(n for ms in groups.values() for n in ms)
         assert members == sorted(nid for nid, node in enumerate(g.nodes)
                                  if node.player == p)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_previous_state(enabled):
+    import gc
+    from pubcoord.model import gc_paused
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with gc_paused():
+                raise KeyError("the pass failed")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -640,6 +640,43 @@ def test_compile_rejects_infoset_spanning_depths():
         compile_converted(replace(_pennies_converted(), game=g))
 
 
+def test_census_rejects_action_mismatch_within_infoset():
+    from dataclasses import replace
+    from pubcoord.census import census
+    cg = _pennies_converted()
+    nodes = list(cg.game.nodes)
+    nid = next(i for i, n in enumerate(nodes) if n.player == OPPONENT)
+    nodes[nid] = replace(nodes[nid], edges=tuple(
+        replace(e, label=e.label + "'") for e in nodes[nid].edges))
+    with pytest.raises(ActionMismatchWithinInfoset):
+        census(replace(cg, game=replace(cg.game, nodes=tuple(nodes))))
+
+
+@pytest.mark.parametrize("mode,safe_ir", [("basic", False), ("pruned", True),
+                                          ("folded", False),
+                                          ("folded", True)])
+def test_column_readers_agree_with_the_json_round_trip(mode, safe_ir):
+    from pubcoord import io_json
+    from pubcoord.census import census
+    from pubcoord.convert import coordinator_node_keys
+    g = gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=1))
+    cg = {"basic": convert_basic, "pruned": convert_pruned,
+          "folded": convert_folded}[mode](g)
+    if safe_ir:
+        cg = apply_safe_imperfect_recall(cg)
+    back = io_json.converted_from_dict(io_json.converted_to_dict(cg))
+    for compact in (False, True):
+        assert census(back, compact) == census(cg, compact)
+    assert coordinator_node_keys(back) == coordinator_node_keys(cg)
+    assert _same(compile_converted(back), compile_converted(cg))
+    assert back == cg
+
+
+def test_cfr_rejects_negative_log_interval():
+    with pytest.raises(InvalidIterationCount):
+        solve_cfr(_pennies_converted(), "cfr", 10, log_every=-2)
+
+
 def test_expected_value_pure_profile_hits_reached_terminal():
     cg = _pennies_converted()
     prof = {"coord": {}, "o": {}}
