@@ -868,8 +868,7 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
                   for key, members in sorted(infosets(g, opp).items())]
                  if opp is not None else [])
     opp_seq_orig = seen_sequences(g, opp) if opp is not None else None
-    opp_seq_conv = (seen_sequences(cg.game, OPPONENT)
-                    if opp is not None else None)
+    opp_seq_conv = seen_sequences(cg.game, OPPONENT)
     report = {"samples": samples, "max_abs_diff": 0.0}
     for _ in range(samples):
         # pure plans, the team's first: draw order fixes a seed's report
@@ -890,8 +889,18 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
             node = cg.game.nodes[nid]
             if node.player == COORDINATOR:
                 return coord[nid]
-            a = opp_plan[opp_seq_conv[nid]]
-            return next(i for i, e in enumerate(node.edges) if e.label == a)
+            key = opp_seq_conv[nid]
+            if key not in opp_plan:
+                raise SchemaError(
+                    f"opponent node {nid} of {cg.tree.name} observed "
+                    f"{key!r}, an infoset {game.name} does not have")
+            a = opp_plan[key]
+            k = next((i for i, e in enumerate(node.edges) if e.label == a),
+                     None)
+            if k is None:
+                raise SchemaError(f"opponent node {nid} of {cg.tree.name} "
+                                  f"lacks the action {a!r} of {game.name}")
+            return k
 
         diff = abs(exact_expected_value(g, choice_orig)
                    - exact_expected_value(cg.game, choice_conv))

@@ -10,48 +10,105 @@ Schema (games)::
                            "vis": {"t0": "seen", "t1": "unseen", "o": "seen"}}]}]}
 
 Probabilities and utilities are JSON numbers or exact-rational strings
-``"num/den"``.  Every edge carries a visibility entry for every strategic
-player.  Round trips are structurally exact: parse(serialize(g)) == g.
+``"num/den"``; either must convert to a finite float.  Every edge carries a
+visibility entry for every strategic player.  Round trips are structurally
+exact: parse(serialize(g)) == g.
 
-Converted games use the same schema plus an ``origin`` section::
+Converted games are written in format 2, the columns of
+:class:`~pubcoord.convert.ConvertedTree` as they are::
 
-    {"mode": "folded", "safe_ir": true, "source_name": ..., "source_digest": ...,
-     "node_kind": [...], "origin_player": [...], "active": [...],
-     "supports": [...],                    # one entry per node, null if unused
-     "iset_refs": [{"player": "t0", "obs": [...]}], "iset_actions": [[...]]}
+    {"format": 2, "name": ..., "players": ["coord", "o"], "root": 30,
+     "roles": [null, "c", "coord", "o", "t0"],   # null: terminal
+     "labels": ["U", ...], "probs": [null, "1/2", ...],
+     "utilities": [0.0, "-3/1", ...],
+     "player": [...], "utility": [...], "end": [...],   # one per node
+     "label": [...], "child": [...], "prob": [...],     # one per edge
+     "seen": [...],
+     "origin": {"mode": "folded", "safe_ir": true, "source_name": ...,
+                "source_digest": ...,
+                "node_kind": [...],       # index into copy, coord, dummy, presc
+                "origin_player": [...],   # index into roles, -1 for none
+                "coord": [...],           # the coordinator node ids, ascending
+                "active": [[...]], "supports": [[...]],  # one per coord node
+                "iset_refs": [{"player": "t0", "obs": [...]}],
+                "iset_actions": [[...]]}}
 
-Prescriptions are not stored: edge ``k`` of a coordinator node prescribes
-the ``k``-th joint assignment of ``itertools.product`` over its ``active``
-infosets' action lists.  Keys that older writers added to ``origin``
-(``origin_node``, ``excluded``, ``beliefs``, ``prescriptions``,
-``coordinator_keys``) are ignored on load.  A document that breaks the schema
-raises :class:`~pubcoord.errors.SchemaError`.
+The columns are int lists indexing the tables (``child`` indexes the
+nodes); each table value is written once, a rational as ``"num/den"``.
+The ``roles`` table also holds the team members that ``origin_player``
+names.  Prescriptions are not stored: edge ``k`` of a coordinator node
+prescribes the ``k``-th joint assignment of ``itertools.product`` over its
+``active`` infosets' action lists.  Keys that older writers added to
+``origin`` (``origin_node``, ``excluded``, ``beliefs``, ``prescriptions``,
+``coordinator_keys``) are ignored on load.
+
+A format-2 document is checked by numpy passes over its columns, with no
+:class:`~pubcoord.model.VEFG` built: every column holds only ints and has
+the length of the nodes or of the edges; every index lies in its table,
+``child`` and ``root`` among the nodes, ``seen`` in 0..3; ``end`` does not
+decrease and ends at the edge count; every node but the root has exactly
+one parent, the root none, and every node is reached from the root;
+terminals have no edges and other nodes at least one; no node repeats a
+label; an edge has a probability exactly when its node is chance, and each
+distinct chance row sums, in edge order, to 1 (exactly for rationals,
+within ``PROB_TOL`` for floats); every decision role is a player and the
+player list obeys :func:`~pubcoord.model.validate_players`; ``node_kind``
+and ``origin_player`` lie in their ranges; ``coord`` lists exactly the
+coordinator nodes, and each has one edge per joint assignment of its
+active infosets.
+
+Converted files without a ``format`` key, written before format 2, are
+read but never written: the game schema above plus an ``origin`` section
+whose ``node_kind``, ``origin_player`` (role names), ``active`` and
+``supports`` have one entry per node.  Their tree is built and validated
+as a ``VEFG`` and then becomes the columns.
+
+A document that breaks its schema raises a
+:class:`~pubcoord.errors.GameError`, mostly
+:class:`~pubcoord.errors.SchemaError`.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
 from typing import Any
 
-from .convert import ConvertedGame
+import numpy as np
+
+from .convert import ConvertedGame, ConvertedTree
 from .errors import (
+    ActionMismatchWithinInfoset,
+    CyclicStructure,
     DuplicateNodeId,
     MissingVisibilityEntry,
+    ProbabilityNotNormalized,
     SchemaError,
     UnknownPlayer,
 )
 from .model import (
     CHANCE,
     COORDINATOR,
+    PROB_TOL,
     Edge,
     Node,
     VEFG,
     gc_paused,
     parse_role,
     validate_game,
+    validate_players,
 )
+
+FORMAT = 2
+_MODES = ("basic", "pruned", "folded")
+_KINDS = ("copy", "coord", "dummy", "presc")
+# the ConvertedTree columns and their dtypes, per node and per edge
+_NODE_COLUMNS = {"player": np.int8, "utility": np.int32, "end": np.int32}
+_EDGE_COLUMNS = {"label": np.int32, "child": np.int32, "prob": np.int32,
+                 "seen": np.uint8}
+_COLUMNS = {**_NODE_COLUMNS, **_EDGE_COLUMNS}
 
 
 def _schema_checked(parse):
@@ -61,7 +118,7 @@ def _schema_checked(parse):
     def wrapper(d: dict):
         try:
             return parse(d)
-        except (KeyError, IndexError, TypeError, ValueError,
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError, AttributeError) as exc:
             raise SchemaError(
                 f"malformed document: {type(exc).__name__}: {exc}") from exc
@@ -77,9 +134,14 @@ def _num_to_json(x) -> Any:
 def _num_from_json(x) -> Any:
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    if isinstance(x, bool) or not isinstance(x, (int, float)) \
-            or not math.isfinite(x):
+        x = Fraction(int(num), int(den) if den else 1)
+    elif isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaError(f"{x!r} is not a number")
+    try:
+        finite = math.isfinite(float(x))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise SchemaError(f"{x!r} is not a finite number")
     return x
 
@@ -165,78 +227,279 @@ def _key_to_json(key) -> Any:
 
 
 def converted_to_dict(cg: ConvertedGame) -> dict:
-    d = game_to_dict(cg.game)
+    """``cg`` as a format-2 document, written from the columns of
+    ``cg.tree``."""
+    t = cg.tree
+    roles = list(t.roles)
+    roles += [p for p in dict.fromkeys(cg.origin_player)
+              if p is not None and p not in roles]
+    role_id = {r: i for i, r in enumerate(roles)}
+    role_id[None] = -1
+    kind_id = {k: i for i, k in enumerate(_KINDS)}
+    coord = np.flatnonzero(t.played_by(COORDINATOR)).tolist()
+    d = {"format": FORMAT, "name": t.name,
+         "players": [p.name for p in t.players], "root": t.root,
+         "roles": [None if r is None else r.name for r in roles],
+         "labels": list(t.labels),
+         "probs": list(map(_num_to_json, t.probs)),
+         "utilities": list(map(_num_to_json, t.utilities))}
+    for column in _COLUMNS:
+        d[column] = getattr(t, column).tolist()
     d["origin"] = {
-        "mode": cg.mode,
-        "safe_ir": cg.safe_ir_applied,
-        "source_name": cg.source_name,
-        "source_digest": cg.source_digest,
-        "node_kind": list(cg.node_kind),
-        "origin_player": [p.name if p is not None else None
-                          for p in cg.origin_player],
-        "active": [list(a) if a is not None else None for a in cg.active],
+        "mode": cg.mode, "safe_ir": cg.safe_ir_applied,
+        "source_name": cg.source_name, "source_digest": cg.source_digest,
+        "node_kind": list(map(kind_id.__getitem__, cg.node_kind)),
+        "origin_player": list(map(role_id.__getitem__, cg.origin_player)),
+        "coord": coord,
+        "active": [list(cg.active[v]) for v in coord],
+        "supports": [list(cg.supports[v]) for v in coord],
         "iset_refs": [{"player": p.name, "obs": list(key)}
                       for p, key in cg.iset_refs],
         "iset_actions": [list(a) for a in cg.iset_actions],
-        "supports": [list(s) if s is not None else None
-                     for s in cg.supports],
     }
     return d
 
 
+def _role(name):
+    if not isinstance(name, str):
+        raise SchemaError(f"player name {name!r} is not a string")
+    return parse_role(name)
+
+
+def _strings(x, what: str) -> tuple[str, ...]:
+    if type(x) is not list or not set(map(type, x)) <= {str}:
+        raise SchemaError(f"{what} must be a list of strings")
+    return tuple(x)
+
+
+def _ints(x, what: str) -> np.ndarray:
+    """``x`` as an int64 array, if it is a list of JSON integers."""
+    if type(x) is not list or not set(map(type, x)) <= {int}:
+        raise SchemaError(f"{what} must be a list of integers")
+    return np.array(x, dtype=np.int64)
+
+
+def _check_range(a: np.ndarray, what: str, lo: int, hi: int,
+                 dtype=np.int64) -> None:
+    """Every value of ``a`` in ``lo .. hi - 1`` and in range of ``dtype``."""
+    hi = min(hi, int(np.iinfo(dtype).max) + 1)
+    if a.size and (a.min() < lo or a.max() >= hi):
+        bad = int(np.flatnonzero((a < lo) | (a >= hi))[0])
+        raise SchemaError(f"{what}[{bad}] = {a[bad]} is not in "
+                          f"{lo}..{hi - 1}")
+
+
+def _origin_fields(o: dict) -> dict:
+    """The :class:`ConvertedGame` fields that both formats store alike."""
+    if o["mode"] not in _MODES or type(o["safe_ir"]) is not bool:
+        raise SchemaError(f"unknown mode {o['mode']!r} or safe_ir "
+                          f"{o['safe_ir']!r}")
+    for key in ("source_name", "source_digest"):
+        if not isinstance(o[key], str):
+            raise SchemaError(f"origin.{key} must be a string")
+    iset_refs = tuple((parse_role(r["player"]), _strings(r["obs"], "obs"))
+                      for r in o["iset_refs"])
+    iset_actions = tuple(_strings(a, "iset_actions")
+                         for a in o["iset_actions"])
+    if len(iset_refs) != len(iset_actions):
+        raise SchemaError(f"{len(iset_refs)} iset_refs for "
+                          f"{len(iset_actions)} iset_actions")
+    return dict(mode=o["mode"], safe_ir_applied=o["safe_ir"],
+                source_name=o["source_name"],
+                source_digest=o["source_digest"], iset_refs=iset_refs,
+                iset_actions=iset_actions)
+
+
 @_schema_checked
 def converted_from_dict(d: dict) -> ConvertedGame:
-    """The converted game of ``d``: its validated tree becomes the columns
-    and is kept as their view."""
+    """The converted game of ``d``, of either format."""
+    fmt = d.get("format")
+    if fmt is None:
+        return _legacy_converted_from_dict(d)
+    if type(fmt) is not int or fmt != FORMAT:
+        raise SchemaError(f"unsupported converted-file format {fmt!r}")
+    return _columnar_from_dict(d)
+
+
+def _columnar_from_dict(d: dict) -> ConvertedGame:
+    """A format-2 document's game: its columns are checked and become the
+    tree; no view is built."""
+    o = d["origin"]
+    if not isinstance(d["name"], str):
+        raise SchemaError("name must be a string")
+    players = tuple(map(parse_role, _strings(d["players"], "players")))
+    validate_players(players)
+    roles = tuple(None if r is None else _role(r) for r in d["roles"])
+    labels = _strings(d["labels"], "labels")
+    if len(set(labels)) != len(labels):
+        raise SchemaError("the labels table repeats a label")
+    probs = tuple(None if p is None else _num_from_json(p)
+                  for p in d["probs"])
+    utilities = tuple(map(_num_from_json, d["utilities"]))
+    col = {c: _ints(d[c], c) for c in _COLUMNS}
+    kinds = _ints(o["node_kind"], "origin.node_kind")
+    origin_player = _ints(o["origin_player"], "origin.origin_player")
+    n, m = len(col["player"]), len(col["child"])
+    for what, a, size in (("utility", col["utility"], n),
+                          ("end", col["end"], n),
+                          ("origin.node_kind", kinds, n),
+                          ("origin.origin_player", origin_player, n),
+                          *((c, col[c], m) for c in _EDGE_COLUMNS)):
+        if len(a) != size:
+            raise SchemaError(f"{what} has {len(a)} entries for {size}")
+    root = d["root"]
+    if type(root) is not int or not 0 <= root < n:
+        raise SchemaError(f"root {root!r} is not one of the {n} nodes")
+    for c, hi in (("player", len(roles)), ("utility", len(utilities)),
+                  ("end", m + 1), ("label", len(labels)), ("child", n),
+                  ("prob", len(probs)), ("seen", 4)):
+        _check_range(col[c], c, 0, hi, _COLUMNS[c])
+    _check_range(kinds, "origin.node_kind", 0, len(_KINDS))
+    _check_range(origin_player, "origin.origin_player", -1, len(roles))
+    end = col["end"]
+    if np.any(end[1:] < end[:-1]) or end[-1] != m:
+        raise SchemaError(f"end must not decrease and must end at {m}")
+    tree = ConvertedTree(
+        name=d["name"], players=players, root=root, roles=roles,
+        labels=labels, probs=probs, utilities=utilities,
+        **{c: a.astype(_COLUMNS[c]) for c, a in col.items()})
+    count = _check_tree(tree)
+
+    coord = _ints(o["coord"], "origin.coord")
+    if not np.array_equal(coord, np.flatnonzero(tree.played_by(COORDINATOR))):
+        raise SchemaError("origin.coord does not list the coordinator nodes")
+    fields = _origin_fields(o)
+    origin_roles = roles + (None,)  # -1: none
+    return ConvertedGame(
+        tree=tree, **fields,
+        **_coordinator_fields(tree, count, o["active"], o["supports"],
+                              fields["iset_actions"]),
+        node_kind=tuple(map(_KINDS.__getitem__, o["node_kind"])),
+        origin_player=tuple(map(origin_roles.__getitem__,
+                                o["origin_player"])))
+
+
+def _coordinator_fields(tree: ConvertedTree, count: np.ndarray, active,
+                        supports, iset_actions) -> dict:
+    """The per-node ``active`` and ``supports`` of :class:`ConvertedGame`
+    from one list each per coordinator node of ``tree``, in id order,
+    checked: ints, known infosets, and one edge per joint assignment."""
+    coord = np.flatnonzero(tree.played_by(COORDINATOR))
+    if type(active) is not list or type(supports) is not list \
+            or len(active) != len(coord) or len(supports) != len(coord) \
+            or not set(map(type, active + supports)) <= {list}:
+        raise SchemaError("origin.active and origin.supports need one list "
+                          f"per coordinator node, {len(coord)}")
+    ids = _ints(list(itertools.chain.from_iterable(active)), "origin.active")
+    _ints(list(itertools.chain.from_iterable(supports)), "origin.supports")
+    _check_range(ids, "origin.active", 0, len(iset_actions))
+    # edge k of a coordinator node prescribes the k-th joint assignment of
+    # its active infosets; the float products are exact up to 2**53 and
+    # exceed every edge count above it
+    fanout = np.ones(len(coord))
+    np.multiply.at(fanout, np.repeat(np.arange(len(coord)),
+                                     [len(a) for a in active]),
+                   np.array([len(a) for a in iset_actions], dtype=float)[ids])
+    bad = np.flatnonzero(fanout != count[coord])
+    if bad.size:
+        k = int(bad[0])
+        raise SchemaError(
+            f"coordinator node {coord[k]} has {count[coord[k]]} edges; its "
+            f"active infosets {active[k]} need {fanout[k]:.0f}")
+    active_of, supports_of = [None] * len(count), [None] * len(count)
+    for v, a, s in zip(coord.tolist(), active, supports):
+        active_of[v], supports_of[v] = tuple(a), tuple(s)
+    return dict(active=tuple(active_of), supports=tuple(supports_of))
+
+
+def _check_tree(t: ConvertedTree) -> np.ndarray:
+    """Check the rules of :func:`~pubcoord.model.validate_game` on the
+    columns of ``t``, whose indices are in range; returns the per-node edge
+    count."""
+    n, count = len(t.player), t.count()
+    parents = np.bincount(t.child, minlength=n)
+    if parents[t.root]:
+        raise CyclicStructure(f"root {t.root} has a parent")
+    parents[t.root] = 1
+    for bad, says in ((parents > 1, "has several parents"),
+                      (parents == 0, "is unreachable from root")):
+        if bad.any():
+            raise CyclicStructure(f"node {int(np.argmax(bad))} {says}")
+    # one parent each, so the level pass meets every node at most once
+    level, reached = np.array([t.root]), 1
+    while level.size:
+        level = t.child[t.edges_of(level, count)]
+        reached += level.size
+    if reached != n:
+        raise CyclicStructure(f"{n - reached} nodes lie on a cycle "
+                              "unreachable from root")
+    terminal = t.played_by(None)
+    bad = np.flatnonzero((count == 0) != terminal)
+    if bad.size:
+        v = int(bad[0])
+        raise CyclicStructure(f"node {v} is a terminal with edges" if
+                              terminal[v] else
+                              f"non-terminal node {v} has no edges")
+    owner = np.repeat(np.arange(n), count)
+    key = np.sort(owner * len(t.labels) + t.label)
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        v, a = divmod(int(key[dup[0]]), len(t.labels))
+        raise ActionMismatchWithinInfoset(
+            f"duplicate action label {t.labels[a]!r} at node {v}")
+    chance = t.played_by(CHANCE)
+    has_prob = np.array([p is not None for p in t.probs], dtype=bool)[t.prob]
+    bad = np.flatnonzero(has_prob != chance[owner])
+    if bad.size:
+        v = int(owner[bad[0]])
+        raise ProbabilityNotNormalized(
+            f"chance node {v} has an edge without probability" if chance[v]
+            else f"decision node {v} carries chance probabilities")
+    chance_nodes = np.flatnonzero(chance)
+    for c in np.unique(count[chance_nodes]).tolist():
+        nodes = chance_nodes[count[chance_nodes] == c]
+        rows, first = np.unique(
+            t.prob[t.edges_of(nodes, count)].reshape(-1, c), axis=0,
+            return_index=True)
+        for row, v in zip(rows.tolist(), nodes[first].tolist()):
+            total = sum(t.probs[p] for p in row)
+            if not (total == 1 if isinstance(total, Fraction)
+                    else abs(total - 1.0) <= PROB_TOL):
+                raise ProbabilityNotNormalized(
+                    f"chance node {v} probabilities sum to {total}")
+    deciding = ~(terminal | chance)
+    for r in np.unique(t.player[deciding]).tolist():
+        if t.roles[r] not in t.players:
+            v = int(np.flatnonzero(deciding & (t.player == r))[0])
+            raise UnknownPlayer(f"node {v} acted by unlisted player "
+                                f"{t.roles[r].name}")
+    return count
+
+
+def _legacy_converted_from_dict(d: dict) -> ConvertedGame:
+    """A converted game written before format 2: its validated tree becomes
+    the columns and is kept as their view."""
     game = game_from_dict(d)
+    tree = ConvertedTree.from_game(game)
     o = d["origin"]
     n = len(game.nodes)
     for key in ("node_kind", "origin_player", "active", "supports"):
         if len(o[key]) != n:
             raise SchemaError(f"origin.{key} has {len(o[key])} entries for "
                               f"{n} nodes")
-    if any(type(i) is not int for key in ("active", "supports")
-           for ids in o[key] if ids is not None for i in ids):
-        raise SchemaError("origin.active and origin.supports must hold ids")
-    cg = ConvertedGame(
-        game=game,
-        mode=o["mode"],
-        safe_ir_applied=o["safe_ir"],
-        source_name=o["source_name"],
-        source_digest=o["source_digest"],
+    if not set(o["node_kind"]) <= set(_KINDS):
+        raise SchemaError(f"origin.node_kind holds kinds other than {_KINDS}")
+    fields = _origin_fields(o)
+    coord = np.flatnonzero(tree.played_by(COORDINATOR)).tolist()
+    return ConvertedGame(
+        tree=tree, **fields,
+        **_coordinator_fields(tree, tree.count(),
+                              [o["active"][v] for v in coord],
+                              [o["supports"][v] for v in coord],
+                              fields["iset_actions"]),
         node_kind=tuple(o["node_kind"]),
         origin_player=tuple(parse_role(p) if p is not None else None
-                            for p in o["origin_player"]),
-        active=tuple(tuple(a) if a is not None else None
-                     for a in o["active"]),
-        iset_refs=tuple((parse_role(r["player"]), tuple(r["obs"]))
-                        for r in o["iset_refs"]),
-        iset_actions=tuple(tuple(a) for a in o["iset_actions"]),
-        supports=tuple(tuple(s) if s is not None else None
-                       for s in o["supports"]),
-    )
-    # prescriptions are decoded from edge order, so every coordinator node
-    # must carry exactly one edge per joint assignment of its active infosets
-    n_isets = len(cg.iset_actions)
-    if len(cg.iset_refs) != n_isets:
-        raise SchemaError(f"{len(cg.iset_refs)} iset_refs for {n_isets} "
-                          "iset_actions")
-    for nid, node in enumerate(game.nodes):
-        if node.player != COORDINATOR:
-            continue
-        active = cg.active[nid]
-        if active is None or cg.supports[nid] is None:
-            raise SchemaError(f"coordinator node {nid} lacks its active "
-                              "infosets or its support")
-        if not all(0 <= i < n_isets for i in active):
-            raise SchemaError(f"coordinator node {nid} names unknown "
-                              f"infosets {active}")
-        fanout = math.prod(len(cg.iset_actions[i]) for i in active)
-        if len(node.edges) != fanout:
-            raise SchemaError(
-                f"coordinator node {nid} has {len(node.edges)} edges; its "
-                f"active infosets {active} need {fanout}")
-    return cg
+                            for p in o["origin_player"]))
 
 
 # Files are written by one ``json.dumps``, which runs the C encoder;

@@ -195,12 +195,17 @@ def validate_game(game: VEFG) -> None:
     if not all(seen):
         unreachable = next(i for i in range(n) if not seen[i])
         raise CyclicStructure(f"node {unreachable} unreachable from root")
-    kinds = [p.kind for p in game.players]
+    validate_players(game.players)
+
+
+def validate_players(players: tuple[PlayerRole, ...]) -> None:
+    """Check the role invariants of a game's player list."""
+    kinds = [p.kind for p in players]
     if kinds.count("opponent") > 1:
         raise UnknownPlayer("more than one opponent player")
     if "team" in kinds and "coordinator" in kinds:
         raise UnknownPlayer("team members and coordinator cannot coexist")
-    team_idx = sorted(p.index for p in game.players if p.kind == "team")
+    team_idx = sorted(p.index for p in players if p.kind == "team")
     if team_idx != list(range(len(team_idx))):
         raise UnknownPlayer(f"team indices not contiguous from 0: {team_idx}")
 

@@ -14,6 +14,13 @@ from pubcoord import io_json
 from pubcoord.cli import main
 
 
+# mini_team_game(1) of tests/conftest.py and its folded + safe-IR
+# conversion, saved in the converted-file format that came before columns
+DATA = Path(__file__).parent / "data"
+LEGACY_GAME = DATA / "mini_s1_game.json"
+LEGACY_CONVERTED = DATA / "mini_s1_folded_safe_ir_legacy.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -207,11 +214,21 @@ def _coordinator_node(d):
                 if n.get("player") == "coord")
 
 
+def _first_terminal(d):
+    return next(n for n in d["nodes"] if n["kind"] == "terminal")
+
+
+# a number that Python holds exactly but no float can
+HUGE_RATIONAL = "1" + "0" * 400 + "/1"
+
 GAME_CORRUPTIONS = {
     "dangling-child": lambda d: _first_edge(d).update(child=10**9),
     "prob-1/0": lambda d: _first_chance_edge(d).update(prob="1/0"),
     "prob-abc": lambda d: _first_chance_edge(d).update(prob="abc"),
     "missing-kind": lambda d: d["nodes"][0].pop("kind"),
+    "huge-utility": lambda d: _first_terminal(d).update(team_utility=10**400),
+    "huge-rational-utility":
+        lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
 }
 
 CONVERTED_CORRUPTIONS = {
@@ -223,30 +240,135 @@ CONVERTED_CORRUPTIONS = {
     "coordinator-without-active":
         lambda d: d["origin"]["active"].__setitem__(_coordinator_node(d),
                                                     None),
+    "huge-rational-utility":
+        lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
 }
 
 
 @pytest.mark.parametrize("command,corruption", [
     *[("convert", c) for c in sorted(GAME_CORRUPTIONS)],
+    ("oracle", "huge-rational-utility"),
     *[("solve", c) for c in sorted(CONVERTED_CORRUPTIONS)],
     ("verify", "truncated-active"),
     ("verify", "active-fanout-mismatch"),
 ])
-def test_malformed_input_exits_4(tmp_path, toy_path, conv_path, command,
-                                 corruption):
-    converted = corruption in CONVERTED_CORRUPTIONS
-    d = json.loads(Path(conv_path if converted else toy_path).read_text())
+def test_malformed_input_exits_4(tmp_path, toy_path, command, corruption):
+    """Game corruptions on a toy game; converted ones on the committed file
+    in the format before columns, whose per-node layout they index."""
+    converted = command in ("solve", "verify")
+    d = json.loads((LEGACY_CONVERTED if converted
+                    else Path(toy_path)).read_text())
     (CONVERTED_CORRUPTIONS if converted else GAME_CORRUPTIONS)[corruption](d)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     argv = {"convert": ["convert", bad, "--mode", "folded",
                         "--out", tmp_path / "c.json"],
+            "oracle": ["oracle", bad],
             "solve": ["solve", bad, "--iterations", "2"],
-            "verify": ["verify", toy_path, bad, "--samples", "2"]}[command]
+            "verify": ["verify", LEGACY_GAME, bad, "--samples", "2"]}[command]
     code, _, err = run_subprocess(*argv)
     assert code == 4, err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def _edges_of(d, v):
+    return range(d["end"][v - 1] if v else 0, d["end"][v])
+
+
+def _node_of(d, role):
+    """The first node of a format-2 document played by ``role``."""
+    return d["player"].index(d["roles"].index(role))
+
+
+def _relabel(d, e, label):
+    """Give edge ``e`` of a format-2 document the label ``label``."""
+    if label not in d["labels"]:
+        d["labels"].append(label)
+    d["label"][e] = d["labels"].index(label)
+
+
+def _second_parent(d):
+    # the root's first edge also leads to the child of its second edge
+    first, second = _edges_of(d, d["root"])[:2]
+    d["child"][first] = d["child"][second]
+
+
+def _unreachable_cycle(d):
+    """Two new nodes that lead to each other, and to nothing else."""
+    n, m = len(d["player"]), len(d["child"])
+    decision = d["roles"].index("coord")
+    d["player"] += [decision, decision]
+    d["utility"] += [0, 0]
+    d["end"] += [m + 1, m + 2]
+    d["label"] += [0, 0]
+    d["child"] += [n + 1, n]
+    d["prob"] += [d["probs"].index(None)] * 2
+    d["seen"] += [1, 1]
+    d["origin"]["node_kind"] += [0, 0]
+    d["origin"]["origin_player"] += [-1, -1]
+
+
+def _unnormalised_chance(d):
+    e = _edges_of(d, _node_of(d, "c"))[0]
+    d["probs"].append("7/8")
+    d["prob"][e] = len(d["probs"]) - 1
+
+
+def _duplicate_label(d):
+    first, second = _edges_of(d, _node_of(d, "coord"))[:2]
+    d["label"][second] = d["label"][first]
+
+
+def _prob_on_decision_edge(d):
+    e = _edges_of(d, _node_of(d, "o"))[0]
+    d["prob"][e] = next(i for i, p in enumerate(d["probs"]) if p)
+
+
+# every one must exit 4: each breaks a check of the format-2 loader
+COLUMNAR_CORRUPTIONS = {
+    "child-out-of-range": lambda d: d["child"].__setitem__(0, 10**6),
+    # node 1 ends after the last edge, node 2 before it
+    "end-decreasing": lambda d: d["end"].__setitem__(1, len(d["child"])),
+    "end-short": lambda d: d["end"].__setitem__(-1, d["end"][-1] - 1),
+    "second-parent": _second_parent,
+    "unreachable-cycle": _unreachable_cycle,
+    "chance-row-sum": _unnormalised_chance,
+    "duplicate-label": _duplicate_label,
+    "prob-on-decision-edge": _prob_on_decision_edge,
+    "bool-in-column": lambda d: d["seen"].__setitem__(0, True),
+    "float-in-column": lambda d: d["child"].__setitem__(0, 1.0),
+    "huge-in-column": lambda d: d["label"].__setitem__(0, 10**400),
+    "negative-in-column": lambda d: d["prob"].__setitem__(0, -1),
+    "nested-in-column": lambda d: d["utility"].__setitem__(0, [0]),
+    "seen-out-of-range": lambda d: d["seen"].__setitem__(0, 4),
+    "coord-list-mismatch": lambda d: d["origin"]["coord"].pop(),
+    "active-fanout-mismatch":
+        lambda d: d["origin"]["active"][0].pop(),
+    "truncated-node-kind": lambda d: d["origin"]["node_kind"].pop(),
+    "truncated-origin-player": lambda d: d["origin"]["origin_player"].pop(),
+    "truncated-active": lambda d: d["origin"]["active"].pop(),
+    "truncated-supports": lambda d: d["origin"]["supports"].pop(),
+    "node-kind-out-of-range":
+        lambda d: d["origin"]["node_kind"].__setitem__(0, 4),
+    "huge-rational-utility":
+        lambda d: d["utilities"].__setitem__(-1, HUGE_RATIONAL),
+    "unknown-format": lambda d: d.update(format=3),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(COLUMNAR_CORRUPTIONS))
+def test_malformed_columnar_file_exits_4(tmp_path, capsys, corruption):
+    d = io_json.converted_to_dict(
+        io_json.converted_from_dict(json.loads(LEGACY_CONVERTED.read_text())))
+    COLUMNAR_CORRUPTIONS[corruption](d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    for argv in (["solve", str(bad), "--iterations", "2"],
+                 ["verify", str(LEGACY_GAME), str(bad), "--samples", "2"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 4, (argv[0], err)
+        assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -275,3 +397,57 @@ def test_solve_and_oracle_survive_python_O(tmp_path):
         optimized = run_subprocess(*argv, optimize=True)
         assert plain[0] == optimized[0] == 0, (plain[2], optimized[2])
         assert plain[1] == optimized[1]
+
+
+# the parent commit's output on the committed file, in the format before
+# columns; the columnar file written from it must give the same
+PINNED_SOLVE = ('{"algo": "lcfr+", "exploitability": "0.0634903123028", '
+                '"iterations": 20, "team_value": "1.89352193464"}\n')
+PINNED_VERIFY = '{"max_abs_diff": 0.0, "samples": 20}\n'
+
+
+def test_both_formats_give_the_pinned_reports(tmp_path):
+    columnar = tmp_path / "columnar.json"
+    io_json.save_converted(io_json.load_converted(str(LEGACY_CONVERTED)),
+                           str(columnar))
+    assert json.loads(columnar.read_text())["format"] == 2
+    for conv in (LEGACY_CONVERTED, columnar):
+        assert run_subprocess("solve", conv, "--iterations", "20",
+                              "--log-every", "0", "--json")[:2] == (
+            0, PINNED_SOLVE)
+        assert run_subprocess("verify", LEGACY_GAME, conv, "--samples", "20",
+                              "--seed", "0", "--json")[:2] == (
+            0, PINNED_VERIFY)
+
+
+def _relabel_opponent(d):
+    """Rename the first action of the first opponent node to ``zz``."""
+    if "format" not in d:
+        node = next(n for n in d["nodes"] if n.get("player") == "o")
+        node["edges"][0]["label"] = "zz"
+    else:
+        _relabel(d, _edges_of(d, _node_of(d, "o"))[0], "zz")
+
+
+def _hide_from_opponent(d):
+    """Hide from the opponent the edge into its first node."""
+    d["seen"][d["child"].index(_node_of(d, "o"))] &= ~2
+
+
+@pytest.mark.parametrize("fmt,corruption,says", [
+    ("legacy", _relabel_opponent, "lacks the action 'l'"),
+    ("columnar", _relabel_opponent, "lacks the action 'l'"),
+    ("columnar", _hide_from_opponent, "observed ()"),
+])
+def test_verify_opponent_mismatch_exits_4(tmp_path, fmt, corruption, says):
+    d = json.loads(LEGACY_CONVERTED.read_text())
+    if fmt == "columnar":
+        d = io_json.converted_to_dict(io_json.converted_from_dict(d))
+    corruption(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    code, _, err = run_subprocess("verify", LEGACY_GAME, bad,
+                                  "--samples", "20")
+    assert code == 4, err
+    assert "Traceback" not in err
+    assert says in err

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +151,24 @@ def test_converted_beliefs_exact(mini):
     utils = [n.utility for n in back.game.nodes if n.is_terminal]
     assert utils == [n.utility for n in cg.game.nodes if n.is_terminal]
     assert all(isinstance(u, Fraction) for u in utils)
+
+
+def test_columnar_round_trip_leaves_the_view_unbuilt(mini):
+    cg = apply_safe_imperfect_recall(convert_folded(mini))
+    d = converted_to_dict(cg)
+    assert d["format"] == 2 and "nodes" not in d
+    back = converted_from_dict(json.loads(json.dumps(d)))
+    assert "game" not in vars(cg.tree) and "game" not in vars(back.tree)
+    assert back == cg
+
+
+def test_file_in_the_format_before_columns_loads():
+    data = Path(__file__).parent / "data"
+    g = mini_team_game(1)
+    assert load_game(str(data / "mini_s1_game.json")) == g
+    legacy = load_converted(str(data / "mini_s1_folded_safe_ir_legacy.json"))
+    assert legacy == apply_safe_imperfect_recall(convert_folded(g))
+    assert converted_from_dict(converted_to_dict(legacy)) == legacy
 
 
 @settings(max_examples=20, deadline=None)
