@@ -24,13 +24,23 @@ representations; two switches turn on the reductions in turn:
 
 The subtree below a builder call depends only on its inputs: the belief
 over source states and the coordinator's compatible-state set (*support*).
+A belief is a tuple of ``(state, weight)`` pairs with int weights of gcd 1;
+a state's probability is its weight over the belief's total.  Such weights
+are as exact and canonical as ``Fraction`` probabilities, and cheaper: a
+folded chance node multiplies them by its probabilities over their lcm, the
+mass of a group of states is its weight over the total, and a terminal's
+utility is ``Σ w·u / Σ w``.  A ``Fraction`` is made only for a probability
+or utility new to its table.  With fold off every belief is one state of
+weight 1.
+
 Many prescriptions lead to the same pair — on Leduc 2×1 the basic builder
 meets 39k–94k pairs but only 2,363 distinct ones.  Every call emits its
 subtree as one contiguous post-order id range ending at the returned id, so
 the builder builds each distinct pair once and replicates it for every
 repeat.  The copy is exact, node for node, because the builder is a pure
 function of the pair; the resulting trees are identical to those of
-building every call.
+building every call.  The memo lives for one conversion: it is freed when
+the conversion returns, not left to the cyclic garbage collector.
 
 The builder keeps the tree as int columns (:class:`ConvertedTree`): per node
 its player, utility and the end of its edges, per edge its label, child,
@@ -59,6 +69,7 @@ from array import array
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -143,6 +154,17 @@ class _Table:
             self.values.append(x)
         return i
 
+    def ratio(self, num: int, den: int) -> int:
+        """:meth:`id` of ``Fraction(num, den)``, for coprime ``num`` and
+        ``den > 0`` in a table keyed by :func:`_number_key`; the
+        ``Fraction`` is made only when the value is new."""
+        k = (Fraction, num, den)
+        i = self.ids.get(k)
+        if i is None:
+            i = self.ids[k] = len(self.values)
+            self.values.append(Fraction(num, den))
+        return i
+
 
 class _Columns:
     """A tree under construction: the columns of :class:`ConvertedTree`, in
@@ -157,16 +179,18 @@ class _Columns:
         self.seen = array("B")
 
     def emit(self, player: Optional[PlayerRole], edges=(),
-             utility=0.0) -> int:
-        """Append a node whose ``edges`` are ``(label, child, probability,
-        seen bits)``; returns its id."""
+             utility: Optional[int] = None) -> int:
+        """Append a node whose ``edges`` are ``(label, child, probability
+        id, seen bits)`` and whose utility has the id ``utility`` (``None``:
+        0.0); returns its id."""
         for label, child, prob, seen in edges:
             self.label.append(self.labels.id(label))
             self.child.append(child)
-            self.prob.append(self.probs.id(prob))
+            self.prob.append(prob)
             self.seen.append(seen)
         self.player.append(self.roles.id(player))
-        self.utility.append(self.utilities.id(utility))
+        self.utility.append(self.utilities.id(0.0) if utility is None
+                            else utility)
         self.end.append(len(self.child))
         return len(self.player) - 1
 
@@ -217,7 +241,7 @@ class _Builder(_Columns):
         self.active: list[Optional[tuple[int, ...]]] = []
         self.supports: list[Optional[tuple[int, ...]]] = []
 
-    def emit(self, player: Optional[PlayerRole], edges=(), utility=0.0,
+    def emit(self, player: Optional[PlayerRole], edges=(), utility=None,
              kind: str = "copy", oplayer=None, active=None,
              support=None) -> int:
         self.kind.append(kind)
@@ -297,10 +321,10 @@ class ConvertedTree:
         b = _Columns()
         for node in game.nodes:
             b.emit(node.player, [
-                (e.label, e.child, e.prob,
+                (e.label, e.child, b.probs.id(e.prob),
                  COORD_SEEN * (COORDINATOR in e.seen_by)
                  | OPP_SEEN * (OPPONENT in e.seen_by)) for e in node.edges],
-                node.utility)
+                b.utilities.id(node.utility))
         tree = b.pack(game.name, game.players, game.root)
         vars(tree)["game"] = game
         return tree
@@ -506,28 +530,42 @@ def _team_isets(g: VEFG):
 _SWITCHES = {"basic": (False, False), "pruned": (True, False),
              "folded": (True, True)}
 
-_ONE = Fraction(1)
+# a belief: (source state, weight) pairs, the weights ints of gcd 1
+Belief = tuple[tuple[int, int], ...]
 
 
-def _split(pairs) -> list[tuple[str, Fraction, tuple, Edge]]:
+def _reduced(pairs) -> Belief:
+    """``(state, weight)`` pairs, not all of weight 0, with their weights
+    divided by their gcd."""
+    d = gcd(*(w for _, w in pairs))
+    return tuple(pairs) if d == 1 else tuple((s, w // d) for s, w in pairs)
+
+
+def _split(pairs, total: int
+           ) -> list[tuple[str, tuple[int, int], Belief, Edge]]:
     """Group successor ``(edge, weight)`` pairs by edge label, in first-seen
-    order: ``(label, mass, normalised child belief, representative edge)``.
+    order: ``(label, mass, child belief, representative edge)``.  The mass
+    is the group's weight over ``total``, the weight of the whole belief,
+    as a reduced ``(numerator, denominator)`` pair.
 
-    A one-state group keeps its weight as the mass and gets weight exactly 1,
-    without rational arithmetic; with fold off every group is one state.
+    A one-state group's child belief is that state with weight 1; with fold
+    off every group is one state.  A larger group keeps its weights, divided
+    by their gcd, or gets weight 1 on every state when its mass is 0.
     """
-    groups: dict[str, list[tuple[Edge, Fraction]]] = {}
+    groups: dict[str, list[tuple[Edge, int]]] = {}
     for e, w in pairs:
         groups.setdefault(e.label, []).append((e, w))
     out = []
     for label, members in groups.items():
         if len(members) == 1:
             e, q = members[0]
-            out.append((label, q, ((e.child, _ONE),), e))
-            continue
-        q = sum(w for _, w in members)
-        belief = tuple((e.child, w / q) for e, w in members) if q else ()
-        out.append((label, q, belief, members[-1][0]))
+            belief: Belief = ((e.child, 1),)
+        else:
+            q = sum(w for _, w in members)
+            belief = (_reduced([(e.child, w) for e, w in members]) if q
+                      else tuple((e.child, 1) for e, _ in members))
+        d = gcd(q, total)
+        out.append((label, (q // d, total // d), belief, members[-1][0]))
     return out
 
 
@@ -556,14 +594,55 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                        or (opp is not None and opp in e.seen_by)
                        for e in g.nodes[nid].edges)
 
+    # source chance node -> (edges, probabilities times the lcm of their
+    # denominators, that lcm); source terminal -> its utility as a Fraction
+    rows: dict[int, tuple[tuple[Edge, ...], list[int], int]] = {}
+    exact: dict[int, Fraction] = {}
+
+    def successors(belief: Belief) -> list[tuple[Edge, int]]:
+        """Per state of ``belief`` (at chance) and edge of the state: the
+        edge and the state's weight times the edge's probability, over one
+        common denominator."""
+        for s, _ in belief:
+            if s not in rows:
+                edges = g.nodes[s].edges
+                probs = [Fraction(e.prob) for e in edges]
+                m = lcm(*(p.denominator for p in probs))
+                rows[s] = (edges, [p.numerator * (m // p.denominator)
+                                   for p in probs], m)
+        m = lcm(*(rows[s][2] for s, _ in belief))
+        out = []
+        for s, w in belief:
+            edges, weights, scale = rows[s]
+            w *= m // scale
+            out.extend((e, w * x) for e, x in zip(edges, weights))
+        return out
+
+    def utility(belief: Belief) -> int:
+        """Id of the belief-weighted utility ``Σ w·u / Σ w`` of terminal
+        states, in exact arithmetic."""
+        for s, _ in belief:
+            if s not in exact:
+                exact[s] = Fraction(g.nodes[s].utility)
+        den = lcm(*(exact[s].denominator for s, _ in belief))
+        num = sum(w * exact[s].numerator * (den // exact[s].denominator)
+                  for s, w in belief)
+        den *= sum(w for _, w in belief)
+        d = gcd(num, den)
+        return b.utilities.ratio(num // d, den // d)
+
+    def masses(edges) -> list[tuple[str, int, int, int]]:
+        """``(label, child, (numerator, denominator), seen)`` edges with
+        their masses as probability ids."""
+        return [(a, c, b.probs.ratio(*q), s) for a, c, q, s in edges]
+
     # Invariant: ``expand`` is a pure function of ``(belief, support)`` and
     # emits its subtree as one contiguous post-order id range ``[lo, root]``
     # ending at the id it returns.  So ``build`` expands each key once and
     # answers a repeat with a copy of that range, child ids shifted.
     spans: dict[tuple, tuple[int, int]] = {}
 
-    def build(belief: tuple[tuple[int, Fraction], ...],
-              support: tuple[int, ...]) -> int:
+    def build(belief: Belief, support: tuple[int, ...]) -> int:
         span = spans.get((belief, support))
         if span is not None:
             return b.copy(*span)
@@ -572,16 +651,17 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         spans[belief, support] = (lo, root)
         return root
 
-    def expand(belief: tuple[tuple[int, Fraction], ...],
-               support: tuple[int, ...]) -> int:
+    def expand(belief: Belief, support: tuple[int, ...]) -> int:
         # ``belief`` is the branch-local state distribution (conditioned on
-        # everything on the path, including opponent-private chance) and
-        # yields chance probabilities and terminal weights.  ``support`` is
-        # the coordinator's compatible-state set (conditioned only on
-        # coordinator-visible information) and determines the active infosets
-        # a prescription must cover — these differ whenever opponent-private
-        # chance was branched explicitly.  With fold off the belief is always
-        # the single current state with weight 1.
+        # everything on the path, including opponent-private chance), as
+        # integer weights of gcd 1: a state's probability is its weight
+        # over the belief's total.  It yields chance probabilities and
+        # terminal utilities.  ``support`` is the coordinator's
+        # compatible-state set (conditioned only on coordinator-visible
+        # information) and determines the active infosets a prescription
+        # must cover — these differ whenever opponent-private chance was
+        # branched explicitly.  With fold off the belief is always the
+        # single current state with weight 1.
         h = belief[0][0]
         node = g.nodes[h]
         # the belief lies within the support, so one actor (or all
@@ -593,27 +673,21 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 f"game {game.name!r} hides who acts from the coordinator: "
                 f"source states {h} and {other} have different actors")
         if node.is_terminal:
-            if not fold:
-                return b.emit(None, utility=node.utility)
-            util = sum((w * Fraction(g.nodes[s].utility) for s, w in belief),
-                       Fraction(0))
-            return b.emit(None, utility=util)
+            return b.emit(None, utility=utility(belief) if fold
+                          else b.utilities.id(node.utility))
         if node.is_chance and fold:
+            pairs = successors(belief)
             if foldable(h):
                 return build(
-                    tuple((e.child, w * Fraction(e.prob)) for s, w in belief
-                          for e in g.nodes[s].edges),
+                    _reduced([(e.child, w) for e, w in pairs]),
                     tuple(e.child for s in support for e in g.nodes[s].edges))
             # explicit chance: branch by label with belief-marginal probs
             edges = []
-            for label, q, nb, rep in _split(
-                    (e, w * Fraction(e.prob)) for s, w in belief
-                    for e in g.nodes[s].edges):
-                if q == 0:
-                    continue
-                child = build(nb, next_support(support, rep))
-                edges.append((label, child, q, conv_seen(rep)))
-            return b.emit(CHANCE, edges)
+            for label, q, nb, rep in _split(pairs, sum(w for _, w in pairs)):
+                if q[0]:
+                    child = build(nb, next_support(support, rep))
+                    edges.append((label, child, q, conv_seen(rep)))
+            return b.emit(CHANCE, masses(edges))
         if node.is_chance or (opp is not None and node.player == opp):
             # copied edge by edge; every belief state shares the labels
             edges = []
@@ -621,7 +695,8 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 nb = tuple((g.nodes[s].edges[k].child, w) for s, w in belief)
                 child = build(nb, next_support(support, e))
                 edges.append((e.label, child, e.prob, conv_seen(e)))
-            return b.emit(node.player, edges)
+            return b.emit(node.player, [(a, c, b.probs.id(p), s)
+                                        for a, c, p, s in edges])
         # team decision node -> coordinator node with one edge per
         # prescription, each resolved by a chance node over the distinct
         # actions it prescribes to the belief states
@@ -635,11 +710,12 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         edge_of = {s: {e.label: e for e in g.nodes[s].edges}
                    for s, _ in belief}
         rank = {a: k for k, a in enumerate(iset_actions[iset_of[h]])}
+        total = sum(w for _, w in belief)
         pres_edges = []
         for combo in itertools.product(*(iset_actions[i] for i in active)):
             gamma = dict(zip(active, combo))
-            plays = _split((edge_of[s][gamma[iset_of[s]]], w)
-                           for s, w in belief)
+            plays = _split(((edge_of[s][gamma[iset_of[s]]], w)
+                            for s, w in belief), total)
             # in declaration order of the acting infoset's action list
             plays.sort(key=lambda play: rank.get(play[0], len(rank)))
             out_edges = []
@@ -651,16 +727,25 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                         if opp is not None and opp in rep.seen_by
                         else COORD_SEEN)
                 out_edges.append((a, child, q, seen))
-            resolve = b.emit(CHANCE, out_edges, kind="presc" if fold
+            resolve = b.emit(CHANCE, masses(out_edges), kind="presc" if fold
                              else "dummy", oplayer=node.player)
             label = "G[" + ",".join(f"{i}={a}" for i, a in gamma.items()) + "]"
-            pres_edges.append((label, resolve, None, COORD_SEEN))
-        return b.emit(COORDINATOR, pres_edges, kind="coord",
-                      oplayer=node.player, active=active, support=support)
+            pres_edges.append((label, resolve))
+        no_prob = b.probs.id(None)
+        return b.emit(COORDINATOR, [(label, resolve, no_prob, COORD_SEEN)
+                                    for label, resolve in pres_edges],
+                      kind="coord", oplayer=node.player, active=active,
+                      support=support)
 
     # two Python frames (build, expand) per source level, plus the root call
-    with recursion_headroom(2 * len(g.nodes) + 2):
-        root = build(((g.root, _ONE),), (g.root,))
+    try:
+        with recursion_headroom(2 * len(g.nodes) + 2):
+            root = build(((g.root, 1),), (g.root,))
+    finally:
+        # ``build`` and ``expand`` refer to each other; dropping one frees
+        # the memo and the builder's lists on return, not at the next run
+        # of the cyclic collector
+        expand = None
 
     players = ((COORDINATOR, OPPONENT) if opp is not None else (COORDINATOR,))
     return ConvertedGame(

@@ -50,10 +50,11 @@ decrease and ends at the edge count; every node but the root has exactly
 one parent, the root none, and every node is reached from the root;
 terminals have no edges and other nodes at least one; no node repeats a
 label; an edge has a probability exactly when its node is chance, and each
-distinct chance row sums, in edge order, to 1 (exactly for rationals,
-within ``PROB_TOL`` for floats); every decision role is a player and the
-player list obeys :func:`~pubcoord.model.validate_players`; ``node_kind``
-and ``origin_player`` lie in their ranges; ``coord`` lists exactly the
+distinct chance row holds probabilities in [0, 1] that sum, in edge
+order, to 1 (exactly for rationals, within ``PROB_TOL`` for floats); every
+decision role is a player and the player list obeys
+:func:`~pubcoord.model.validate_players`; ``node_kind`` and
+``origin_player`` lie in their ranges; ``coord`` lists exactly the
 coordinator nodes, and each has one edge per joint assignment of its
 active infosets.
 
@@ -462,6 +463,11 @@ def _check_tree(t: ConvertedTree) -> np.ndarray:
             t.prob[t.edges_of(nodes, count)].reshape(-1, c), axis=0,
             return_index=True)
         for row, v in zip(rows.tolist(), nodes[first].tolist()):
+            bad = next((t.probs[p] for p in row
+                        if not 0 <= t.probs[p] <= 1), None)
+            if bad is not None:
+                raise ProbabilityNotNormalized(
+                    f"chance node {v} has probability {bad} outside [0, 1]")
             total = sum(t.probs[p] for p in row)
             if not (total == 1 if isinstance(total, Fraction)
                     else abs(total - 1.0) <= PROB_TOL):

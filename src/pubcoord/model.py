@@ -177,6 +177,11 @@ def validate_game(game: VEFG) -> None:
             if any(e.prob is None for e in node.edges):
                 raise ProbabilityNotNormalized(
                     f"chance node {nid} has an edge without probability")
+            bad = next((e.prob for e in node.edges if not 0 <= e.prob <= 1),
+                       None)
+            if bad is not None:
+                raise ProbabilityNotNormalized(
+                    f"chance node {nid} has probability {bad} outside [0, 1]")
             total = sum(e.prob for e in node.edges)
             if isinstance(total, Fraction):
                 ok = total == 1

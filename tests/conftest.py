@@ -1,6 +1,7 @@
 """Shared fixtures: small handcrafted games and benchmark instances."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -45,6 +46,17 @@ def mini_team_game(seed: int = 0, chance_outcomes: int = 2) -> VEFG:
              nodes=tuple(nodes), root=root)
     validate_game(g)
     return g
+
+
+def with_root_probs(game: VEFG, probs) -> VEFG:
+    """``game`` with the probabilities of its root chance node replaced by
+    ``probs``, in edge order; not validated."""
+    root = game.nodes[game.root]
+    edges = tuple(dataclasses.replace(e, prob=p)
+                  for e, p in zip(root.edges, probs, strict=True))
+    nodes = list(game.nodes)
+    nodes[game.root] = dataclasses.replace(root, edges=edges)
+    return dataclasses.replace(game, nodes=tuple(nodes))
 
 
 def hidden_actor_game(terminal_first: bool = True) -> VEFG:

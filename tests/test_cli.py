@@ -184,6 +184,20 @@ def test_full_pipeline_kuhn(tmp_path, capsys):
     assert run(capsys, "verify", str(g), str(c), "--samples", "50")[0] == 0
 
 
+def test_folded_pipeline_on_inexact_float_chance_row(tmp_path, capsys):
+    # root probabilities 0.1 / 0.2 / 0.7 pass PROB_TOL but sum to
+    # 1 - 2**-55; the converted file must still load with exact rows
+    from conftest import mini_team_game, with_root_probs
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    io_json.save_game(with_root_probs(mini_team_game(3, chance_outcomes=3),
+                                      (0.1, 0.2, 0.7)), str(g))
+    for argv in (("convert", g, "--mode", "folded", "--out", c),
+                 ("solve", c, "--iterations", "50", "--log-every", "0"),
+                 ("verify", g, c, "--samples", "20")):
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 0, (argv[0], err)
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs and the exit-code contract
 # ---------------------------------------------------------------------------
@@ -218,6 +232,15 @@ def _first_terminal(d):
     return next(n for n in d["nodes"] if n["kind"] == "terminal")
 
 
+def _row_outside_0_1(d):
+    """Probabilities 3/2, -1/2, 0, ... at the first chance node with two
+    edges or more: the row still sums to 1."""
+    edges = next(n for n in d["nodes"]
+                 if n["kind"] == "chance" and len(n["edges"]) > 1)["edges"]
+    for e, p in zip(edges, ["3/2", "-1/2"] + ["0"] * len(edges)):
+        e["prob"] = p
+
+
 # a number that Python holds exactly but no float can
 HUGE_RATIONAL = "1" + "0" * 400 + "/1"
 
@@ -229,6 +252,7 @@ GAME_CORRUPTIONS = {
     "huge-utility": lambda d: _first_terminal(d).update(team_utility=10**400),
     "huge-rational-utility":
         lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
+    "prob-outside-0-1": _row_outside_0_1,
 }
 
 CONVERTED_CORRUPTIONS = {
@@ -242,6 +266,7 @@ CONVERTED_CORRUPTIONS = {
                                                     None),
     "huge-rational-utility":
         lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
+    "prob-outside-0-1": _row_outside_0_1,
 }
 
 
@@ -315,6 +340,16 @@ def _unnormalised_chance(d):
     d["prob"][e] = len(d["probs"]) - 1
 
 
+def _chance_row_outside_0_1(d):
+    """The columnar form of :func:`_row_outside_0_1`."""
+    v = next(v for v, r in enumerate(d["player"])
+             if d["roles"][r] == "c" and len(_edges_of(d, v)) > 1)
+    d["probs"] += ["3/2", "-1/2", "0"]
+    k = len(d["probs"]) - 3
+    for i, e in enumerate(_edges_of(d, v)):
+        d["prob"][e] = k + min(i, 2)
+
+
 def _duplicate_label(d):
     first, second = _edges_of(d, _node_of(d, "coord"))[:2]
     d["label"][second] = d["label"][first]
@@ -334,6 +369,7 @@ COLUMNAR_CORRUPTIONS = {
     "second-parent": _second_parent,
     "unreachable-cycle": _unreachable_cycle,
     "chance-row-sum": _unnormalised_chance,
+    "chance-row-outside-0-1": _chance_row_outside_0_1,
     "duplicate-label": _duplicate_label,
     "prob-on-decision-edge": _prob_on_decision_edge,
     "bool-in-column": lambda d: d["seen"].__setitem__(0, True),

@@ -3,6 +3,7 @@ strategy mappings and payoff equivalence."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from pubcoord.model import (
     Edge,
     Node,
     VEFG,
+    gc_paused,
     infosets,
     is_public_turn_taking,
     validate_game,
@@ -53,7 +55,14 @@ from pubcoord.model import (
 
 from pubcoord.solvers import compile_converted
 
-from conftest import ALL, O, T0, hidden_actor_game, mini_team_game
+from conftest import (
+    ALL,
+    O,
+    T0,
+    hidden_actor_game,
+    mini_team_game,
+    with_root_probs,
+)
 
 CONVERTERS = {"basic": convert_basic, "pruned": convert_pruned,
               "folded": convert_folded}
@@ -129,6 +138,40 @@ def test_folded_has_no_explicit_team_chance(mini):
         if cg.node_kind[nid] == "presc":
             assert all(isinstance(e.prob, Fraction) for e in n.edges)
             assert sum(e.prob for e in n.edges) == Fraction(1)
+
+
+def test_folded_chance_rows_sum_to_one_for_inexact_float_rows():
+    # 0.1 + 0.2 + 0.7 is 1 - 2**-55 exactly: the masses are taken relative
+    # to the belief, so the converted rows still sum to exactly 1
+    g = with_root_probs(mini_team_game(3, chance_outcomes=3), (0.1, 0.2, 0.7))
+    validate_game(g)
+    cg = convert_folded(g)
+    validate_game(cg.game)
+    rows = [[e.prob for e in n.edges] for n in cg.game.nodes if n.is_chance]
+    assert rows and all(sum(row) == 1 for row in rows)
+
+
+def test_folded_zero_mass_group_gets_a_belief():
+    # two zero-probability states prescribed one action form a group of
+    # mass 0: it gets weight 1 on each state and an edge of probability 0
+    g = with_root_probs(mini_team_game(3, chance_outcomes=3),
+                        (Fraction(0), Fraction(0), Fraction(1)))
+    cg = convert_folded(g)
+    validate_game(cg.game)
+    assert any(e.prob == 0 for n in cg.game.nodes if n.is_chance
+               for e in n.edges)
+    report = check_payoff_equivalence(g, cg, samples=50, seed=0)
+    assert report["max_abs_diff"] == 0
+
+
+def test_conversion_leaves_no_cyclic_garbage(kuhn0):
+    # the builder's memo and columns are freed on return, not at the next
+    # run of the cyclic collector
+    with gc_paused():
+        gc.collect()
+        for convert in (convert_basic, convert_pruned, convert_folded):
+            convert(kuhn0)
+            assert gc.collect() == 0, convert.__name__
 
 
 def test_terminal_utilities_belief_weighted(mini):
@@ -416,6 +459,27 @@ _PINNED = {
     ("kuhn4-0", "folded"): (
         "7dce93e758b3f963e9e2af2bd22dd384da1823ceb76f3372f8ce9b026c1c60fe",
         "bddbc3049bdf5f5c399cc2a4685fc3a3735acdbeee2cdd4f06c616d492578947"),
+    # float utilities and probabilities
+    ("toy222f", "basic"): (
+        "53ac3e6b2b1e5145f09540ec6e87d462f5612cd03e547cac9c38f0772eda4170",
+        "7496f1c3ad0154ba42395bacb3e7ef8fa16de757a2326e82e79c0f10d68d1f32"),
+    ("toy222f", "pruned"): (
+        "fdb8ca715b5175c94c308ebc069e58cc38680884dfc4e52d60ac4ea6ed5dbddd",
+        "e118ad9f3a91b5d9bbb753cd6fae6a4219d0330e918d1bfef54c8e166aed54d3"),
+    ("toy222f", "folded"): (
+        "b1a1744e95c39d0001c1dfabd4542a55a8b81464008d6f88e15f7a49c0fa1e81",
+        "b0f05002d3d41131a33e4268e79c324cae7f28bce07bbca00b9be3204898a1b7"),
+}
+
+# mode -> sha256 over the pins of mini_team_game(seed, chance_outcomes) for
+# chance_outcomes 2 and 3 and seeds 0-59, in that order
+_MINI_PINNED = {
+    "basic":
+        "8a91cf114282d84c9c1afb4a934f618d0ea8e919cabd639c5e59404a29ec5965",
+    "pruned":
+        "b6187b7905eb17d3a1b5c712fd90df8b21aa58cdb2c3b3a4e26b69e7f13d0266",
+    "folded":
+        "1607f09ed261c03807c9657d6d27e66795d2727a6166b0f1e40473529711f7e0",
 }
 
 _PIN_GAMES = {
@@ -429,6 +493,7 @@ _PIN_GAMES = {
         PokerSpec("leduc", 2, raises=1, adversary_position=pos)))
        for pos in range(3)},
     "kuhn4-0": lambda: gen_kuhn3(PokerSpec("kuhn", 4, adversary_position=0)),
+    "toy222f": lambda: gen_toy(ToySpec(2, 2, 2, payoff_seed=5)),
 }
 
 
@@ -436,15 +501,27 @@ def _pinned_modes(name):
     return [mode for game, mode in _PINNED if game == name]
 
 
+def _pin(cg):
+    meta = repr((cg.node_kind, cg.origin_player, cg.active, cg.supports))
+    return (game_digest(cg.game), hashlib.sha256(meta.encode()).hexdigest())
+
+
 @pytest.mark.parametrize("name", sorted(_PIN_GAMES))
 def test_converted_trees_match_pinned_digests(name):
     g = _PIN_GAMES[name]()
     for mode in _pinned_modes(name):
-        cg = CONVERTERS[mode](g)
-        meta = repr((cg.node_kind, cg.origin_player, cg.active, cg.supports))
-        got = (game_digest(cg.game),
-               hashlib.sha256(meta.encode()).hexdigest())
-        assert got == _PINNED[(name, mode)], (name, mode)
+        assert _pin(CONVERTERS[mode](g)) == _PINNED[(name, mode)], (name,
+                                                                    mode)
+
+
+@pytest.mark.parametrize("mode", sorted(_MINI_PINNED))
+def test_mini_games_match_pinned_digest(mode):
+    h = hashlib.sha256()
+    for chance_outcomes in (2, 3):
+        for seed in range(60):
+            cg = CONVERTERS[mode](mini_team_game(seed, chance_outcomes))
+            h.update(repr(_pin(cg)).encode())
+    assert h.hexdigest() == _MINI_PINNED[mode]
 
 
 @pytest.mark.parametrize("name", sorted(_PIN_GAMES))

@@ -36,7 +36,7 @@ from pubcoord.model import (
     validate_perfect_recall,
 )
 
-from conftest import ALL, O, T0, T1, mini_team_game
+from conftest import ALL, O, T0, T1, mini_team_game, with_root_probs
 
 
 def test_parse_role_roundtrip():
@@ -84,6 +84,12 @@ def test_validate_rejects_unnormalized_chance():
         Edge("y", 2, Fraction(1, 3), frozenset(ALL))))
     with pytest.raises(ProbabilityNotNormalized):
         validate_game(VEFG("bad", ALL, (term, root, Node(utility=0)), 1))
+
+
+def test_validate_rejects_chance_probabilities_outside_0_1():
+    g = with_root_probs(mini_team_game(1), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ProbabilityNotNormalized, match=r"outside \[0, 1\]"):
+        validate_game(g)
 
 
 def test_validate_rejects_duplicate_labels():
