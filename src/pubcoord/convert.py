@@ -75,18 +75,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ActionMismatchWithinInfoset,
+    CyclicStructure,
     ExclusionDataMissing,
     IllegalActionInPlan,
     IllegalPrescription,
     ImperfectRecallInput,
     InvalidIterationCount,
     NotPublicTurnTaking,
+    ProbabilityNotNormalized,
     SchemaError,
+    UnknownPlayer,
 )
 from .model import (
     CHANCE,
     COORDINATOR,
     OPPONENT,
+    PROB_TOL,
     Edge,
     InfosetKey,
     Node,
@@ -174,7 +179,7 @@ class _Columns:
     def __init__(self) -> None:
         self.roles, self.labels = _Table(), _Table()
         self.probs, self.utilities = _Table(_number_key), _Table(_number_key)
-        self.player, self.utility, self.end = array("b"), array("i"), array("i")
+        self.player, self.utility, self.end = array("i"), array("i"), array("i")
         self.label, self.child, self.prob = array("i"), array("i"), array("i")
         self.seen = array("B")
 
@@ -223,7 +228,7 @@ class _Columns:
             roles=tuple(self.roles.values), labels=tuple(self.labels.values),
             probs=tuple(self.probs.values),
             utilities=tuple(self.utilities.values),
-            player=take(self.player, np.int8),
+            player=take(self.player, np.int32),
             utility=take(self.utility, np.int32),
             end=take(self.end, np.int32), label=take(self.label, np.int32),
             child=take(self.child, np.int32), prob=take(self.prob, np.int32),
@@ -391,6 +396,81 @@ class ConvertedTree:
         hit = np.flatnonzero(bad)
         return int(hit[0]) if hit.size else -1
 
+    def check(self) -> np.ndarray:
+        """Check the tree rules on the columns, whose indices are in range:
+        every node but the root has exactly one parent, the root none, and
+        every node is reached from the root; terminals have no edges and
+        other nodes at least one; no node repeats a label; an edge has a
+        probability exactly when its node is chance, and each distinct
+        chance row holds probabilities in [0, 1] that sum, in edge order,
+        to 1 (exactly for rationals, within ``PROB_TOL`` for floats); every
+        decision role is a player.  Returns the per-node edge count."""
+        n, count = len(self.player), self.count()
+        parents = np.bincount(self.child, minlength=n)
+        if parents[self.root]:
+            raise CyclicStructure(f"root {self.root} has a parent")
+        parents[self.root] = 1
+        for bad, says in ((parents > 1, "has several parents"),
+                          (parents == 0, "is unreachable from root")):
+            if bad.any():
+                raise CyclicStructure(f"node {int(np.argmax(bad))} {says}")
+        # one parent each, so the level pass meets every node at most once
+        level, reached = np.array([self.root]), 1
+        while level.size:
+            level = self.child[self.edges_of(level, count)]
+            reached += level.size
+        if reached != n:
+            raise CyclicStructure(f"{n - reached} nodes lie on a cycle "
+                                  "unreachable from root")
+        terminal = self.played_by(None)
+        bad = np.flatnonzero((count == 0) != terminal)
+        if bad.size:
+            v = int(bad[0])
+            raise CyclicStructure(f"node {v} is a terminal with edges" if
+                                  terminal[v] else
+                                  f"non-terminal node {v} has no edges")
+        owner = np.repeat(np.arange(n), count)
+        key = np.sort(owner * len(self.labels) + self.label)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            v, a = divmod(int(key[dup[0]]), len(self.labels))
+            raise ActionMismatchWithinInfoset(
+                f"duplicate action label {self.labels[a]!r} at node {v}")
+        chance = self.played_by(CHANCE)
+        has_prob = np.array([p is not None for p in self.probs],
+                            dtype=bool)[self.prob]
+        bad = np.flatnonzero(has_prob != chance[owner])
+        if bad.size:
+            v = int(owner[bad[0]])
+            raise ProbabilityNotNormalized(
+                f"chance node {v} has an edge without probability" if chance[v]
+                else f"decision node {v} carries chance probabilities")
+        chance_nodes = np.flatnonzero(chance)
+        for c in np.unique(count[chance_nodes]).tolist():
+            nodes = chance_nodes[count[chance_nodes] == c]
+            rows, first = np.unique(
+                self.prob[self.edges_of(nodes, count)].reshape(-1, c), axis=0,
+                return_index=True)
+            for row, v in zip(rows.tolist(), nodes[first].tolist()):
+                bad = next((self.probs[p] for p in row
+                            if not 0 <= self.probs[p] <= 1), None)
+                if bad is not None:
+                    raise ProbabilityNotNormalized(
+                        f"chance node {v} has probability {bad} outside "
+                        "[0, 1]")
+                total = sum(self.probs[p] for p in row)
+                if not (total == 1 if isinstance(total, Fraction)
+                        else abs(total - 1.0) <= PROB_TOL):
+                    raise ProbabilityNotNormalized(
+                        f"chance node {v} probabilities sum to {total}")
+        deciding = ~(terminal | chance)
+        for r in np.unique(self.player[deciding]).tolist():
+            if self.roles[r] not in self.players:
+                v = int(np.flatnonzero(deciding & (self.player == r))[0])
+                raise UnknownPlayer(f"node {v} acted by unlisted player "
+                                    f"{self.roles[r].name}")
+        return count
+
     def walk(self) -> _Walk:
         """One level-synchronous pass from the root (see :class:`_Walk`).
         Per depth and observer, the edges the observer sees get one
@@ -428,15 +508,14 @@ class ConvertedTree:
                      seq, steps, self.labels)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, kw_only=True)
 class ConvertedGame:
     """A converted two-player zero-sum game plus conversion bookkeeping.
 
     ``tree`` holds the game as columns (:class:`ConvertedTree`); ``game``
     is its :class:`VEFG` view, built on first use and shared by every
     ``ConvertedGame`` on the same tree, such as ``dataclasses.replace(cg)``
-    and :func:`apply_safe_imperfect_recall`.  A ``game`` given to the
-    constructor (also through ``replace``) becomes the tree and its view.
+    and :func:`apply_safe_imperfect_recall`.
 
     The per-node tuples are indexed like ``game.nodes``.  ``node_kind`` is
     one of ``coord`` (coordinator decision), ``dummy`` (probability-one
@@ -462,22 +541,6 @@ class ConvertedGame:
     iset_actions: tuple[tuple[str, ...], ...]    # team iset id -> action labels
     supports: tuple[Optional[tuple[int, ...]], ...]
     tree: ConvertedTree
-
-    def __init__(self, *, mode: str, safe_ir_applied: bool,
-                 source_name: str, source_digest: str, node_kind, origin_player,
-                 active, iset_refs, iset_actions, supports,
-                 tree: Optional[ConvertedTree] = None,
-                 game: Optional[VEFG] = None) -> None:
-        if game is not None:
-            tree = ConvertedTree.from_game(game)
-        for name, value in (
-                ("mode", mode), ("safe_ir_applied", safe_ir_applied),
-                ("source_name", source_name),
-                ("source_digest", source_digest), ("node_kind", node_kind),
-                ("origin_player", origin_player), ("active", active),
-                ("iset_refs", iset_refs), ("iset_actions", iset_actions),
-                ("supports", supports), ("tree", tree)):
-            object.__setattr__(self, name, value)
 
     @property
     def game(self) -> VEFG:
@@ -855,7 +918,7 @@ def map_team_to_coordinator(game: VEFG, cg: ConvertedGame, joint_plan
     keys = coordinator_node_keys(cg)
     out: dict[tuple, str] = {}
     for nid, k in choices.items():
-        label = cg.game.nodes[nid].edges[k].label
+        label = cg.tree.actions(nid)[k]
         prev = out.get(keys[nid])
         if prev is not None and prev != label:
             raise IllegalPrescription(

@@ -42,27 +42,17 @@ prescribes the ``k``-th joint assignment of ``itertools.product`` over its
 ``origin`` (``origin_node``, ``excluded``, ``beliefs``, ``prescriptions``,
 ``coordinator_keys``) are ignored on load.
 
-A format-2 document is checked by numpy passes over its columns, with no
+A converted document is checked by numpy passes over its columns, with no
 :class:`~pubcoord.model.VEFG` built: every column holds only ints and has
 the length of the nodes or of the edges; every index lies in its table,
 ``child`` and ``root`` among the nodes, ``seen`` in 0..3; ``end`` does not
-decrease and ends at the edge count; every node but the root has exactly
-one parent, the root none, and every node is reached from the root;
-terminals have no edges and other nodes at least one; no node repeats a
-label; an edge has a probability exactly when its node is chance, and each
-distinct chance row holds probabilities in [0, 1] that sum, in edge
-order, to 1 (exactly for rationals, within ``PROB_TOL`` for floats); every
-decision role is a player and the player list obeys
+decrease and ends at the edge count; the tree obeys the rules of
+:meth:`~pubcoord.convert.ConvertedTree.check`, which
+:func:`~pubcoord.model.validate_game` also runs; the player list obeys
 :func:`~pubcoord.model.validate_players`; ``node_kind`` and
 ``origin_player`` lie in their ranges; ``coord`` lists exactly the
 coordinator nodes, and each has one edge per joint assignment of its
-active infosets.
-
-Converted files without a ``format`` key, written before format 2, are
-read but never written: the game schema above plus an ``origin`` section
-whose ``node_kind``, ``origin_player`` (role names), ``active`` and
-``supports`` have one entry per node.  Their tree is built and validated
-as a ``VEFG`` and then becomes the columns.
+active infosets.  A document without ``"format": 2`` is rejected.
 
 A document that breaks its schema raises a
 :class:`~pubcoord.errors.GameError`, mostly
@@ -81,18 +71,14 @@ import numpy as np
 
 from .convert import ConvertedGame, ConvertedTree
 from .errors import (
-    ActionMismatchWithinInfoset,
-    CyclicStructure,
     DuplicateNodeId,
     MissingVisibilityEntry,
-    ProbabilityNotNormalized,
     SchemaError,
     UnknownPlayer,
 )
 from .model import (
     CHANCE,
     COORDINATOR,
-    PROB_TOL,
     Edge,
     Node,
     VEFG,
@@ -106,7 +92,7 @@ FORMAT = 2
 _MODES = ("basic", "pruned", "folded")
 _KINDS = ("copy", "coord", "dummy", "presc")
 # the ConvertedTree columns and their dtypes, per node and per edge
-_NODE_COLUMNS = {"player": np.int8, "utility": np.int32, "end": np.int32}
+_NODE_COLUMNS = {"player": np.int32, "utility": np.int32, "end": np.int32}
 _EDGE_COLUMNS = {"label": np.int32, "child": np.int32, "prob": np.int32,
                  "seen": np.uint8}
 _COLUMNS = {**_NODE_COLUMNS, **_EDGE_COLUMNS}
@@ -291,7 +277,8 @@ def _check_range(a: np.ndarray, what: str, lo: int, hi: int,
 
 
 def _origin_fields(o: dict) -> dict:
-    """The :class:`ConvertedGame` fields that both formats store alike."""
+    """The :class:`ConvertedGame` fields of ``o`` that are not per node,
+    checked."""
     if o["mode"] not in _MODES or type(o["safe_ir"]) is not bool:
         raise SchemaError(f"unknown mode {o['mode']!r} or safe_ir "
                           f"{o['safe_ir']!r}")
@@ -313,18 +300,11 @@ def _origin_fields(o: dict) -> dict:
 
 @_schema_checked
 def converted_from_dict(d: dict) -> ConvertedGame:
-    """The converted game of ``d``, of either format."""
+    """The converted game of a format-2 document: its columns are checked
+    and become the tree; no view is built."""
     fmt = d.get("format")
-    if fmt is None:
-        return _legacy_converted_from_dict(d)
     if type(fmt) is not int or fmt != FORMAT:
         raise SchemaError(f"unsupported converted-file format {fmt!r}")
-    return _columnar_from_dict(d)
-
-
-def _columnar_from_dict(d: dict) -> ConvertedGame:
-    """A format-2 document's game: its columns are checked and become the
-    tree; no view is built."""
     o = d["origin"]
     if not isinstance(d["name"], str):
         raise SchemaError("name must be a string")
@@ -364,28 +344,28 @@ def _columnar_from_dict(d: dict) -> ConvertedGame:
         name=d["name"], players=players, root=root, roles=roles,
         labels=labels, probs=probs, utilities=utilities,
         **{c: a.astype(_COLUMNS[c]) for c, a in col.items()})
-    count = _check_tree(tree)
+    count = tree.check()
 
-    coord = _ints(o["coord"], "origin.coord")
-    if not np.array_equal(coord, np.flatnonzero(tree.played_by(COORDINATOR))):
+    coord = np.flatnonzero(tree.played_by(COORDINATOR))
+    if not np.array_equal(_ints(o["coord"], "origin.coord"), coord):
         raise SchemaError("origin.coord does not list the coordinator nodes")
     fields = _origin_fields(o)
     origin_roles = roles + (None,)  # -1: none
     return ConvertedGame(
         tree=tree, **fields,
-        **_coordinator_fields(tree, count, o["active"], o["supports"],
+        **_coordinator_fields(coord, count, o["active"], o["supports"],
                               fields["iset_actions"]),
         node_kind=tuple(map(_KINDS.__getitem__, o["node_kind"])),
         origin_player=tuple(map(origin_roles.__getitem__,
                                 o["origin_player"])))
 
 
-def _coordinator_fields(tree: ConvertedTree, count: np.ndarray, active,
+def _coordinator_fields(coord: np.ndarray, count: np.ndarray, active,
                         supports, iset_actions) -> dict:
     """The per-node ``active`` and ``supports`` of :class:`ConvertedGame`
-    from one list each per coordinator node of ``tree``, in id order,
-    checked: ints, known infosets, and one edge per joint assignment."""
-    coord = np.flatnonzero(tree.played_by(COORDINATOR))
+    from one list each per coordinator node ``coord``, in id order, given
+    the per-node edge ``count``; checked: ints, known infosets, and one
+    edge per joint assignment."""
     if type(active) is not list or type(supports) is not list \
             or len(active) != len(coord) or len(supports) != len(coord) \
             or not set(map(type, active + supports)) <= {list}:
@@ -411,101 +391,6 @@ def _coordinator_fields(tree: ConvertedTree, count: np.ndarray, active,
     for v, a, s in zip(coord.tolist(), active, supports):
         active_of[v], supports_of[v] = tuple(a), tuple(s)
     return dict(active=tuple(active_of), supports=tuple(supports_of))
-
-
-def _check_tree(t: ConvertedTree) -> np.ndarray:
-    """Check the rules of :func:`~pubcoord.model.validate_game` on the
-    columns of ``t``, whose indices are in range; returns the per-node edge
-    count."""
-    n, count = len(t.player), t.count()
-    parents = np.bincount(t.child, minlength=n)
-    if parents[t.root]:
-        raise CyclicStructure(f"root {t.root} has a parent")
-    parents[t.root] = 1
-    for bad, says in ((parents > 1, "has several parents"),
-                      (parents == 0, "is unreachable from root")):
-        if bad.any():
-            raise CyclicStructure(f"node {int(np.argmax(bad))} {says}")
-    # one parent each, so the level pass meets every node at most once
-    level, reached = np.array([t.root]), 1
-    while level.size:
-        level = t.child[t.edges_of(level, count)]
-        reached += level.size
-    if reached != n:
-        raise CyclicStructure(f"{n - reached} nodes lie on a cycle "
-                              "unreachable from root")
-    terminal = t.played_by(None)
-    bad = np.flatnonzero((count == 0) != terminal)
-    if bad.size:
-        v = int(bad[0])
-        raise CyclicStructure(f"node {v} is a terminal with edges" if
-                              terminal[v] else
-                              f"non-terminal node {v} has no edges")
-    owner = np.repeat(np.arange(n), count)
-    key = np.sort(owner * len(t.labels) + t.label)
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    if dup.size:
-        v, a = divmod(int(key[dup[0]]), len(t.labels))
-        raise ActionMismatchWithinInfoset(
-            f"duplicate action label {t.labels[a]!r} at node {v}")
-    chance = t.played_by(CHANCE)
-    has_prob = np.array([p is not None for p in t.probs], dtype=bool)[t.prob]
-    bad = np.flatnonzero(has_prob != chance[owner])
-    if bad.size:
-        v = int(owner[bad[0]])
-        raise ProbabilityNotNormalized(
-            f"chance node {v} has an edge without probability" if chance[v]
-            else f"decision node {v} carries chance probabilities")
-    chance_nodes = np.flatnonzero(chance)
-    for c in np.unique(count[chance_nodes]).tolist():
-        nodes = chance_nodes[count[chance_nodes] == c]
-        rows, first = np.unique(
-            t.prob[t.edges_of(nodes, count)].reshape(-1, c), axis=0,
-            return_index=True)
-        for row, v in zip(rows.tolist(), nodes[first].tolist()):
-            bad = next((t.probs[p] for p in row
-                        if not 0 <= t.probs[p] <= 1), None)
-            if bad is not None:
-                raise ProbabilityNotNormalized(
-                    f"chance node {v} has probability {bad} outside [0, 1]")
-            total = sum(t.probs[p] for p in row)
-            if not (total == 1 if isinstance(total, Fraction)
-                    else abs(total - 1.0) <= PROB_TOL):
-                raise ProbabilityNotNormalized(
-                    f"chance node {v} probabilities sum to {total}")
-    deciding = ~(terminal | chance)
-    for r in np.unique(t.player[deciding]).tolist():
-        if t.roles[r] not in t.players:
-            v = int(np.flatnonzero(deciding & (t.player == r))[0])
-            raise UnknownPlayer(f"node {v} acted by unlisted player "
-                                f"{t.roles[r].name}")
-    return count
-
-
-def _legacy_converted_from_dict(d: dict) -> ConvertedGame:
-    """A converted game written before format 2: its validated tree becomes
-    the columns and is kept as their view."""
-    game = game_from_dict(d)
-    tree = ConvertedTree.from_game(game)
-    o = d["origin"]
-    n = len(game.nodes)
-    for key in ("node_kind", "origin_player", "active", "supports"):
-        if len(o[key]) != n:
-            raise SchemaError(f"origin.{key} has {len(o[key])} entries for "
-                              f"{n} nodes")
-    if not set(o["node_kind"]) <= set(_KINDS):
-        raise SchemaError(f"origin.node_kind holds kinds other than {_KINDS}")
-    fields = _origin_fields(o)
-    coord = np.flatnonzero(tree.played_by(COORDINATOR)).tolist()
-    return ConvertedGame(
-        tree=tree, **fields,
-        **_coordinator_fields(tree, tree.count(),
-                              [o["active"][v] for v in coord],
-                              [o["supports"][v] for v in coord],
-                              fields["iset_actions"]),
-        node_kind=tuple(o["node_kind"]),
-        origin_player=tuple(parse_role(p) if p is not None else None
-                            for p in o["origin_player"]))
 
 
 # Files are written by one ``json.dumps``, which runs the C encoder;

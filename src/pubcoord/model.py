@@ -18,7 +18,6 @@ from .errors import (
     ActionMismatchWithinInfoset,
     CyclicStructure,
     NotATeamGame,
-    ProbabilityNotNormalized,
     UnknownPlayer,
 )
 
@@ -130,9 +129,6 @@ class VEFG:
     nodes: tuple[Node, ...]
     root: int = 0
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
     def team_players(self) -> tuple[PlayerRole, ...]:
         return tuple(p for p in self.players if p.kind == "team")
 
@@ -150,56 +146,21 @@ InfosetKey = tuple[str, ...]
 
 
 def validate_game(game: VEFG) -> None:
-    """Check tree structure, probability normalization and role invariants."""
+    """Check tree structure, probability normalization and role invariants:
+    the rules of :meth:`~pubcoord.convert.ConvertedTree.check`, run on the
+    game's columns, and :func:`validate_players`.  Node ids out of range
+    are rejected first, as the columns cannot hold them."""
+    # imported here: pubcoord.convert builds on this module
+    from .convert import ConvertedTree
+
     n = len(game.nodes)
     if not (0 <= game.root < n):
         raise CyclicStructure(f"root id {game.root} out of range")
-    seen = bytearray(n)
-    stack = [game.root]
-    while stack:
-        nid = stack.pop()
-        if seen[nid]:
-            raise CyclicStructure(f"node {nid} has multiple parents or a cycle")
-        seen[nid] = 1
-        node = game.nodes[nid]
-        if node.player is not None and not node.edges:
-            raise CyclicStructure(f"non-terminal node {nid} has no edges")
-        labels = set()
-        for e in node.edges:
-            if not (0 <= e.child < n):
-                raise CyclicStructure(f"edge child {e.child} out of range")
-            if e.label in labels:
-                raise ActionMismatchWithinInfoset(
-                    f"duplicate action label {e.label!r} at node {nid}")
-            labels.add(e.label)
-            stack.append(e.child)
-        if node.is_chance:
-            if any(e.prob is None for e in node.edges):
-                raise ProbabilityNotNormalized(
-                    f"chance node {nid} has an edge without probability")
-            bad = next((e.prob for e in node.edges if not 0 <= e.prob <= 1),
-                       None)
-            if bad is not None:
-                raise ProbabilityNotNormalized(
-                    f"chance node {nid} has probability {bad} outside [0, 1]")
-            total = sum(e.prob for e in node.edges)
-            if isinstance(total, Fraction):
-                ok = total == 1
-            else:
-                ok = abs(total - 1.0) <= PROB_TOL
-            if not ok:
-                raise ProbabilityNotNormalized(
-                    f"chance node {nid} probabilities sum to {total}")
-        elif node.player is not None:
-            if node.player not in game.players:
-                raise UnknownPlayer(f"node {nid} acted by unlisted player "
-                                    f"{node.player.name}")
-            if any(e.prob is not None for e in node.edges):
-                raise ProbabilityNotNormalized(
-                    f"decision node {nid} carries chance probabilities")
-    if not all(seen):
-        unreachable = next(i for i in range(n) if not seen[i])
-        raise CyclicStructure(f"node {unreachable} unreachable from root")
+    bad = next((e.child for node in game.nodes for e in node.edges
+                if not 0 <= e.child < n), None)
+    if bad is not None:
+        raise CyclicStructure(f"edge child {bad} out of range")
+    ConvertedTree.from_game(game).check()
     validate_players(game.players)
 
 

@@ -24,6 +24,7 @@ from pubcoord import (
     gen_toy,
 )
 from pubcoord import solvers
+from pubcoord.convert import ConvertedTree
 from pubcoord.model import CHANCE, COORDINATOR, OPPONENT, Edge, Node, VEFG, \
     validate_game
 
@@ -153,7 +154,8 @@ def _zero_chance_game():
     g = VEFG("zero-chance", (COORDINATOR, OPPONENT),
              (*terms, *o_at, at_a, at_b, root), 10)
     validate_game(g)
-    return replace(convert_folded(mini_team_game(1)), game=g)
+    return replace(convert_folded(mini_team_game(1)),
+                   tree=ConvertedTree.from_game(g))
 
 
 def test_zero_probability_chance_edge_adds_nothing():

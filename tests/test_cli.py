@@ -15,10 +15,10 @@ from pubcoord.cli import main
 
 
 # mini_team_game(1) of tests/conftest.py and its folded + safe-IR
-# conversion, saved in the converted-file format that came before columns
+# conversion, as committed files
 DATA = Path(__file__).parent / "data"
-LEGACY_GAME = DATA / "mini_s1_game.json"
-LEGACY_CONVERTED = DATA / "mini_s1_folded_safe_ir_legacy.json"
+MINI_GAME = DATA / "mini_s1_game.json"
+MINI_CONVERTED = DATA / "mini_s1_folded_safe_ir.json"
 
 
 def run(capsys, *argv):
@@ -223,11 +223,6 @@ def _first_chance_edge(d):
     return next(n for n in d["nodes"] if n["kind"] == "chance")["edges"][0]
 
 
-def _coordinator_node(d):
-    return next(i for i, n in enumerate(d["nodes"])
-                if n.get("player") == "coord")
-
-
 def _first_terminal(d):
     return next(n for n in d["nodes"] if n["kind"] == "terminal")
 
@@ -254,48 +249,6 @@ GAME_CORRUPTIONS = {
         lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
     "prob-outside-0-1": _row_outside_0_1,
 }
-
-CONVERTED_CORRUPTIONS = {
-    "truncated-active": lambda d: d["origin"]["active"].pop(),
-    "truncated-supports": lambda d: d["origin"]["supports"].pop(),
-    "truncated-node-kind": lambda d: d["origin"]["node_kind"].pop(),
-    "active-fanout-mismatch":
-        lambda d: d["origin"]["active"][_coordinator_node(d)].pop(),
-    "coordinator-without-active":
-        lambda d: d["origin"]["active"].__setitem__(_coordinator_node(d),
-                                                    None),
-    "huge-rational-utility":
-        lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
-    "prob-outside-0-1": _row_outside_0_1,
-}
-
-
-@pytest.mark.parametrize("command,corruption", [
-    *[("convert", c) for c in sorted(GAME_CORRUPTIONS)],
-    ("oracle", "huge-rational-utility"),
-    *[("solve", c) for c in sorted(CONVERTED_CORRUPTIONS)],
-    ("verify", "truncated-active"),
-    ("verify", "active-fanout-mismatch"),
-])
-def test_malformed_input_exits_4(tmp_path, toy_path, command, corruption):
-    """Game corruptions on a toy game; converted ones on the committed file
-    in the format before columns, whose per-node layout they index."""
-    converted = command in ("solve", "verify")
-    d = json.loads((LEGACY_CONVERTED if converted
-                    else Path(toy_path)).read_text())
-    (CONVERTED_CORRUPTIONS if converted else GAME_CORRUPTIONS)[corruption](d)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(d))
-    argv = {"convert": ["convert", bad, "--mode", "folded",
-                        "--out", tmp_path / "c.json"],
-            "oracle": ["oracle", bad],
-            "solve": ["solve", bad, "--iterations", "2"],
-            "verify": ["verify", LEGACY_GAME, bad, "--samples", "2"]}[command]
-    code, _, err = run_subprocess(*argv)
-    assert code == 4, err
-    assert "Traceback" not in err
-    assert "error:" in err
-
 
 def _edges_of(d, v):
     return range(d["end"][v - 1] if v else 0, d["end"][v])
@@ -389,19 +342,54 @@ COLUMNAR_CORRUPTIONS = {
         lambda d: d["origin"]["node_kind"].__setitem__(0, 4),
     "huge-rational-utility":
         lambda d: d["utilities"].__setitem__(-1, HUGE_RATIONAL),
+    "active-entry-not-a-list":
+        lambda d: d["origin"]["active"].__setitem__(0, None),
     "unknown-format": lambda d: d.update(format=3),
+    "missing-format": lambda d: d.pop("format"),
 }
+
+
+@pytest.mark.parametrize("command,corruption", [
+    *[("convert", c) for c in sorted(GAME_CORRUPTIONS)],
+    ("oracle", "huge-rational-utility"),
+    *[("solve", c) for c in ("active-entry-not-a-list",
+                             "active-fanout-mismatch",
+                             "chance-row-outside-0-1",
+                             "huge-rational-utility", "missing-format",
+                             "truncated-active", "truncated-node-kind",
+                             "truncated-supports")],
+    ("verify", "truncated-active"),
+    ("verify", "active-fanout-mismatch"),
+    ("verify", "missing-format"),
+])
+def test_malformed_input_exits_4(tmp_path, toy_path, command, corruption):
+    """Game corruptions on a toy game, converted ones on the committed
+    converted file, in a fresh interpreter."""
+    converted = command in ("solve", "verify")
+    d = json.loads((MINI_CONVERTED if converted
+                    else Path(toy_path)).read_text())
+    (COLUMNAR_CORRUPTIONS if converted else GAME_CORRUPTIONS)[corruption](d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    argv = {"convert": ["convert", bad, "--mode", "folded",
+                        "--out", tmp_path / "c.json"],
+            "oracle": ["oracle", bad],
+            "solve": ["solve", bad, "--iterations", "2"],
+            "verify": ["verify", MINI_GAME, bad, "--samples", "2"]}[command]
+    code, _, err = run_subprocess(*argv)
+    assert code == 4, err
+    assert "Traceback" not in err
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("corruption", sorted(COLUMNAR_CORRUPTIONS))
 def test_malformed_columnar_file_exits_4(tmp_path, capsys, corruption):
-    d = io_json.converted_to_dict(
-        io_json.converted_from_dict(json.loads(LEGACY_CONVERTED.read_text())))
+    d = json.loads(MINI_CONVERTED.read_text())
     COLUMNAR_CORRUPTIONS[corruption](d)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     for argv in (["solve", str(bad), "--iterations", "2"],
-                 ["verify", str(LEGACY_GAME), str(bad), "--samples", "2"]):
+                 ["verify", str(MINI_GAME), str(bad), "--samples", "2"]):
         code, _, err = run(capsys, *argv)
         assert code == 4, (argv[0], err)
         assert "error:" in err and "Traceback" not in err
@@ -435,34 +423,25 @@ def test_solve_and_oracle_survive_python_O(tmp_path):
         assert plain[1] == optimized[1]
 
 
-# the parent commit's output on the committed file, in the format before
-# columns; the columnar file written from it must give the same
+# solve and verify on the committed converted file; pinned when the file
+# was in the converted-file format before columns, which gave the same
 PINNED_SOLVE = ('{"algo": "lcfr+", "exploitability": "0.0634903123028", '
                 '"iterations": 20, "team_value": "1.89352193464"}\n')
 PINNED_VERIFY = '{"max_abs_diff": 0.0, "samples": 20}\n'
 
 
-def test_both_formats_give_the_pinned_reports(tmp_path):
-    columnar = tmp_path / "columnar.json"
-    io_json.save_converted(io_json.load_converted(str(LEGACY_CONVERTED)),
-                           str(columnar))
-    assert json.loads(columnar.read_text())["format"] == 2
-    for conv in (LEGACY_CONVERTED, columnar):
-        assert run_subprocess("solve", conv, "--iterations", "20",
-                              "--log-every", "0", "--json")[:2] == (
-            0, PINNED_SOLVE)
-        assert run_subprocess("verify", LEGACY_GAME, conv, "--samples", "20",
-                              "--seed", "0", "--json")[:2] == (
-            0, PINNED_VERIFY)
+def test_committed_file_gives_the_pinned_reports():
+    assert run_subprocess("solve", MINI_CONVERTED, "--iterations", "20",
+                          "--log-every", "0", "--json")[:2] == (
+        0, PINNED_SOLVE)
+    assert run_subprocess("verify", MINI_GAME, MINI_CONVERTED, "--samples",
+                          "20", "--seed", "0", "--json")[:2] == (
+        0, PINNED_VERIFY)
 
 
 def _relabel_opponent(d):
     """Rename the first action of the first opponent node to ``zz``."""
-    if "format" not in d:
-        node = next(n for n in d["nodes"] if n.get("player") == "o")
-        node["edges"][0]["label"] = "zz"
-    else:
-        _relabel(d, _edges_of(d, _node_of(d, "o"))[0], "zz")
+    _relabel(d, _edges_of(d, _node_of(d, "o"))[0], "zz")
 
 
 def _hide_from_opponent(d):
@@ -470,19 +449,16 @@ def _hide_from_opponent(d):
     d["seen"][d["child"].index(_node_of(d, "o"))] &= ~2
 
 
-@pytest.mark.parametrize("fmt,corruption,says", [
-    ("legacy", _relabel_opponent, "lacks the action 'l'"),
-    ("columnar", _relabel_opponent, "lacks the action 'l'"),
-    ("columnar", _hide_from_opponent, "observed ()"),
+@pytest.mark.parametrize("corruption,says", [
+    (_relabel_opponent, "lacks the action 'l'"),
+    (_hide_from_opponent, "observed ()"),
 ])
-def test_verify_opponent_mismatch_exits_4(tmp_path, fmt, corruption, says):
-    d = json.loads(LEGACY_CONVERTED.read_text())
-    if fmt == "columnar":
-        d = io_json.converted_to_dict(io_json.converted_from_dict(d))
+def test_verify_opponent_mismatch_exits_4(tmp_path, corruption, says):
+    d = json.loads(MINI_CONVERTED.read_text())
     corruption(d)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
-    code, _, err = run_subprocess("verify", LEGACY_GAME, bad,
+    code, _, err = run_subprocess("verify", MINI_GAME, bad,
                                   "--samples", "20")
     assert code == 4, err
     assert "Traceback" not in err

@@ -1,12 +1,11 @@
 """Fuzzed inputs against the CLI exit-code contract.
 
-Valid game and converted JSON documents, the latter in the columnar format
-and in the format before it, are mutated (keys dropped, values replaced by
-other types, bad or huge numbers, arrays truncated, text cut short) and fed
-to ``convert``, ``solve`` and ``verify`` in-process.  Bad parameters
-are drawn for ``gen`` and ``oracle``, and count parameters of either sign
-for ``solve`` and ``verify``.  Every run must end in a documented
-exit code; no exception may escape ``main``.
+Valid game and converted JSON documents are mutated (keys dropped, values
+replaced by other types, bad or huge numbers, arrays truncated, text cut
+short) and fed to ``convert``, ``solve`` and ``verify`` in-process.  Bad
+parameters are drawn for ``gen`` and ``oracle``, and count parameters of
+either sign for ``solve`` and ``verify``.  Every run must end in a
+documented exit code; no exception may escape ``main``.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import json
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -27,9 +25,6 @@ from conftest import mini_team_game
 _GAME = io_json.game_to_dict(mini_team_game(1))
 _CONVERTED = io_json.converted_to_dict(
     apply_safe_imperfect_recall(convert_folded(mini_team_game(1))))
-# the same conversion in the converted-file format that came before columns
-_LEGACY = json.loads((Path(__file__).parent / "data"
-                      / "mini_s1_folded_safe_ir_legacy.json").read_text())
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10 ** 6),
@@ -101,19 +96,6 @@ def test_verify_fuzzed_converted(tmp_path, capsys, data):
     code = main(["verify", str(game), str(conv), "--samples", "3"])
     capsys.readouterr()
     # 1: the mutated tree pays differently; 6: the source digest was hit
-    assert code in (0, 1, 3, 4, 6)
-
-
-@_FUZZ
-@given(data=st.data())
-def test_solve_and_verify_fuzzed_legacy_file(tmp_path, capsys, data):
-    game, conv = tmp_path / "game.json", tmp_path / "conv.json"
-    game.write_text(json.dumps(_GAME))
-    conv.write_text(_mutated(_LEGACY, data))
-    code = main(["solve", str(conv), "--iterations", "3", "--log-every", "1"])
-    assert code in (0, 3, 4)
-    code = main(["verify", str(game), str(conv), "--samples", "3"])
-    capsys.readouterr()
     assert code in (0, 1, 3, 4, 6)
 
 

@@ -26,6 +26,7 @@ from pubcoord import (
 )
 from pubcoord.census import census
 from pubcoord.convert import (
+    ConvertedTree,
     _prepare,
     _team_isets,
     coordinator_node_keys,
@@ -350,6 +351,7 @@ def test_conversion_and_column_readers_leave_the_view_unbuilt(mini, mode):
         census(v, compact=True)
         coordinator_node_keys(v)
         compile_converted(v)
+        map_team_to_coordinator(mini, v, {})
     assert "game" not in vars(cg.tree)
     # the view is built once, kept beside the columns and shared
     assert all(v.game is cg.game for v in variants)
@@ -360,8 +362,8 @@ def test_conversion_and_column_readers_leave_the_view_unbuilt(mini, mode):
 def test_a_given_game_becomes_the_tree_and_its_view(mini):
     cg = convert_pruned(mini)
     g = cg.game
-    copy = dataclasses.replace(cg, game=g)
-    assert copy.tree is not cg.tree and copy.game is g and copy == cg
+    tree = ConvertedTree.from_game(g)
+    assert tree == cg.tree and tree is not cg.tree and tree.game is g
 
 
 def test_source_prerequisites_are_derived_once(mini):

@@ -162,13 +162,14 @@ def test_columnar_round_trip_leaves_the_view_unbuilt(mini):
     assert back == cg
 
 
-def test_file_in_the_format_before_columns_loads():
+def test_committed_files_hold_the_mini_game_and_its_conversion():
     data = Path(__file__).parent / "data"
     g = mini_team_game(1)
     assert load_game(str(data / "mini_s1_game.json")) == g
-    legacy = load_converted(str(data / "mini_s1_folded_safe_ir_legacy.json"))
-    assert legacy == apply_safe_imperfect_recall(convert_folded(g))
-    assert converted_from_dict(converted_to_dict(legacy)) == legacy
+    cg = apply_safe_imperfect_recall(convert_folded(g))
+    text = (data / "mini_s1_folded_safe_ir.json").read_text()
+    assert json.loads(text) == converted_to_dict(cg)
+    assert load_converted(str(data / "mini_s1_folded_safe_ir.json")) == cg
 
 
 @settings(max_examples=20, deadline=None)

@@ -109,6 +109,43 @@ def test_validate_rejects_unlisted_player():
         validate_game(VEFG("ghost", ALL, (term, root), 1))
 
 
+@pytest.mark.parametrize("child,root", [(-1, 1), (2 ** 40, 1), (0, 2),
+                                        (0, -1)])
+def test_validate_rejects_ids_out_of_range(child, root):
+    # rejected before the ids reach the int columns of the checker
+    term = Node(utility=0)
+    top = Node(player=T0, edges=(Edge("a", child, seen_by=frozenset(ALL)),))
+    with pytest.raises(CyclicStructure, match="out of range"):
+        validate_game(VEFG("range", ALL, (term, top), root))
+
+
+def test_validate_rejects_nan_probability():
+    g = with_root_probs(mini_team_game(1), (float("nan"), 0.5))
+    with pytest.raises(ProbabilityNotNormalized):
+        validate_game(g)
+
+
+def test_validate_rejects_a_terminal_with_edges():
+    leaf = Node(utility=0)
+    terminal = Node(edges=(Edge("a", 0, seen_by=frozenset(ALL)),))
+    root = Node(player=T0, edges=(Edge("b", 1, seen_by=frozenset(ALL)),))
+    with pytest.raises(CyclicStructure, match="terminal with edges"):
+        validate_game(VEFG("leafy", ALL, (leaf, terminal, root), 2))
+
+
+def test_validate_accepts_more_roles_than_a_byte_holds():
+    # a chain in which each of 130 team members acts once
+    players = tuple(team_member(i) for i in range(130)) + (O,)
+    nodes, nxt = [Node(utility=0)], 0
+    for i in reversed(range(130)):
+        nodes.append(Node(utility=i))
+        nodes.append(Node(player=team_member(i), edges=(
+            Edge("a", nxt, seen_by=frozenset(players)),
+            Edge("b", len(nodes) - 1, seen_by=frozenset(players)))))
+        nxt = len(nodes) - 1
+    validate_game(VEFG("chain", players, tuple(nodes), nxt))
+
+
 def test_visibility_classes():
     e = Edge("a", 0, seen_by=frozenset({T0, T1}))
     assert derive_visibility_class(e, [T0, T1]) == "pub"

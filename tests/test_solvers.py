@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pubcoord import PokerSpec, ToySpec, apply_safe_imperfect_recall, \
     convert_basic, convert_folded, convert_pruned, gen_kuhn3, gen_leduc3, \
     gen_toy
+from pubcoord.convert import ConvertedTree
 from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     EmptyMatrix,
@@ -614,7 +615,8 @@ def test_compile_rejects_action_mismatch_within_infoset():
     nid = next(i for i, n in enumerate(nodes) if n.player == OPPONENT)
     nodes[nid] = replace(nodes[nid], edges=tuple(
         replace(e, label=e.label + "'") for e in nodes[nid].edges))
-    bad = replace(cg, game=replace(cg.game, nodes=tuple(nodes)))
+    bad = replace(cg, tree=ConvertedTree.from_game(
+        replace(cg.game, nodes=tuple(nodes))))
     with pytest.raises(ActionMismatchWithinInfoset):
         compile_converted(bad)
 
@@ -637,7 +639,8 @@ def test_compile_rejects_infoset_spanning_depths():
              (*terms, *o_at, coord, root), 7)
     validate_game(g)
     with pytest.raises(NotPublicTurnTaking):
-        compile_converted(replace(_pennies_converted(), game=g))
+        compile_converted(replace(_pennies_converted(),
+                                  tree=ConvertedTree.from_game(g)))
 
 
 def test_census_rejects_action_mismatch_within_infoset():
@@ -649,7 +652,8 @@ def test_census_rejects_action_mismatch_within_infoset():
     nodes[nid] = replace(nodes[nid], edges=tuple(
         replace(e, label=e.label + "'") for e in nodes[nid].edges))
     with pytest.raises(ActionMismatchWithinInfoset):
-        census(replace(cg, game=replace(cg.game, nodes=tuple(nodes))))
+        census(replace(cg, tree=ConvertedTree.from_game(
+            replace(cg.game, nodes=tuple(nodes)))))
 
 
 @pytest.mark.parametrize("mode,safe_ir", [("basic", False), ("pruned", True),
