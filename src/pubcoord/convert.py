@@ -47,10 +47,11 @@ its player, utility and the end of its edges, per edge its label, child,
 probability and who observes it, with labels, probabilities, players and
 utilities numbered in small tables.  A repeat extends every column by a
 slice of itself and shifts the child ids and edge ends.  No ``Node`` or
-``Edge`` is made while converting: ``ConvertedGame.game``, the tree as a
-:class:`~pubcoord.model.VEFG`, is built from the columns the first time it
-is read.  The census, the coordinator's infoset keys and the compiled form
-of :mod:`pubcoord.solvers` read the columns.
+``Edge`` is made: the census, the coordinator's infoset keys, the strategy
+maps, the payoff-equivalence check, tree equality and the compiled form of
+:mod:`pubcoord.solvers` read the columns.  The ``game`` property, the tree
+as a :class:`~pubcoord.model.VEFG`, is built from the columns only when a
+caller reads it.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
 forgetting prescription components that addressed already-excluded states.
@@ -70,7 +71,7 @@ from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +89,7 @@ from .errors import (
     UnknownPlayer,
 )
 from .model import (
+    _CHUNK_ENTRIES,
     CHANCE,
     COORDINATOR,
     OPPONENT,
@@ -101,7 +103,6 @@ from .model import (
     infosets,
     is_public_turn_taking,
     recursion_headroom,
-    seen_sequences,
     team_perfect_recall_refinement,
     validate_perfect_recall,
 )
@@ -302,7 +303,8 @@ class ConvertedTree:
     ``probs[prob[e]]`` (``None`` off chance); ``seen[e]`` has the bit
     ``COORD_SEEN`` when the coordinator observes it and ``OPP_SEEN`` when
     the opponent does.  The tables hold each value once.  Two trees are
-    equal when their views (:attr:`game`) are.
+    equal when their columns, read through their tables, hold equal values,
+    which is when their views (:attr:`game`) are equal.
     """
 
     name: str
@@ -358,7 +360,19 @@ class ConvertedTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvertedTree):
             return NotImplemented
-        return self is other or self.game == other.game
+        ids: dict = {}  # equal values, of any type, get one id
+
+        def columns(t: ConvertedTree) -> list:
+            return [t.end, t.child, t.seen] + [
+                np.array([ids.setdefault(x, len(ids)) for x in table],
+                         dtype=np.int64)[column] for table, column in (
+                    (t.roles, t.player), (t.utilities, t.utility),
+                    (t.labels, t.label), (t.probs, t.prob))]
+
+        return self is other or (
+            (self.name, self.players, self.root)
+            == (other.name, other.players, other.root)
+            and all(map(np.array_equal, columns(self), columns(other))))
 
     def __hash__(self) -> int:
         return hash((self.name, self.players, self.root, len(self.player),
@@ -568,24 +582,31 @@ def _prepare(game: VEFG) -> VEFG:
     return g
 
 
+def _isets(g: VEFG):
+    """Globally-indexed infosets of every player in (player, key) order,
+    the team's first, which is the layout of a pure-profile row:
+    ``(refs, actions, of)`` with ``of`` the infoset id of each decision
+    node; kept in ``vars(g)``."""
+    cached = vars(g).get("_isets")
+    if cached is None:
+        refs, actions, of = [], [], {}
+        for p in sorted(g.players, key=PlayerRole.sort_key):
+            for key, members in sorted(infosets(g, p).items()):
+                of.update(dict.fromkeys(members, len(refs)))
+                refs.append((p, key))
+                actions.append(
+                    tuple(e.label for e in g.nodes[members[0]].edges))
+        cached = vars(g)["_isets"] = (tuple(refs), tuple(actions), of)
+    return cached
+
+
 def _team_isets(g: VEFG):
-    """Globally-indexed team infosets in canonical (player, key) order:
-    ``(refs, actions, of)`` with ``of`` the infoset id of each team node;
-    kept in ``vars(g)``."""
+    """The team's part of :func:`_isets`; kept in ``vars(g)``."""
     cached = vars(g).get("_team_isets")
-    if cached is not None:
-        return cached
-    refs: list[TeamInfosetRef] = []
-    actions: list[tuple[str, ...]] = []
-    of: dict[int, int] = {}
-    for p in sorted(g.team_players(), key=lambda r: r.sort_key()):
-        for key, members in sorted(infosets(g, p).items()):
-            iid = len(refs)
-            refs.append((p, key))
-            actions.append(tuple(e.label for e in g.nodes[members[0]].edges))
-            for nid in members:
-                of[nid] = iid
-    cached = vars(g)["_team_isets"] = (tuple(refs), tuple(actions), of)
+    if cached is None:
+        refs, actions, of = _isets(g)
+        t = sum(p.kind == "team" for p, _ in refs)
+        cached = vars(g)["_team_isets"] = (refs[:t], actions[:t], of)
     return cached
 
 
@@ -874,38 +895,31 @@ def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
 # ---------------------------------------------------------------------------
 
 
-def _plan_action(cg: ConvertedGame, joint_plan, iid: int) -> str:
-    ref = cg.iset_refs[iid]
-    a = joint_plan.get(ref)
-    if a is None:
-        return cg.iset_actions[iid][0]
-    if a not in cg.iset_actions[iid]:
-        raise IllegalActionInPlan(
-            f"action {a!r} illegal at infoset {ref}; legal: "
-            f"{cg.iset_actions[iid]}")
-    return a
-
-
-def coordinator_choices(cg: ConvertedGame, joint_plan) -> dict[int, int]:
-    """Per coordinator node, the index of the prescription edge selected by a
-    joint team plan (rho at node level).
+def coordinator_choices(cg: ConvertedGame, digits: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """rho at node level: the coordinator node ids, ascending, and per row
+    of ``digits`` (an action index per team infoset) the index of the
+    prescription edge each node takes.
 
     The edges follow ``itertools.product`` over the active infosets' action
     lists, so the index is the mixed-radix number whose digits are the
-    plan's action indices at those infosets.
+    plan's action indices at those infosets: the sum of each digit times
+    its place value, the product of the later infosets' action counts.
     """
-    digit = [cg.iset_actions[iid].index(_plan_action(cg, joint_plan, iid))
-             for iid in range(len(cg.iset_refs))]
-    choices: dict[int, int] = {}
-    for nid in np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist():
-        k = 0
-        for iid in cg.active[nid]:
-            k = k * len(cg.iset_actions[iid]) + digit[iid]
-        choices[nid] = k
-    return choices
+    nodes = np.flatnonzero(cg.tree.played_by(COORDINATOR))
+    index: dict[tuple[int, ...], int] = {}
+    of_node = [index.setdefault(cg.active[v], len(index))
+               for v in nodes.tolist()]
+    # per infoset and distinct active tuple: the infoset's place value
+    place = np.zeros((len(cg.iset_actions), len(index)), dtype=np.int64)
+    for j, active in enumerate(index):
+        k = 1
+        for iid in reversed(active):
+            place[iid, j], k = k, k * len(cg.iset_actions[iid])
+    return nodes, (digits @ place)[:, of_node]
 
 
-def map_team_to_coordinator(game: VEFG, cg: ConvertedGame, joint_plan
+def map_team_to_coordinator(cg: ConvertedGame, joint_plan
                             ) -> dict[tuple, str]:
     """rho: map a joint team pure plan to a coordinator pure strategy.
 
@@ -914,21 +928,25 @@ def map_team_to_coordinator(game: VEFG, cg: ConvertedGame, joint_plan
     first declared action.  Returns coordinator infoset key -> prescription
     edge label.
     """
-    choices = coordinator_choices(cg, joint_plan)
-    keys = coordinator_node_keys(cg)
-    out: dict[tuple, str] = {}
-    for nid, k in choices.items():
+    digits = []
+    for ref, acts in zip(cg.iset_refs, cg.iset_actions):
+        a = joint_plan.get(ref)
+        if a is not None and a not in acts:
+            raise IllegalActionInPlan(
+                f"action {a!r} illegal at infoset {ref}; legal: {acts}")
+        digits.append(0 if a is None else acts.index(a))
+    nodes, choice = coordinator_choices(cg, np.array([digits], np.int64))
+    keys, out = coordinator_node_keys(cg), {}
+    for nid, k in zip(nodes.tolist(), choice[0].tolist()):
         label = cg.tree.actions(nid)[k]
-        prev = out.get(keys[nid])
-        if prev is not None and prev != label:
+        if out.setdefault(keys[nid], label) != label:
             raise IllegalPrescription(
                 f"inconsistent prescriptions within coordinator infoset "
                 f"{keys[nid]!r}")
-        out[keys[nid]] = label
     return out
 
 
-def map_coordinator_to_team(game: VEFG, cg: ConvertedGame, pi_t
+def map_coordinator_to_team(cg: ConvertedGame, pi_t
                             ) -> dict[TeamInfosetRef, str]:
     """sigma: map a coordinator pure strategy to a joint team pure plan.
 
@@ -936,40 +954,33 @@ def map_coordinator_to_team(game: VEFG, cg: ConvertedGame, pi_t
     team plays, at each infoset, the action the traversed prescriptions
     assign to it; infosets never prescribed get the first declared action.
     """
-    keys = coordinator_node_keys(cg)
+    tree, keys = cg.tree, coordinator_node_keys(cg)
+    end, child = [0] + tree.end.tolist(), tree.child.tolist()
     plan: dict[TeamInfosetRef, str] = {}
-    g = cg.game
-    stack = [g.root]
+    stack = [tree.root]
     while stack:
         nid = stack.pop()
-        node = g.nodes[nid]
-        if node.player == COORDINATOR:
-            label = pi_t.get(keys[nid])
-            if label is None:
+        edges = child[end[nid]:end[nid + 1]]
+        if nid not in keys:
+            stack.extend(edges)
+            continue
+        label = pi_t.get(keys[nid])
+        if label is None:
+            raise IllegalPrescription(
+                f"coordinator strategy undefined at infoset {keys[nid]!r}")
+        if label not in tree.actions(nid):
+            raise IllegalPrescription(
+                f"prescription {label!r} not available at node {nid}")
+        k = tree.actions(nid).index(label)
+        stack.append(edges[k])
+        active = cg.active[nid]
+        for iid, d in zip(active, np.unravel_index(
+                k, [len(cg.iset_actions[i]) for i in active])):
+            a, ref = cg.iset_actions[iid][d], cg.iset_refs[iid]
+            if plan.setdefault(ref, a) != a:
                 raise IllegalPrescription(
-                    f"coordinator strategy undefined at infoset {keys[nid]!r}")
-            k = next((i for i, e in enumerate(node.edges) if e.label == label),
-                     None)
-            if k is None:
-                raise IllegalPrescription(
-                    f"prescription {label!r} not available at node {nid}")
-            assignment = []
-            rest = k
-            for iid in reversed(cg.active[nid]):
-                rest, d = divmod(rest, len(cg.iset_actions[iid]))
-                assignment.append((iid, cg.iset_actions[iid][d]))
-            for iid, a in reversed(assignment):
-                ref = cg.iset_refs[iid]
-                prev = plan.get(ref)
-                if prev is not None and prev != a:
-                    raise IllegalPrescription(
-                        f"conflicting actions {prev!r}/{a!r} prescribed at "
-                        f"team infoset {ref}")
-                plan[ref] = a
-            stack.append(node.edges[k].child)
-        else:
-            for e in node.edges:
-                stack.append(e.child)
+                    f"conflicting actions {plan[ref]!r}/{a!r} prescribed at "
+                    f"team infoset {ref}")
     for iid, ref in enumerate(cg.iset_refs):
         plan.setdefault(ref, cg.iset_actions[iid][0])
     return plan
@@ -998,59 +1009,113 @@ def exact_expected_value(game: VEFG, choice) -> Fraction:
     return total
 
 
+def _terms(values) -> np.ndarray:
+    """Numerators and denominators of ``values`` (``None``: 1) as two rows
+    of Python ints."""
+    return np.array([Fraction(1 if x is None else x).as_integer_ratio()
+                     for x in values], dtype=object).reshape(-1, 2).T
+
+
+def converted_values(game: VEFG, cg: ConvertedGame,
+                     plans: Iterable[Sequence[int]]) -> Iterator[Fraction]:
+    """Exact expected team utility in ``cg``, a conversion of ``game``, of
+    the pure profiles ``plans``: per row, an action index per team infoset
+    in ``cg.iset_refs`` order, then per opponent infoset of ``game`` by
+    sorted key; the team plan is mapped through rho.
+
+    Checked before any row is read: ``cg`` has the team infosets of
+    ``game``, and every opponent node of ``cg`` observed the key of an
+    opponent infoset of ``game`` and offers all its actions.  Each
+    terminal's chance-path product times its utility is an int over one
+    common denominator, so a value is an exact int sum.  Rows go through in
+    chunks, as boolean (rows x nodes) breadth-first reach passes of at most
+    ``_CHUNK_ENTRIES`` entries.
+    """
+    g = _prepare(game)
+    if (cg.iset_refs, cg.iset_actions) != _team_isets(g)[:2]:
+        raise SchemaError(f"the team infosets of {cg.tree.name} are not "
+                          f"those of {game.name}")
+    refs, actions, _ = _isets(g)
+    radix = np.array([len(a) for a in actions], dtype=np.int64)
+    tree, walk = cg.tree, cg.tree.walk()
+    order, n = walk.order, len(walk.order)
+    count = tree.count()[order]
+    # per edge: the breadth-first position of its node, its child's being
+    # the edge's + 1, and its index among the node's edges
+    owner = np.repeat(np.arange(n), count)
+    local = np.arange(n - 1) - (np.cumsum(count) - count)[owner]
+    levels = list(zip(walk.bounds[1:-1], walk.bounds[2:]))
+    path = np.ones((2, n), dtype=object)  # chance-path product num, den
+    factor = _terms(tree.probs)[:, tree.prob[walk.edges]]
+    for a, b in levels:
+        path[:, a:b] = path[:, owner[a - 1:b - 1]] * factor[:, a - 1:b - 1]
+    terminals = np.flatnonzero(tree.played_by(None)[order])
+    num, den = path[:, terminals] * _terms(tree.utilities)[
+        :, tree.utility[order[terminals]]]
+    common = lcm(*set(den.tolist()))
+    weight = num * (common // den)
+    # per opponent node: the digit of its infoset, the edge of each action
+    opp = np.flatnonzero(tree.played_by(OPPONENT)[order])
+    digit, edge = [], np.zeros((opp.size, radix.max(initial=0)), np.int64)
+    index = {key: i for i, (p, key) in enumerate(refs) if p.kind == "opponent"}
+    keys = walk.keys(OPP_SEEN)
+    for r, v in enumerate(order[opp].tolist()):
+        key, labels = keys[walk.seq[OPP_SEEN][v]], tree.actions(v)
+        if key not in index:
+            raise SchemaError(f"opponent node {v} of {tree.name} observed "
+                              f"{key!r}, an infoset {game.name} does not have")
+        digit.append(index[key])
+        for k, a in enumerate(actions[index[key]]):
+            if a not in labels:
+                raise SchemaError(f"opponent node {v} of {tree.name} lacks "
+                                  f"the action {a!r} of {game.name}")
+            edge[r, k] = labels.index(a)
+    chance = tree.played_by(CHANCE)[order][owner]
+    position = np.argsort(order)  # node id -> breadth-first position
+
+    def values() -> Iterator[Fraction]:
+        rows, step = iter(plans), max(1, _CHUNK_ENTRIES // n)
+        while chunk := list(itertools.islice(rows, step)):
+            bad = [r for r in chunk if len(r) != radix.size]
+            if not bad:
+                d = np.array(chunk, dtype=np.int64)
+                bad = [chunk[i] for i in np.flatnonzero(
+                    ((d < 0) | (d >= radix)).any(axis=1))]
+            if bad:
+                raise IllegalActionInPlan(f"plan {bad[0]} is not one action "
+                                          "index in range per infoset")
+            pick = np.zeros((len(d), n), dtype=np.int32)  # edge per decision
+            coord, choice = coordinator_choices(cg, d[:, :len(cg.iset_refs)])
+            pick[:, position[coord]] = choice
+            pick[:, opp] = edge[np.arange(opp.size), d[:, digit]]
+            reach = np.ones((len(d), n), dtype=bool)
+            for a, b in levels:
+                e = slice(a - 1, b - 1)
+                reach[:, a:b] = reach[:, owner[e]] & (
+                    chance[e] | (pick[:, owner[e]] == local[e]))
+            for hit in reach[:, terminals]:
+                yield Fraction(int(weight[hit].sum()), common)
+
+    return values()
+
+
 def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
                              seed: int = 0) -> dict:
-    """Sample pure profiles, map the team plan through rho, and compare exact
-    expected utilities in the original and converted games."""
+    """Sample pure profiles and compare their exact expected utilities in the
+    original game, by :func:`exact_expected_value`, and in the converted
+    game, by :func:`converted_values`."""
     if samples < 0:
         raise InvalidIterationCount(f"samples must be >= 0, got {samples}")
     g = _prepare(game)
-    refs, actions, iset_of = _team_isets(g)
-    if (cg.iset_refs, cg.iset_actions) != (refs, actions):
-        raise SchemaError(f"the team infosets of {cg.tree.name} are not "
-                          f"those of {game.name}")
+    # ``slot``: per source decision node, its infoset's index in a plan row
+    _, actions, slot = _isets(g)
     rng = random.Random(seed)
-    opp = g.opponent()
-    # (key, action labels) of the opponent's infosets, in sorted key order
-    opp_isets = ([(key, tuple(e.label for e in g.nodes[members[0]].edges))
-                  for key, members in sorted(infosets(g, opp).items())]
-                 if opp is not None else [])
-    opp_seq_orig = seen_sequences(g, opp) if opp is not None else None
-    opp_seq_conv = seen_sequences(cg.game, OPPONENT)
-    report = {"samples": samples, "max_abs_diff": 0.0}
-    for _ in range(samples):
-        # pure plans, the team's first: draw order fixes a seed's report
-        joint_plan = {ref: rng.choice(acts) for ref, acts in zip(refs, actions)}
-        opp_plan = {key: rng.choice(acts) for key, acts in opp_isets}
-
-        def choice_orig(nid: int) -> int:
-            node = g.nodes[nid]
-            if node.player.kind == "team":
-                a = joint_plan[refs[iset_of[nid]]]
-            else:
-                a = opp_plan[opp_seq_orig[nid]]
-            return next(i for i, e in enumerate(node.edges) if e.label == a)
-
-        coord = coordinator_choices(cg, joint_plan)
-
-        def choice_conv(nid: int) -> int:
-            node = cg.game.nodes[nid]
-            if node.player == COORDINATOR:
-                return coord[nid]
-            key = opp_seq_conv[nid]
-            if key not in opp_plan:
-                raise SchemaError(
-                    f"opponent node {nid} of {cg.tree.name} observed "
-                    f"{key!r}, an infoset {game.name} does not have")
-            a = opp_plan[key]
-            k = next((i for i, e in enumerate(node.edges) if e.label == a),
-                     None)
-            if k is None:
-                raise SchemaError(f"opponent node {nid} of {cg.tree.name} "
-                                  f"lacks the action {a!r} of {game.name}")
-            return k
-
-        diff = abs(exact_expected_value(g, choice_orig)
-                   - exact_expected_value(cg.game, choice_conv))
-        report["max_abs_diff"] = max(report["max_abs_diff"], float(diff))
-    return report
+    # pure plans, the team's first: draw order fixes a seed's report; the
+    # evaluator reads a chunk ahead, and ``tee`` keeps those rows for the
+    # source side
+    plans, again = itertools.tee(
+        tuple(rng.randrange(len(a)) for a in actions) for _ in range(samples))
+    diffs = (abs(exact_expected_value(g, lambda nid: plan[slot[nid]]) - v)
+             for plan, v in zip(again, converted_values(game, cg, plans)))
+    return {"samples": samples,
+            "max_abs_diff": max(map(float, diffs), default=0.0)}

@@ -22,6 +22,9 @@ from .errors import (
 )
 
 PROB_TOL = 1e-12
+# entries of the arrays a batched numpy pass builds at a time: the TMECor
+# oracle's rows x terminals, the exact evaluator's rows x nodes
+_CHUNK_ENTRIES = 1 << 20
 
 Prob = Union[Fraction, float]
 Utility = Union[Fraction, float, int]
@@ -219,18 +222,6 @@ def derive_visibility_class(edge: Edge, player_set: Iterable[PlayerRole]) -> str
     return "priv"
 
 
-def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
-    """Observed label sequence at every node, for one player."""
-    out: dict[int, InfosetKey] = {}
-    stack: list[tuple[int, InfosetKey]] = [(game.root, ())]
-    while stack:
-        nid, seq = stack.pop()
-        out[nid] = seq
-        for e in game.nodes[nid].edges:
-            stack.append((e.child, seq + (e.label,) if player in e.seen_by else seq))
-    return out
-
-
 def _group(game: VEFG, observers: frozenset[PlayerRole],
            actor: Optional[PlayerRole] = None) -> dict[InfosetKey, list[int]]:
     """Reachable nodes grouped by the labels that every observer saw on the
@@ -249,6 +240,12 @@ def _group(game: VEFG, observers: frozenset[PlayerRole],
     for members in groups.values():
         members.sort()
     return groups
+
+
+def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
+    """Observed label sequence at every reachable node, for one player."""
+    return {nid: seq for seq, members in
+            _group(game, frozenset((player,))).items() for nid in members}
 
 
 def _action_mismatches(game: VEFG, groups: dict[InfosetKey, list[int]]):

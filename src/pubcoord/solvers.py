@@ -46,6 +46,7 @@ from .errors import (
     UnknownPlayer,
 )
 from .model import (
+    _CHUNK_ENTRIES,
     OPPONENT,
     PlayerRole,
     VEFG,
@@ -253,11 +254,6 @@ class TmecorResult:
     value: float
     team_support: list  # (prob, per-member plan dicts in team order)
     opponent_support: list  # (prob, plan dict)
-
-
-# entries of the float arrays (reach rows x terminals, and rows x the DP
-# member's sequences) that the team's best response builds at a time
-_CHUNK_ENTRIES = 1 << 20
 
 
 def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,

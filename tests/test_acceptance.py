@@ -153,7 +153,7 @@ def test_criterion_6_payoff_equivalence_suite(capsys):
             cg = conv(g)
             for plan in _all_joint_plans(g, cg):
                 back = map_coordinator_to_team(
-                    g, cg, map_team_to_coordinator(g, cg, plan))
+                    cg, map_team_to_coordinator(cg, plan))
                 for ref in _reachable_team_refs(g, plan):
                     ok &= back[ref] == plan[ref]
     _report(capsys, "payoff equivalence (1000 profiles/game) and "

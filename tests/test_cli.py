@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import pubcoord
 from pubcoord import io_json
 from pubcoord.cli import main
+from pubcoord.errors import SchemaError
 
 
 # mini_team_game(1) of tests/conftest.py and its folded + safe-IR
@@ -447,6 +449,20 @@ def _relabel_opponent(d):
 def _hide_from_opponent(d):
     """Hide from the opponent the edge into its first node."""
     d["seen"][d["child"].index(_node_of(d, "o"))] &= ~2
+
+
+@pytest.mark.parametrize("corruption,says", [
+    (_relabel_opponent, "lacks the action 'l'"),
+    (_hide_from_opponent, "observed ()"),
+])
+def test_opponent_mismatch_is_found_before_any_sample(corruption, says):
+    # every opponent node is checked, not only those a sample reaches
+    d = json.loads(MINI_CONVERTED.read_text())
+    corruption(d)
+    cg = io_json.converted_from_dict(d)
+    with pytest.raises(SchemaError, match=re.escape(says)):
+        pubcoord.check_payoff_equivalence(io_json.load_game(str(MINI_GAME)),
+                                          cg, samples=0)
 
 
 @pytest.mark.parametrize("corruption,says", [

@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,12 +31,16 @@ from pubcoord.convert import (
     ConvertedTree,
     _prepare,
     _team_isets,
+    converted_values,
     coordinator_node_keys,
+    exact_expected_value,
     game_digest,
 )
 from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     ExclusionDataMissing,
+    IllegalActionInPlan,
+    IllegalPrescription,
     ImperfectRecallInput,
     InvalidIterationCount,
     NotATeamGame,
@@ -54,6 +60,7 @@ from pubcoord.model import (
     validate_perfect_recall,
 )
 
+from pubcoord.io_json import converted_from_dict, converted_to_dict
 from pubcoord.solvers import compile_converted
 
 from conftest import (
@@ -301,10 +308,29 @@ def test_rho_sigma_roundtrip_exhaustive_small(mode):
     g = team_perfect_recall_refinement(g)
     cg = CONVERTERS[mode](g)
     for plan in _all_joint_plans(g, cg):
-        pi_t = map_team_to_coordinator(g, cg, plan)
-        back = map_coordinator_to_team(g, cg, pi_t)
+        pi_t = map_team_to_coordinator(cg, plan)
+        back = map_coordinator_to_team(cg, pi_t)
         for ref in _reachable_team_refs(g, plan):
             assert back[ref] == plan[ref], (mode, ref)
+
+
+def test_sigma_reports_illegal_prescriptions(mini):
+    cg = convert_basic(mini)
+    pi_t = map_team_to_coordinator(cg, {})
+    with pytest.raises(IllegalPrescription, match="undefined at infoset"):
+        map_coordinator_to_team(cg, {})
+    with pytest.raises(IllegalPrescription, match="'nope' not available"):
+        map_coordinator_to_team(cg, {k: "nope" for k in pi_t})
+    # t1's prescriptions made to address t0's first infoset, whose action
+    # the first prescription already fixed
+    t1 = [v for v, p in enumerate(cg.origin_player)
+          if p is not None and p.index == 1 and cg.active[v] is not None]
+    bad = dataclasses.replace(cg, active=tuple(
+        (0,) if v in t1 else a for v, a in enumerate(cg.active)))
+    keys = coordinator_node_keys(bad)
+    second = {keys[v]: bad.tree.actions(v)[1] for v in t1}
+    with pytest.raises(IllegalPrescription, match="conflicting actions"):
+        map_coordinator_to_team(bad, {**pi_t, **second})
 
 
 @pytest.mark.parametrize("mode", sorted(CONVERTERS))
@@ -351,12 +377,112 @@ def test_conversion_and_column_readers_leave_the_view_unbuilt(mini, mode):
         census(v, compact=True)
         coordinator_node_keys(v)
         compile_converted(v)
-        map_team_to_coordinator(mini, v, {})
+        map_coordinator_to_team(v, map_team_to_coordinator(v, {}))
+        assert check_payoff_equivalence(mini, v, samples=5)[
+            "max_abs_diff"] == 0
+        back = converted_from_dict(converted_to_dict(v))
+        assert back == v and "game" not in vars(back.tree)
     assert "game" not in vars(cg.tree)
     # the view is built once, kept beside the columns and shared
     assert all(v.game is cg.game for v in variants)
     assert dataclasses.replace(cg).game is cg.game
     assert "game" in vars(cg.tree)
+
+
+def _retyped(table: tuple) -> tuple:
+    """``table`` with every value an equal value of another type where one
+    exists: exact binary fractions as floats, integers as ints, zeros
+    signed."""
+    def other(x):
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else float(x) if (
+                Fraction(float(x)) == x) else x
+        return -0.0 if x == 0.0 and isinstance(x, float) else x
+    return tuple(map(other, table))
+
+
+def test_tree_equality_reads_every_column_and_table(mini):
+    # agrees with the equality of the views: one changed entry of any
+    # column or table makes trees unequal, equal values of another type
+    # keep them equal
+    tree = convert_folded(mini).tree
+    changed = []
+    for name in ("player", "utility", "label", "prob"):
+        table = getattr(tree, {"player": "roles", "utility": "utilities",
+                               "label": "labels", "prob": "probs"}[name])
+        column = getattr(tree, name).copy()
+        i = int(np.flatnonzero(column == column.max())[0])
+        column[i] = next(j for j, x in enumerate(table)
+                         if x != table[column[i]])
+        changed.append(dataclasses.replace(tree, **{name: column}))
+    for name, delta in (("end", 1), ("child", 1), ("seen", 1)):
+        column = getattr(tree, name).copy()
+        column[0] ^= delta
+        changed.append(dataclasses.replace(tree, **{name: column}))
+    changed += [
+        dataclasses.replace(tree, roles=tuple(
+            OPPONENT if r is COORDINATOR else r for r in tree.roles)),
+        dataclasses.replace(tree, labels=tree.labels[:-1] + ("zz",)),
+        dataclasses.replace(tree, probs=tuple(
+            Fraction(1, 3) if p == Fraction(1, 2) else p
+            for p in tree.probs)),
+        dataclasses.replace(tree, utilities=tree.utilities[:-1]
+                            + (tree.utilities[-1] + 1,)),
+        dataclasses.replace(tree, name="other"),
+        dataclasses.replace(tree, root=tree.root - 1),
+    ]
+    for other in changed:
+        assert other != tree and tree != other
+        assert dataclasses.replace(tree).game != other.game
+    retyped = dataclasses.replace(tree, probs=_retyped(tree.probs),
+                                  utilities=_retyped(tree.utilities))
+    assert any(type(a) is not type(b)
+               for a, b in zip(retyped.utilities, tree.utilities))
+    assert retyped == tree and retyped.game == tree.game
+    assert tree.__eq__(tree.game) is NotImplemented
+
+
+def _source_values(g):
+    """Every pure profile of ``g``: a row of action indices (per team
+    infoset in canonical order, then per opponent infoset in sorted key
+    order) and its exact value, by :func:`exact_expected_value`."""
+    p = _prepare(g)
+    _, actions, slot = _team_isets(p)
+    slot = dict(slot)
+    radix = [len(a) for a in actions]
+    for j, (_, members) in enumerate(sorted(infosets(p, O).items())):
+        radix.append(len(p.nodes[members[0]].edges))
+        slot.update((nid, len(actions) + j) for nid in members)
+    rows = list(itertools.product(*map(range, radix)))
+    return rows, [exact_expected_value(p, lambda nid: row[slot[nid]])
+                  for row in rows]
+
+
+def test_converted_values_equal_source_values_on_every_profile():
+    # a proof of payoff equivalence for each game: every team plan x
+    # opponent plan pair, in every mode (safe IR shares the tree)
+    pairs = 0
+    for seed in range(60):
+        g = mini_team_game(seed)
+        rows, want = _source_values(g)
+        assert len(rows) == 256
+        pairs += len(rows)
+        for mode, convert in CONVERTERS.items():
+            got = list(converted_values(g, convert(g), rows))
+            assert got == want, (seed, mode)
+    assert pairs == 15_360
+
+
+def test_converted_values_reject_an_action_index_out_of_range(mini):
+    rows, _ = _source_values(mini)
+    cg = convert_folded(mini)
+    high, low = list(rows[0]), list(rows[0])
+    high[-1], low[0] = 2, -1
+    # a row of the wrong length, even one that re-cuts into whole rows
+    for bad in ([high], [low], [rows[0] + rows[1]], [rows[0][:-1]],
+                [rows[0], rows[1] + rows[2][:3]]):
+        with pytest.raises(IllegalActionInPlan):
+            list(converted_values(mini, cg, [rows[0]] + bad))
 
 
 def test_a_given_game_becomes_the_tree_and_its_view(mini):
