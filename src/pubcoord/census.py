@@ -87,12 +87,8 @@ def toy_formula_count(cg: ConvertedGame) -> int:
     game: P1-origin coordinator nodes (basic/pruned), plus their
     prescription-chance nodes in folded mode."""
     p1 = team_member(0)
-    total = 0
-    for nid in range(len(cg.node_kind)):
-        if cg.origin_player[nid] == p1 and cg.node_kind[nid] in (
-                "coord", "presc"):
-            total += 1
-    return total
+    return sum(p == p1 and k in ("coord", "presc")
+               for k, p in zip(cg.node_kind, cg.origin_player))
 
 
 # ---------------------------------------------------------------------------

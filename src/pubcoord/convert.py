@@ -242,16 +242,11 @@ class _Builder(_Columns):
 
     def __init__(self) -> None:
         super().__init__()
-        self.kind: list[str] = []
-        self.oplayer: list[Optional[PlayerRole]] = []
         self.active: list[Optional[tuple[int, ...]]] = []
         self.supports: list[Optional[tuple[int, ...]]] = []
 
     def emit(self, player: Optional[PlayerRole], edges=(), utility=None,
-             kind: str = "copy", oplayer=None, active=None,
-             support=None) -> int:
-        self.kind.append(kind)
-        self.oplayer.append(oplayer)
+             active=None, support=None) -> int:
         self.active.append(active)
         self.supports.append(tuple(sorted(support))
                              if support is not None else None)
@@ -260,7 +255,7 @@ class _Builder(_Columns):
     def copy(self, lo: int, root: int) -> int:
         """:meth:`_Columns.copy`; the bookkeeping tuples are shared with the
         original range."""
-        for column in (self.kind, self.oplayer, self.active, self.supports):
+        for column in (self.active, self.supports):
             column.extend(column[lo:root + 1])
         return super().copy(lo, root)
 
@@ -531,25 +526,18 @@ class ConvertedGame:
     ``ConvertedGame`` on the same tree, such as ``dataclasses.replace(cg)``
     and :func:`apply_safe_imperfect_recall`.
 
-    The per-node tuples are indexed like ``game.nodes``.  ``node_kind`` is
-    one of ``coord`` (coordinator decision), ``dummy`` (probability-one
-    chance playing the prescribed action; fold off), ``presc`` (chance
-    resolving a prescription against the belief; fold on) or ``copy``
-    (chance / opponent / terminal copied from the source).
-    ``origin_player`` is the team member behind ``coord`` / ``dummy`` /
-    ``presc`` nodes.  At coordinator nodes, ``active`` lists the team
-    infosets a prescription covers and ``supports`` the compatible source
-    states (sorted ids); elsewhere both are ``None``.  Edge ``k`` of a
-    coordinator node prescribes the ``k``-th element of
-    ``itertools.product`` over the active infosets' action lists.
+    The per-node tuples are indexed like ``game.nodes``.  At coordinator
+    nodes, ``active`` lists the team infosets a prescription covers (at
+    least one) and ``supports`` the compatible source states (sorted ids);
+    elsewhere both are ``None``.  Edge ``k`` of a coordinator node
+    prescribes the ``k``-th element of ``itertools.product`` over the
+    active infosets' action lists, and leads to the chance node resolving
+    it.  ``node_kind`` and ``origin_player`` are derived from these.
     """
 
     mode: str                     # "basic" | "pruned" | "folded"
     safe_ir_applied: bool
-    source_name: str
     source_digest: str
-    node_kind: tuple[str, ...]
-    origin_player: tuple[Optional[PlayerRole], ...]
     active: tuple[Optional[tuple[int, ...]], ...]
     iset_refs: tuple[TeamInfosetRef, ...]        # team iset id -> (player, key)
     iset_actions: tuple[tuple[str, ...], ...]    # team iset id -> action labels
@@ -559,6 +547,33 @@ class ConvertedGame:
     @property
     def game(self) -> VEFG:
         return self.tree.game
+
+    @property
+    def origin_player(self) -> tuple[Optional[PlayerRole], ...]:
+        """Per node, the team member behind a coordinator node and the
+        chance nodes resolving its prescriptions: the player of its first
+        active infoset; ``None`` elsewhere."""
+        tree, count = self.tree, self.tree.count()
+        coord = np.flatnonzero(tree.played_by(COORDINATOR))
+        first = [self.active[v][0] for v in coord.tolist()]
+        iset = np.full(len(tree.player), -1)
+        iset[tree.child[tree.edges_of(coord, count)]] = np.repeat(
+            first, count[coord])
+        iset[coord] = first
+        members = tuple(p for p, _ in self.iset_refs) + (None,)  # -1: none
+        return tuple(map(members.__getitem__, iset.tolist()))
+
+    @property
+    def node_kind(self) -> tuple[str, ...]:
+        """Per node: ``coord`` (coordinator decision), ``dummy``
+        (probability-one chance playing the prescribed action; fold off),
+        ``presc`` (chance resolving a prescription against the belief; fold
+        on) or ``copy`` (chance / opponent / terminal copied from the
+        source)."""
+        resolve = "presc" if self.mode == "folded" else "dummy"
+        coord = self.tree.played_by(COORDINATOR).tolist()
+        return tuple("coord" if c else "copy" if p is None else resolve
+                     for c, p in zip(coord, self.origin_player))
 
 
 def _prepare(game: VEFG) -> VEFG:
@@ -811,15 +826,13 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                         if opp is not None and opp in rep.seen_by
                         else COORD_SEEN)
                 out_edges.append((a, child, q, seen))
-            resolve = b.emit(CHANCE, masses(out_edges), kind="presc" if fold
-                             else "dummy", oplayer=node.player)
+            resolve = b.emit(CHANCE, masses(out_edges))
             label = "G[" + ",".join(f"{i}={a}" for i, a in gamma.items()) + "]"
             pres_edges.append((label, resolve))
         no_prob = b.probs.id(None)
         return b.emit(COORDINATOR, [(label, resolve, no_prob, COORD_SEEN)
                                     for label, resolve in pres_edges],
-                      kind="coord", oplayer=node.player, active=active,
-                      support=support)
+                      active=active, support=support)
 
     # two Python frames (build, expand) per source level, plus the root call
     try:
@@ -834,10 +847,8 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
     players = ((COORDINATOR, OPPONENT) if opp is not None else (COORDINATOR,))
     return ConvertedGame(
         tree=b.pack(f"{game.name}[{mode}]", players, root), mode=mode,
-        safe_ir_applied=False, source_name=game.name,
-        source_digest=game_digest(game), node_kind=tuple(b.kind),
-        origin_player=tuple(b.oplayer), active=tuple(b.active),
-        iset_refs=refs, iset_actions=iset_actions,
+        safe_ir_applied=False, source_digest=game_digest(game),
+        active=tuple(b.active), iset_refs=refs, iset_actions=iset_actions,
         supports=tuple(b.supports))
 
 

@@ -24,23 +24,20 @@ Converted games are written in format 2, the columns of
      "player": [...], "utility": [...], "end": [...],   # one per node
      "label": [...], "child": [...], "prob": [...],     # one per edge
      "seen": [...],
-     "origin": {"mode": "folded", "safe_ir": true, "source_name": ...,
-                "source_digest": ...,
-                "node_kind": [...],       # index into copy, coord, dummy, presc
-                "origin_player": [...],   # index into roles, -1 for none
-                "coord": [...],           # the coordinator node ids, ascending
+     "origin": {"mode": "folded", "safe_ir": true, "source_digest": ...,
                 "active": [[...]], "supports": [[...]],  # one per coord node
                 "iset_refs": [{"player": "t0", "obs": [...]}],
                 "iset_actions": [[...]]}}
 
 The columns are int lists indexing the tables (``child`` indexes the
 nodes); each table value is written once, a rational as ``"num/den"``.
-The ``roles`` table also holds the team members that ``origin_player``
-names.  Prescriptions are not stored: edge ``k`` of a coordinator node
+``active`` and ``supports`` hold one list per coordinator node, in id
+order.  Prescriptions are not stored: edge ``k`` of a coordinator node
 prescribes the ``k``-th joint assignment of ``itertools.product`` over its
-``active`` infosets' action lists.  Keys that older writers added to
-``origin`` (``origin_node``, ``excluded``, ``beliefs``, ``prescriptions``,
-``coordinator_keys``) are ignored on load.
+``active`` infosets' action lists.  Nor are node kinds and origin players,
+which follow from the coordinator nodes and their ``active`` lists (see
+:class:`~pubcoord.convert.ConvertedGame`).  Other ``origin`` keys, such as
+those older writers added, are ignored on load.
 
 A converted document is checked by numpy passes over its columns, with no
 :class:`~pubcoord.model.VEFG` built: every column holds only ints and has
@@ -49,10 +46,11 @@ the length of the nodes or of the edges; every index lies in its table,
 decrease and ends at the edge count; the tree obeys the rules of
 :meth:`~pubcoord.convert.ConvertedTree.check`, which
 :func:`~pubcoord.model.validate_game` also runs; the player list obeys
-:func:`~pubcoord.model.validate_players`; ``node_kind`` and
-``origin_player`` lie in their ranges; ``coord`` lists exactly the
-coordinator nodes, and each has one edge per joint assignment of its
-active infosets.  A document without ``"format": 2`` is rejected.
+:func:`~pubcoord.model.validate_players`; every ``iset_refs`` player
+is a team member; each coordinator node has a non-empty ``active`` list
+and one edge per joint assignment of its active infosets, each edge
+leading to a chance node.  A document without ``"format": 2`` is
+rejected.
 
 A document that breaks its schema raises a
 :class:`~pubcoord.errors.GameError`, mostly
@@ -90,7 +88,6 @@ from .model import (
 
 FORMAT = 2
 _MODES = ("basic", "pruned", "folded")
-_KINDS = ("copy", "coord", "dummy", "presc")
 # the ConvertedTree columns and their dtypes, per node and per edge
 _NODE_COLUMNS = {"player": np.int32, "utility": np.int32, "end": np.int32}
 _EDGE_COLUMNS = {"label": np.int32, "child": np.int32, "prob": np.int32,
@@ -217,16 +214,10 @@ def converted_to_dict(cg: ConvertedGame) -> dict:
     """``cg`` as a format-2 document, written from the columns of
     ``cg.tree``."""
     t = cg.tree
-    roles = list(t.roles)
-    roles += [p for p in dict.fromkeys(cg.origin_player)
-              if p is not None and p not in roles]
-    role_id = {r: i for i, r in enumerate(roles)}
-    role_id[None] = -1
-    kind_id = {k: i for i, k in enumerate(_KINDS)}
     coord = np.flatnonzero(t.played_by(COORDINATOR)).tolist()
     d = {"format": FORMAT, "name": t.name,
          "players": [p.name for p in t.players], "root": t.root,
-         "roles": [None if r is None else r.name for r in roles],
+         "roles": [None if r is None else r.name for r in t.roles],
          "labels": list(t.labels),
          "probs": list(map(_num_to_json, t.probs)),
          "utilities": list(map(_num_to_json, t.utilities))}
@@ -234,10 +225,7 @@ def converted_to_dict(cg: ConvertedGame) -> dict:
         d[column] = getattr(t, column).tolist()
     d["origin"] = {
         "mode": cg.mode, "safe_ir": cg.safe_ir_applied,
-        "source_name": cg.source_name, "source_digest": cg.source_digest,
-        "node_kind": list(map(kind_id.__getitem__, cg.node_kind)),
-        "origin_player": list(map(role_id.__getitem__, cg.origin_player)),
-        "coord": coord,
+        "source_digest": cg.source_digest,
         "active": [list(cg.active[v]) for v in coord],
         "supports": [list(cg.supports[v]) for v in coord],
         "iset_refs": [{"player": p.name, "obs": list(key)}
@@ -282,18 +270,18 @@ def _origin_fields(o: dict) -> dict:
     if o["mode"] not in _MODES or type(o["safe_ir"]) is not bool:
         raise SchemaError(f"unknown mode {o['mode']!r} or safe_ir "
                           f"{o['safe_ir']!r}")
-    for key in ("source_name", "source_digest"):
-        if not isinstance(o[key], str):
-            raise SchemaError(f"origin.{key} must be a string")
+    if not isinstance(o["source_digest"], str):
+        raise SchemaError("origin.source_digest must be a string")
     iset_refs = tuple((parse_role(r["player"]), _strings(r["obs"], "obs"))
                       for r in o["iset_refs"])
+    if any(p.kind != "team" for p, _ in iset_refs):
+        raise SchemaError("every iset_refs player must be a team member")
     iset_actions = tuple(_strings(a, "iset_actions")
                          for a in o["iset_actions"])
     if len(iset_refs) != len(iset_actions):
         raise SchemaError(f"{len(iset_refs)} iset_refs for "
                           f"{len(iset_actions)} iset_actions")
     return dict(mode=o["mode"], safe_ir_applied=o["safe_ir"],
-                source_name=o["source_name"],
                 source_digest=o["source_digest"], iset_refs=iset_refs,
                 iset_actions=iset_actions)
 
@@ -318,13 +306,9 @@ def converted_from_dict(d: dict) -> ConvertedGame:
                   for p in d["probs"])
     utilities = tuple(map(_num_from_json, d["utilities"]))
     col = {c: _ints(d[c], c) for c in _COLUMNS}
-    kinds = _ints(o["node_kind"], "origin.node_kind")
-    origin_player = _ints(o["origin_player"], "origin.origin_player")
     n, m = len(col["player"]), len(col["child"])
     for what, a, size in (("utility", col["utility"], n),
                           ("end", col["end"], n),
-                          ("origin.node_kind", kinds, n),
-                          ("origin.origin_player", origin_player, n),
                           *((c, col[c], m) for c in _EDGE_COLUMNS)):
         if len(a) != size:
             raise SchemaError(f"{what} has {len(a)} entries for {size}")
@@ -335,8 +319,6 @@ def converted_from_dict(d: dict) -> ConvertedGame:
                   ("end", m + 1), ("label", len(labels)), ("child", n),
                   ("prob", len(probs)), ("seen", 4)):
         _check_range(col[c], c, 0, hi, _COLUMNS[c])
-    _check_range(kinds, "origin.node_kind", 0, len(_KINDS))
-    _check_range(origin_player, "origin.origin_player", -1, len(roles))
     end = col["end"]
     if np.any(end[1:] < end[:-1]) or end[-1] != m:
         raise SchemaError(f"end must not decrease and must end at {m}")
@@ -345,32 +327,31 @@ def converted_from_dict(d: dict) -> ConvertedGame:
         labels=labels, probs=probs, utilities=utilities,
         **{c: a.astype(_COLUMNS[c]) for c, a in col.items()})
     count = tree.check()
-
     coord = np.flatnonzero(tree.played_by(COORDINATOR))
-    if not np.array_equal(_ints(o["coord"], "origin.coord"), coord):
-        raise SchemaError("origin.coord does not list the coordinator nodes")
+    kids = tree.child[tree.edges_of(coord, count)]
+    if not tree.played_by(CHANCE)[kids].all():
+        raise SchemaError("a coordinator edge leads to a non-chance node")
     fields = _origin_fields(o)
-    origin_roles = roles + (None,)  # -1: none
     return ConvertedGame(
         tree=tree, **fields,
         **_coordinator_fields(coord, count, o["active"], o["supports"],
-                              fields["iset_actions"]),
-        node_kind=tuple(map(_KINDS.__getitem__, o["node_kind"])),
-        origin_player=tuple(map(origin_roles.__getitem__,
-                                o["origin_player"])))
+                              fields["iset_actions"]))
 
 
 def _coordinator_fields(coord: np.ndarray, count: np.ndarray, active,
                         supports, iset_actions) -> dict:
     """The per-node ``active`` and ``supports`` of :class:`ConvertedGame`
     from one list each per coordinator node ``coord``, in id order, given
-    the per-node edge ``count``; checked: ints, known infosets, and one
-    edge per joint assignment."""
+    the per-node edge ``count``; checked: ints, known infosets, at least
+    one per node, and one edge per joint assignment."""
     if type(active) is not list or type(supports) is not list \
             or len(active) != len(coord) or len(supports) != len(coord) \
             or not set(map(type, active + supports)) <= {list}:
         raise SchemaError("origin.active and origin.supports need one list "
                           f"per coordinator node, {len(coord)}")
+    if not all(active):
+        raise SchemaError(f"coordinator node {coord[active.index([])]} has "
+                          "no active infoset")
     ids = _ints(list(itertools.chain.from_iterable(active)), "origin.active")
     _ints(list(itertools.chain.from_iterable(supports)), "origin.supports")
     _check_range(ids, "origin.active", 0, len(iset_actions))

@@ -285,8 +285,6 @@ def _unreachable_cycle(d):
     d["child"] += [n + 1, n]
     d["prob"] += [d["probs"].index(None)] * 2
     d["seen"] += [1, 1]
-    d["origin"]["node_kind"] += [0, 0]
-    d["origin"]["origin_player"] += [-1, -1]
 
 
 def _unnormalised_chance(d):
@@ -308,6 +306,14 @@ def _chance_row_outside_0_1(d):
 def _duplicate_label(d):
     first, second = _edges_of(d, _node_of(d, "coord"))[:2]
     d["label"][second] = d["label"][first]
+
+
+def _coordinator_edge_to_opponent(d):
+    """The node resolving the first prescription, an opponent node."""
+    v = d["child"][_edges_of(d, _node_of(d, "coord"))[0]]
+    d["player"][v] = d["roles"].index("o")
+    for e in _edges_of(d, v):
+        d["prob"][e] = d["probs"].index(None)
 
 
 def _prob_on_decision_edge(d):
@@ -333,19 +339,17 @@ COLUMNAR_CORRUPTIONS = {
     "negative-in-column": lambda d: d["prob"].__setitem__(0, -1),
     "nested-in-column": lambda d: d["utility"].__setitem__(0, [0]),
     "seen-out-of-range": lambda d: d["seen"].__setitem__(0, 4),
-    "coord-list-mismatch": lambda d: d["origin"]["coord"].pop(),
     "active-fanout-mismatch":
         lambda d: d["origin"]["active"][0].pop(),
-    "truncated-node-kind": lambda d: d["origin"]["node_kind"].pop(),
-    "truncated-origin-player": lambda d: d["origin"]["origin_player"].pop(),
     "truncated-active": lambda d: d["origin"]["active"].pop(),
     "truncated-supports": lambda d: d["origin"]["supports"].pop(),
-    "node-kind-out-of-range":
-        lambda d: d["origin"]["node_kind"].__setitem__(0, 4),
     "huge-rational-utility":
         lambda d: d["utilities"].__setitem__(-1, HUGE_RATIONAL),
     "active-entry-not-a-list":
         lambda d: d["origin"]["active"].__setitem__(0, None),
+    "iset-ref-not-team":
+        lambda d: d["origin"]["iset_refs"][0].__setitem__("player", "o"),
+    "coordinator-edge-to-opponent": _coordinator_edge_to_opponent,
     "unknown-format": lambda d: d.update(format=3),
     "missing-format": lambda d: d.pop("format"),
 }
@@ -358,8 +362,7 @@ COLUMNAR_CORRUPTIONS = {
                              "active-fanout-mismatch",
                              "chance-row-outside-0-1",
                              "huge-rational-utility", "missing-format",
-                             "truncated-active", "truncated-node-kind",
-                             "truncated-supports")],
+                             "truncated-active", "truncated-supports")],
     ("verify", "truncated-active"),
     ("verify", "active-fanout-mismatch"),
     ("verify", "missing-format"),

@@ -17,10 +17,12 @@ from pubcoord import (
     gen_kuhn3,
     gen_toy,
 )
+from pubcoord.census import census
 from pubcoord.convert import coordinator_node_keys
 from pubcoord.errors import (
     DuplicateNodeId,
     MissingVisibilityEntry,
+    SchemaError,
     UnknownPlayer,
 )
 from pubcoord.io_json import (
@@ -34,8 +36,9 @@ from pubcoord.io_json import (
     save_converted,
     save_game,
 )
+from pubcoord.model import Edge, Node, VEFG
 
-from conftest import mini_team_game
+from conftest import ALL, O, T0, mini_team_game
 
 
 def test_game_roundtrip_exact(mini):
@@ -113,10 +116,33 @@ def test_converted_roundtrip_with_safe_ir(mini):
 def test_converted_loader_ignores_legacy_origin_keys(mini):
     cg = apply_safe_imperfect_recall(convert_folded(mini))
     d = converted_to_dict(cg)
-    # keys older writers stored; prescriptions now follow from edge order
+    n = len(d["player"])
+    # keys older writers stored; prescriptions now follow from edge order,
+    # node kinds and origin players from the coordinator nodes, and
+    # contradicting values are not read
     d["origin"].update(origin_node=[], excluded=[], beliefs=[],
-                       prescriptions=[], coordinator_keys=[])
-    assert converted_from_dict(d) == cg
+                       prescriptions=[], coordinator_keys=[],
+                       node_kind=[2] * n, origin_player=[-1] * n, coord=[],
+                       source_name=0)
+    back = converted_from_dict(d)
+    assert back == cg
+    assert census(back, compact=True) == census(cg, compact=True)
+
+
+def test_converted_loader_rejects_an_empty_active_list():
+    # t0's one infoset has one action, so its coordinator node has one
+    # edge, which is also the fan-out of an empty active list
+    seen = frozenset(ALL)
+    g = VEFG("one-action", ALL, (
+        Node(utility=Fraction(-1)), Node(utility=Fraction(3)),
+        Node(player=O, edges=(Edge("lo", 0, seen_by=seen),
+                              Edge("hi", 1, seen_by=seen))),
+        Node(player=T0, edges=(Edge("only", 2, seen_by=seen),))), 3)
+    d = converted_to_dict(convert_folded(g))
+    assert d["origin"]["active"] == [[0]]
+    d["origin"]["active"] = [[]]
+    with pytest.raises(SchemaError, match="no active infoset"):
+        converted_from_dict(d)
 
 
 def test_converted_file_roundtrip(tmp_path, mini):
