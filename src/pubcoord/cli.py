@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (for ``verify``: discrepancy <= 1e-9), 1 verification
 discrepancy, 2 invalid parameters or flag combinations, 3 I/O failure,
-4 validation failure / wrong game kind, 5 game too large for the oracle,
-6 origin mismatch between a game and a converted file.
+4 validation failure / wrong game kind, 5 game too large: oracle guard or
+out of memory, 6 origin mismatch between a game and a converted file.
 
 All diagnostics go to standard error; summaries go to standard output
 (machine-readable with ``--json``); bulk data goes to files.
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     except GameError as exc:  # a game the command cannot work with
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory; the game is too large", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

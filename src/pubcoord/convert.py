@@ -24,33 +24,29 @@ representations; two switches turn on the reductions in turn:
 
 The subtree below a builder call depends only on its inputs: the belief
 over source states and the coordinator's compatible-state set (*support*).
-A belief is a tuple of ``(state, weight)`` pairs with int weights of gcd 1;
-a state's probability is its weight over the belief's total.  Such weights
-are as exact and canonical as ``Fraction`` probabilities, and cheaper: a
-folded chance node multiplies them by its probabilities over their lcm, the
-mass of a group of states is its weight over the total, and a terminal's
-utility is ``Σ w·u / Σ w``.  A ``Fraction`` is made only for a probability
-or utility new to its table.  With fold off every belief is one state of
-weight 1.
+A belief is a tuple of ``(state, weight)`` pairs with int weights of gcd 1,
+as exact and canonical as ``Fraction`` probabilities and cheaper: a folded
+chance node multiplies them by its probabilities over their lcm, and a
+terminal's utility is ``Σ w·u / Σ w``.  With fold off every belief is one
+state of weight 1.  A ``Fraction`` is made only for a value new to its table.
 
-Many prescriptions lead to the same pair — on Leduc 2×1 the basic builder
-meets 39k–94k pairs but only 2,363 distinct ones.  Every call emits its
-subtree as one contiguous post-order id range ending at the returned id, so
-the builder builds each distinct pair once and replicates it for every
-repeat.  The copy is exact, node for node, because the builder is a pure
-function of the pair; the resulting trees are identical to those of
-building every call.  The memo lives for one conversion: it is freed when
-the conversion returns, not left to the cyclic garbage collector.
+Every call emits its subtree as one contiguous post-order id range ending at
+the returned id.  So the builder builds each distinct pair once and answers
+a repeat with a copy of that range, its ids shifted; within one coordinator
+node, a prescription that gives each belief state the action an earlier one
+gave (and, under prune, keeps the same infosets compatible) is one copy of
+that earlier range.  The copies are exact because the builder is a pure
+function of its inputs.  What it reads of a source node, a terminal belief,
+an ``active`` tuple and the supports after a step is tabled once per
+conversion.  The memo and tables are freed when the conversion returns; the
+cyclic collector is paused while it builds.
 
-The builder keeps the tree as int columns (:class:`ConvertedTree`): per node
-its player, utility and the end of its edges, per edge its label, child,
-probability and who observes it, with labels, probabilities, players and
-utilities numbered in small tables.  A repeat extends every column by a
-slice of itself and shifts the child ids and edge ends.  No ``Node`` or
-``Edge`` is made: the census, the coordinator's infoset keys, the strategy
-maps, the payoff-equivalence check, tree equality and the compiled form of
-:mod:`pubcoord.solvers` read the columns.  The ``game`` property, the tree
-as a :class:`~pubcoord.model.VEFG`, is built from the columns only when a
+The tree is kept as int columns (:class:`ConvertedTree`): per node its
+player, utility and edge end, per edge its label, child, probability and
+who observes it, values numbered in small tables.  No ``Node`` or ``Edge``
+is made: the census, the infoset keys, the strategy maps, the payoff check,
+tree equality and :mod:`pubcoord.solvers` read the columns; the ``game``
+property, the tree as a :class:`~pubcoord.model.VEFG`, is built only when a
 caller reads it.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
@@ -71,6 +67,7 @@ from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -172,10 +169,17 @@ class _Table:
         return i
 
 
+def _shifted(column: array, lo: int, hi: int, shift: int) -> bytes:
+    """The entries ``lo..hi - 1`` of an int ``column`` plus ``shift``, as
+    the bytes of a column of that type."""
+    return (np.frombuffer(column, np.intc, hi - lo, lo * column.itemsize)
+            + shift).tobytes()
+
+
 class _Columns:
-    """A tree under construction: the columns of :class:`ConvertedTree`, in
-    emission (post-order) id order.  They are C arrays, so that a million
-    edges hold no Python int objects."""
+    """A tree under construction: the columns of :class:`ConvertedTree` in
+    emission (post-order) id order, as C arrays, so that a million edges
+    hold no Python int objects, and ``active`` and ``supports`` per node."""
 
     def __init__(self) -> None:
         self.roles, self.labels = _Table(), _Table()
@@ -183,33 +187,41 @@ class _Columns:
         self.player, self.utility, self.end = array("i"), array("i"), array("i")
         self.label, self.child, self.prob = array("i"), array("i"), array("i")
         self.seen = array("B")
+        self.active, self.supports = [], []
+        self.zero: Optional[int] = None  # id of the utility 0.0, once used
 
-    def emit(self, player: Optional[PlayerRole], edges=(),
-             utility: Optional[int] = None) -> int:
-        """Append a node whose ``edges`` are ``(label, child, probability
-        id, seen bits)`` and whose utility has the id ``utility`` (``None``:
-        0.0); returns its id."""
-        for label, child, prob, seen in edges:
-            self.label.append(self.labels.id(label))
-            self.child.append(child)
-            self.prob.append(prob)
-            self.seen.append(seen)
+    def emit(self, player: Optional[PlayerRole], utility: Optional[int],
+             labels=(), children=(), probs=(), seen=b"", active=None,
+             support=None) -> int:
+        """Append a node played by ``player``, of utility id ``utility`` (0.0 if
+        ``None``), edges as id lists, ``seen`` as bytes; returns its id."""
+        if utility is None:
+            if self.zero is None:
+                self.zero = self.utilities.id(0.0)
+            utility = self.zero
+        if seen:
+            self.label.fromlist(labels)
+            self.child.fromlist(children)
+            self.prob.fromlist(probs)
+            self.seen.frombytes(seen)
         self.player.append(self.roles.id(player))
-        self.utility.append(self.utilities.id(0.0) if utility is None
-                            else utility)
+        self.utility.append(utility)
         self.end.append(len(self.child))
+        self.active.append(active)
+        self.supports.append(support)
         return len(self.player) - 1
 
     def copy(self, lo: int, root: int) -> int:
         """Append a copy of the nodes ``lo..root`` and of their edges: every
         column is extended by its slice, with child ids and edge ends
-        shifted by the distance of the copy; returns the copy of ``root``."""
+        shifted by the distance of the copy; returns the copy of ``root``.
+        The bookkeeping tuples are shared with the original range."""
         shift = len(self.player) - lo
         e0, e1 = self.end[lo - 1] if lo else 0, self.end[root]
-        self.end.extend([e + len(self.child) - e0
-                         for e in self.end[lo:root + 1]])
-        self.child.extend([c + shift for c in self.child[e0:e1]])
-        for column in (self.player, self.utility):
+        self.end.frombytes(_shifted(self.end, lo, root + 1,
+                                    len(self.child) - e0))
+        self.child.frombytes(_shifted(self.child, e0, e1, shift))
+        for column in (self.player, self.utility, self.active, self.supports):
             column.extend(column[lo:root + 1])
         for column in (self.label, self.prob, self.seen):
             column.extend(column[e0:e1])
@@ -234,30 +246,6 @@ class _Columns:
             end=take(self.end, np.int32), label=take(self.label, np.int32),
             child=take(self.child, np.int32), prob=take(self.prob, np.int32),
             seen=take(self.seen, np.uint8))
-
-
-class _Builder(_Columns):
-    """The conversion's columns plus the per-node bookkeeping of
-    :class:`ConvertedGame`, copied along with them."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.active: list[Optional[tuple[int, ...]]] = []
-        self.supports: list[Optional[tuple[int, ...]]] = []
-
-    def emit(self, player: Optional[PlayerRole], edges=(), utility=None,
-             active=None, support=None) -> int:
-        self.active.append(active)
-        self.supports.append(tuple(sorted(support))
-                             if support is not None else None)
-        return super().emit(player, edges, utility)
-
-    def copy(self, lo: int, root: int) -> int:
-        """:meth:`_Columns.copy`; the bookkeeping tuples are shared with the
-        original range."""
-        for column in (self.active, self.supports):
-            column.extend(column[lo:root + 1])
-        return super().copy(lo, root)
 
 
 @dataclass
@@ -322,11 +310,13 @@ class ConvertedTree:
         """The columns of ``game``, which is kept as their view."""
         b = _Columns()
         for node in game.nodes:
-            b.emit(node.player, [
-                (e.label, e.child, b.probs.id(e.prob),
-                 COORD_SEEN * (COORDINATOR in e.seen_by)
-                 | OPP_SEEN * (OPPONENT in e.seen_by)) for e in node.edges],
-                b.utilities.id(node.utility))
+            b.emit(node.player, b.utilities.id(node.utility),
+                   [b.labels.id(e.label) for e in node.edges],
+                   [e.child for e in node.edges],
+                   [b.probs.id(e.prob) for e in node.edges],
+                   bytes(COORD_SEEN * (COORDINATOR in e.seen_by)
+                         | OPP_SEEN * (OPPONENT in e.seen_by)
+                         for e in node.edges))
         tree = b.pack(game.name, game.players, game.root)
         vars(tree)["game"] = game
         return tree
@@ -640,100 +630,130 @@ def _reduced(pairs) -> Belief:
     return tuple(pairs) if d == 1 else tuple((s, w // d) for s, w in pairs)
 
 
-def _split(pairs, total: int
-           ) -> list[tuple[str, tuple[int, int], Belief, Edge]]:
-    """Group successor ``(edge, weight)`` pairs by edge label, in first-seen
-    order: ``(label, mass, child belief, representative edge)``.  The mass
-    is the group's weight over ``total``, the weight of the whole belief,
-    as a reduced ``(numerator, denominator)`` pair.
-
-    A one-state group's child belief is that state with weight 1; with fold
-    off every group is one state.  A larger group keeps its weights, divided
-    by their gcd, or gets weight 1 on every state when its mass is 0.
-    """
-    groups: dict[str, list[tuple[Edge, int]]] = {}
-    for e, w in pairs:
-        groups.setdefault(e.label, []).append((e, w))
+def _split(items, total: int) -> list[tuple]:
+    """Group successor ``(key, child, weight, seen bits)`` items by key, in
+    first-seen order, as ``(key, numerator, denominator, child belief, seen
+    bits)``: the group's weight over ``total``, reduced, and the seen bits
+    of its last item.  A one-state group's belief has weight 1 (with fold
+    off every group is one state); a larger one keeps its weights, over
+    their gcd, or gets weight 1 on every state when its mass is 0."""
+    groups: dict = {}
+    last_seen: dict = {}
+    for key, child, w, seen in items:
+        groups.setdefault(key, []).append((child, w))
+        last_seen[key] = seen
     out = []
-    for label, members in groups.items():
-        if len(members) == 1:
-            e, q = members[0]
-            belief: Belief = ((e.child, 1),)
-        else:
-            q = sum(w for _, w in members)
-            belief = (_reduced([(e.child, w) for e, w in members]) if q
-                      else tuple((e.child, 1) for e, _ in members))
+    for key, members in groups.items():
+        q = sum(w for _, w in members)
+        belief = (((members[0][0], 1),) if len(members) == 1 else
+                  _reduced(members) if q else tuple((c, 1) for c, _ in members))
         d = gcd(q, total)
-        out.append((label, (q // d, total // d), belief, members[-1][0]))
+        out.append((key, q // d, total // d, belief, last_seen[key]))
     return out
+
+
+class _Source:
+    """A source node as the builder reads it: its edges' labels, children,
+    probabilities and converted seen bits, a label -> edge ``index``, at
+    chance the probabilities as int ``weights`` over their lcm ``scale``,
+    and the edges' label and probability ``ids`` once emitted as a copy."""
+
+    __slots__ = ("player", "utility", "labels", "children", "probs", "seen",
+                 "index", "weights", "scale", "ids")
+
+    def __init__(self, node: Node, team: frozenset, opp) -> None:
+        edges, self.ids = node.edges, None
+        self.player, self.utility = node.player, node.utility
+        self.labels = tuple(e.label for e in edges)
+        self.children = tuple(e.child for e in edges)
+        self.probs = tuple(e.prob for e in edges)
+        self.seen = bytes(COORD_SEEN * (team <= e.seen_by)
+                          | OPP_SEEN * (opp in e.seen_by) for e in edges)
+        self.index = {a: k for k, a in enumerate(self.labels)}
+        if node.player is CHANCE:
+            probs = [Fraction(p) for p in self.probs]
+            self.scale = lcm(*(p.denominator for p in probs))
+            self.weights = [p.numerator * (self.scale // p.denominator)
+                            for p in probs]
+
+
+class _Prescriptions:
+    """The prescriptions over one ``active`` tuple, in edge order: their
+    ``G[...]`` labels and per active position a code of the ``plays``
+    entry: the action prescribed there and the infosets whose states stay
+    compatible after it (under prune those prescribed it, else all).
+    ``edges`` holds the coordinator edges' ids once emitted."""
+
+    def __init__(self, active, iset_actions, prune: bool) -> None:
+        self.names, self.codes, self.edges = [], [], None
+        code: dict = {}
+        for combo in itertools.product(*(iset_actions[i] for i in active)):
+            self.names.append("G[" + ",".join(
+                f"{i}={a}" for i, a in zip(active, combo)) + "]")
+            self.codes.append([code.setdefault(play, len(code)) for play in (
+                (a, tuple(i for i, x in zip(active, combo) if x == a)
+                 if prune else active) for a in combo)])
+        self.plays: list[tuple[str, tuple[int, ...]]] = list(code)
 
 
 def _convert(game: VEFG, mode: str) -> ConvertedGame:
     prune, fold = _SWITCHES[mode]
     g = _prepare(game)
-    team_set = frozenset(g.team_players())
-    opp = g.opponent()
+    team, opp = frozenset(g.team_players()), g.opponent()
     refs, iset_actions, iset_of = _team_isets(g)
-    b = _Builder()
+    b = _Columns()
+    labels, probs = b.labels, b.probs
+    # per-conversion tables: per source node, per active tuple, per terminal
+    # belief its utility id, and per (support, step) the support after it
+    src = [_Source(node, team, opp) for node in g.nodes]
+    prescriptions: dict[tuple[int, ...], _Prescriptions] = {}
+    utility_of: dict[Belief, int] = {}
+    next_supports: dict[tuple, tuple[int, ...]] = {}
 
-    def conv_seen(e: Edge) -> int:
-        return (COORD_SEEN * (team_set <= e.seen_by)
-                | OPP_SEEN * (opp is not None and opp in e.seen_by))
-
-    def next_support(support: tuple[int, ...], e: Edge) -> tuple[int, ...]:
-        """Children of the support states after edge ``e``: through ``e``'s
-        label when the coordinator sees it, else through every edge."""
-        if team_set <= e.seen_by:
-            return tuple(c.child for s in support for c in g.nodes[s].edges
-                         if c.label == e.label)
-        return tuple(c.child for s in support for c in g.nodes[s].edges)
-
-    def foldable(nid: int) -> bool:
-        return not any(team_set <= e.seen_by
-                       or (opp is not None and opp in e.seen_by)
-                       for e in g.nodes[nid].edges)
-
-    # source chance node -> (edges, probabilities times the lcm of their
-    # denominators, that lcm); source terminal -> its utility as a Fraction
-    rows: dict[int, tuple[tuple[Edge, ...], list[int], int]] = {}
-    exact: dict[int, Fraction] = {}
-
-    def successors(belief: Belief) -> list[tuple[Edge, int]]:
-        """Per state of ``belief`` (at chance) and edge of the state: the
-        edge and the state's weight times the edge's probability, over one
-        common denominator."""
-        for s, _ in belief:
-            if s not in rows:
-                edges = g.nodes[s].edges
-                probs = [Fraction(e.prob) for e in edges]
-                m = lcm(*(p.denominator for p in probs))
-                rows[s] = (edges, [p.numerator * (m // p.denominator)
-                                   for p in probs], m)
-        m = lcm(*(rows[s][2] for s, _ in belief))
-        out = []
-        for s, w in belief:
-            edges, weights, scale = rows[s]
-            w *= m // scale
-            out.extend((e, w * x) for e, x in zip(edges, weights))
+    def next_support(support: tuple[int, ...], step) -> tuple[int, ...]:
+        """The children of the ``support`` states through every edge
+        (``step`` is ``None``), the edges labelled ``step``, or for a play
+        ``step = (action, infosets)`` the action at those infosets' states."""
+        out = next_supports.get((support, step))
+        if out is None:
+            if step is None:
+                out = tuple(c for s in support for c in src[s].children)
+            elif isinstance(step, str):
+                out = tuple(src[s].children[src[s].index[step]]
+                            for s in support if step in src[s].index)
+            else:
+                a, isets = step
+                out = tuple(src[s].children[src[s].index[a]] for i in isets
+                            for s in support
+                            if iset_of[s] == i and a in src[s].index)
+            # one actor in a support means one in every belief within it
+            other = next((s for s in out
+                          if src[s].player is not src[out[0]].player), None)
+            if other is not None:
+                raise NotPublicTurnTaking(
+                    f"game {game.name!r} hides who acts from the "
+                    f"coordinator: source states {out[0]} and {other} have "
+                    "different actors")
+            next_supports[support, step] = out
         return out
 
     def utility(belief: Belief) -> int:
         """Id of the belief-weighted utility ``Σ w·u / Σ w`` of terminal
-        states, in exact arithmetic."""
-        for s, _ in belief:
-            if s not in exact:
-                exact[s] = Fraction(g.nodes[s].utility)
-        den = lcm(*(exact[s].denominator for s, _ in belief))
-        num = sum(w * exact[s].numerator * (den // exact[s].denominator)
-                  for s, w in belief)
-        den *= sum(w for _, w in belief)
-        d = gcd(num, den)
-        return b.utilities.ratio(num // d, den // d)
-
-    def masses(edges) -> list[tuple[str, int, int, int]]:
-        """``(label, child, (numerator, denominator), seen)`` edges with
-        their masses as probability ids."""
-        return [(a, c, b.probs.ratio(*q), s) for a, c, q, s in edges]
+        states, in exact arithmetic; with fold off, the state's own."""
+        uid = utility_of.get(belief)
+        if uid is None:
+            if not fold:
+                uid = b.utilities.id(src[belief[0][0]].utility)
+            else:
+                exact = [(*src[s].utility.as_integer_ratio(), w)
+                         for s, w in belief]
+                den = lcm(*(d for _, d, _ in exact))
+                num = sum(w * n * (den // d) for n, d, w in exact)
+                den *= sum(w for _, w in belief)
+                d = gcd(num, den)
+                uid = b.utilities.ratio(num // d, den // d)
+            utility_of[belief] = uid
+        return uid
 
     # Invariant: ``expand`` is a pure function of ``(belief, support)`` and
     # emits its subtree as one contiguous post-order id range ``[lo, root]``
@@ -751,105 +771,104 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         return root
 
     def expand(belief: Belief, support: tuple[int, ...]) -> int:
-        # ``belief`` is the branch-local state distribution (conditioned on
-        # everything on the path, including opponent-private chance), as
-        # integer weights of gcd 1: a state's probability is its weight
-        # over the belief's total.  It yields chance probabilities and
-        # terminal utilities.  ``support`` is the coordinator's
-        # compatible-state set (conditioned only on coordinator-visible
-        # information) and determines the active infosets a prescription
-        # must cover — these differ whenever opponent-private chance was
-        # branched explicitly.  With fold off the belief is always the
-        # single current state with weight 1.
-        h = belief[0][0]
-        node = g.nodes[h]
-        # the belief lies within the support, so one actor (or all
-        # terminals) there means one for the belief too
-        other = next((s for s in support
-                      if g.nodes[s].player is not node.player), None)
-        if other is not None:
-            raise NotPublicTurnTaking(
-                f"game {game.name!r} hides who acts from the coordinator: "
-                f"source states {h} and {other} have different actors")
-        if node.is_terminal:
-            return b.emit(None, utility=utility(belief) if fold
-                          else b.utilities.id(node.utility))
-        if node.is_chance and fold:
-            pairs = successors(belief)
-            if foldable(h):
-                return build(
-                    _reduced([(e.child, w) for e, w in pairs]),
-                    tuple(e.child for s in support for e in g.nodes[s].edges))
+        # the belief, conditioned on the whole path, gives probabilities and
+        # utilities; the support, on what the coordinator saw, the infosets
+        node = src[belief[0][0]]
+        player = node.player
+        if player is None:
+            return b.emit(None, utility(belief))
+        if player is CHANCE and fold:
+            m = lcm(*(src[s].scale for s, _ in belief))
+            items = [(a, c, w * (m // src[s].scale) * x, seen)
+                     for s, w in belief for a, c, x, seen in zip(
+                         src[s].labels, src[s].children, src[s].weights,
+                         src[s].seen)]
+            if not any(node.seen):  # seen by neither side: folded away
+                return build(_reduced([(c, w) for _, c, w, _ in items]),
+                             next_support(support, None))
             # explicit chance: branch by label with belief-marginal probs
-            edges = []
-            for label, q, nb, rep in _split(pairs, sum(w for _, w in pairs)):
-                if q[0]:
-                    child = build(nb, next_support(support, rep))
-                    edges.append((label, child, q, conv_seen(rep)))
-            return b.emit(CHANCE, masses(edges))
-        if node.is_chance or (opp is not None and node.player == opp):
+            groups = [grp for grp in _split(items, sum(x[2] for x in items))
+                      if grp[1]]
+            children = [build(nb, next_support(
+                support, a if seen & COORD_SEEN else None))
+                for a, _, _, nb, seen in groups]
+            return b.emit(CHANCE, None, [labels.id(grp[0]) for grp in groups],
+                          children, [probs.ratio(*grp[1:3]) for grp in groups],
+                          bytes(grp[4] for grp in groups))
+        if player is CHANCE or player is opp:
             # copied edge by edge; every belief state shares the labels
-            edges = []
-            for k, e in enumerate(node.edges):
-                nb = tuple((g.nodes[s].edges[k].child, w) for s, w in belief)
-                child = build(nb, next_support(support, e))
-                edges.append((e.label, child, e.prob, conv_seen(e)))
-            return b.emit(node.player, [(a, c, b.probs.id(p), s)
-                                        for a, c, p, s in edges])
+            children = [
+                build(tuple((src[s].children[k], w) for s, w in belief),
+                      next_support(support, a if node.seen[k] & COORD_SEEN
+                                   else None))
+                for k, a in enumerate(node.labels)]
+            if node.ids is None:
+                node.ids = ([labels.id(a) for a in node.labels],
+                            [probs.id(p) for p in node.probs])
+            return b.emit(player, None, node.ids[0], children, node.ids[1],
+                          node.seen)
         # team decision node -> coordinator node with one edge per
         # prescription, each resolved by a chance node over the distinct
         # actions it prescribes to the belief states
         active = tuple(sorted({iset_of[s] for s in support}))
-        # children of the support states per (infoset, action), so a
-        # prescription's support is a concatenation instead of a scan
-        kids: dict[tuple[int, str], list[int]] = {}
-        for s in support:
-            for e in g.nodes[s].edges:
-                kids.setdefault((iset_of[s], e.label), []).append(e.child)
-        edge_of = {s: {e.label: e for e in g.nodes[s].edges}
-                   for s, _ in belief}
-        rank = {a: k for k, a in enumerate(iset_actions[iset_of[h]])}
+        pre = prescriptions.get(active)
+        if pre is None:
+            pre = prescriptions[active] = _Prescriptions(
+                active, iset_actions, prune)
+        states = [(src[s], w, active.index(iset_of[s])) for s, w in belief]
+        # a prescription's resolve subtree is fixed by the play codes at
+        # the belief states' positions: a repeat is copied whole
+        key_of = itemgetter(*(p for _, _, p in states))
         total = sum(w for _, w in belief)
-        pres_edges = []
-        for combo in itertools.product(*(iset_actions[i] for i in active)):
-            gamma = dict(zip(active, combo))
-            plays = _split(((edge_of[s][gamma[iset_of[s]]], w)
-                            for s, w in belief), total)
+        done: dict = {}  # key -> id range of its resolve subtree
+        resolves = []
+        for codes in pre.codes:
+            key = key_of(codes)
+            span = done.get(key)
+            if span is not None:
+                resolves.append(b.copy(*span))
+                continue
+            lo = len(b.player)
+            plays = []
+            for r, w, p in states:
+                k = r.index[pre.plays[codes[p]][0]]
+                plays.append((codes[p], r.children[k], w, r.seen[k]))
+            plays = _split(plays, total)
             # in declaration order of the acting infoset's action list
-            plays.sort(key=lambda play: rank.get(play[0], len(rank)))
-            out_edges = []
-            for a, q, nb, rep in plays:
-                sup = tuple(c for i in active if not prune or gamma[i] == a
-                            for c in kids.get((i, a), ()))
-                child = build(nb, sup)
-                seen = (COORD_SEEN | OPP_SEEN
-                        if opp is not None and opp in rep.seen_by
-                        else COORD_SEEN)
-                out_edges.append((a, child, q, seen))
-            resolve = b.emit(CHANCE, masses(out_edges))
-            label = "G[" + ",".join(f"{i}={a}" for i, a in gamma.items()) + "]"
-            pres_edges.append((label, resolve))
-        no_prob = b.probs.id(None)
-        return b.emit(COORDINATOR, [(label, resolve, no_prob, COORD_SEEN)
-                                    for label, resolve in pres_edges],
-                      active=active, support=support)
+            plays.sort(key=lambda play: node.index.get(
+                pre.plays[play[0]][0], len(node.index)))
+            children = [build(nb, next_support(support, pre.plays[x]))
+                        for x, _, _, nb, _ in plays]
+            resolve = b.emit(
+                CHANCE, None, [labels.id(pre.plays[x][0]) for x, *_ in plays],
+                children, [probs.ratio(q, t) for _, q, t, _, _ in plays],
+                bytes(COORD_SEEN | seen & OPP_SEEN for *_, seen in plays))
+            done[key] = (lo, resolve)
+            resolves.append(resolve)
+        if pre.edges is None:
+            pre.edges = ([labels.id(name) for name in pre.names],
+                         [probs.id(None)] * len(pre.names),
+                         bytes([COORD_SEEN]) * len(pre.names))
+        return b.emit(COORDINATOR, None, pre.edges[0], resolves,
+                      pre.edges[1], pre.edges[2], active=active,
+                      support=tuple(sorted(support)))
 
     # two Python frames (build, expand) per source level, plus the root call
     try:
-        with recursion_headroom(2 * len(g.nodes) + 2):
+        with gc_paused(), recursion_headroom(2 * len(g.nodes) + 2):
             root = build(((g.root, 1),), (g.root,))
+            players = ((COORDINATOR, OPPONENT) if opp is not None
+                       else (COORDINATOR,))
+            return ConvertedGame(
+                tree=b.pack(f"{game.name}[{mode}]", players, root), mode=mode,
+                safe_ir_applied=False, source_digest=game_digest(game),
+                active=tuple(b.active), iset_refs=refs,
+                iset_actions=iset_actions, supports=tuple(b.supports))
     finally:
         # ``build`` and ``expand`` refer to each other; dropping one frees
         # the memo and the builder's lists on return, not at the next run
         # of the cyclic collector
         expand = None
-
-    players = ((COORDINATOR, OPPONENT) if opp is not None else (COORDINATOR,))
-    return ConvertedGame(
-        tree=b.pack(f"{game.name}[{mode}]", players, root), mode=mode,
-        safe_ir_applied=False, source_digest=game_digest(game),
-        active=tuple(b.active), iset_refs=refs, iset_actions=iset_actions,
-        supports=tuple(b.supports))
 
 
 def convert_basic(game: VEFG) -> ConvertedGame:

@@ -206,13 +206,11 @@ def _gen_poker(spec: PokerSpec) -> VEFG:
         else:
             best = max(cards[p] for p in alive)
             winners = [p for p in alive if cards[p] == best]
-        share = Fraction(pot, len(winners))
-        util = Fraction(0)
-        for p in range(3):
-            delta = (share if p in winners else Fraction(0)) - contrib[p]
-            if roles[p].kind == "team":
-                util += delta
-        return emit(Node(utility=util))
+        # the team's chips won minus paid, over the number of winners k
+        k = len(winners)
+        return emit(Node(utility=Fraction(sum(
+            pot * (p in winners) - k * contrib[p] for p in range(3)
+            if roles[p].kind == "team"), k)))
 
     def next_phase(cards, deck, board, contrib, folded, rnd) -> int:
         alive = [p for p in range(3) if p not in folded]
@@ -290,7 +288,7 @@ def _gen_poker(spec: PokerSpec) -> VEFG:
 
     def deal(pos, cards, deck) -> int:
         if pos == 3:
-            contrib = (Fraction(ante),) * 3
+            contrib = (ante,) * 3
             return betting_round(cards, deck, None, contrib, frozenset(), 0)
         total = sum(deck)
         edges = []

@@ -150,6 +150,21 @@ def test_oracle_too_large_exits_5(toy_path, capsys):
     assert code == 5
 
 
+def test_out_of_memory_exits_5(toy_path, tmp_path, capsys, monkeypatch):
+    from pubcoord import cli
+
+    def exhausted(game):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._CONVERTERS, "folded", exhausted)
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "convert", toy_path, "--mode", "folded",
+                       "--out", str(out))
+    assert code == 5
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_pipeline_ok(toy_path, conv_path, capsys):
     code, out, _ = run(capsys, "verify", toy_path, conv_path,
                        "--samples", "100", "--json")

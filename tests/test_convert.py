@@ -182,6 +182,23 @@ def test_conversion_leaves_no_cyclic_garbage(kuhn0):
             assert gc.collect() == 0, convert.__name__
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_conversion_leaves_the_collector_as_it_found_it(kuhn0, enabled):
+    # the builder pauses the cyclic collector, on success and on a rejected
+    # game alike, and restores the caller's setting
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for convert in (convert_basic, convert_pruned, convert_folded):
+            convert(kuhn0)
+            assert gc.isenabled() is enabled, convert.__name__
+            with pytest.raises(NotPublicTurnTaking):
+                convert(hidden_actor_game())
+            assert gc.isenabled() is enabled, convert.__name__
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_terminal_utilities_belief_weighted(mini):
     cg = convert_folded(mini)
     total_orig = {Fraction(n.utility) for n in mini.nodes if n.is_terminal}

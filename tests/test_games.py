@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pubcoord import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
+from pubcoord.convert import game_digest
 from pubcoord.errors import SpecOutOfBounds
 from pubcoord.model import (
     CHANCE,
@@ -156,3 +157,44 @@ def test_leduc_pair_beats_high_card():
     utils = {Fraction(n.utility) for n in g.nodes if n.is_terminal}
     # equal split of an odd pot produces non-integer utilities
     assert any(u.denominator > 1 for u in utils)
+
+
+# ---------------------------------------------------------------------------
+# source digests
+# ---------------------------------------------------------------------------
+
+# game_digest of generated source games: node by node, players, utilities
+# with their types, edge probabilities and observers
+_SOURCE_PINNED = {
+    "kuhn3-0":
+        "b7f8fe3a60b5cab5880fc608c95d57e7167197c17cf81a9534e63715d00d2d33",
+    "kuhn3-1":
+        "ed89fe9501f708b846ed59cf8a6f70ce0104575e0460d295943a42e6cb1d7e56",
+    "kuhn3-2":
+        "8d9fb8d89fa326c10a63ede85bf449f1d3fcc9803949c844a8d286ec384a876c",
+    "kuhn4-0":
+        "a0f43a594036e9195fe7e6b847a20f7edb670c30924f649417b985bfe8ea775f",
+    "leduc21-0":
+        "ec8d85e82af5036549ad9dea90d64e86846e25f24c82342694a5998fd7aa4649",
+    "leduc21-1":
+        "e9969aae5e1a7206d482d218acd22b435431ac1d2547c28f33c6f7b21d594164",
+    "leduc21-2":
+        "f5c50609d697fe2b66f0642660f09e9a9429332bc3a189af1d149c5fdac4d572",
+    "toy232":
+        "eabe9f49125b74e5b23e40f137dce4ea500569357ae858f8ec6e6f61dd28a0e5",
+}
+
+_SOURCE_GAMES = {
+    **{f"kuhn3-{pos}": (lambda pos=pos: gen_kuhn3(
+        PokerSpec("kuhn", 3, adversary_position=pos))) for pos in range(3)},
+    "kuhn4-0": lambda: gen_kuhn3(PokerSpec("kuhn", 4, adversary_position=0)),
+    **{f"leduc21-{pos}": (lambda pos=pos: gen_leduc3(
+        PokerSpec("leduc", 2, raises=1, adversary_position=pos)))
+       for pos in range(3)},
+    "toy232": lambda: gen_toy(ToySpec(2, 3, 2, payoff_seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOURCE_PINNED))
+def test_generated_games_match_pinned_digests(name):
+    assert game_digest(_SOURCE_GAMES[name]()) == _SOURCE_PINNED[name]
