@@ -29,7 +29,7 @@ from .convert import (
 )
 from .errors import GameError, GameTooLarge, SpecOutOfBounds
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
-from .model import gc_paused, is_public_turn_taking, make_public_turn_taking
+from .model import gc_paused, make_public_turn_taking
 from .solvers import (
     DEFAULT_MATRIX_LIMIT,
     count_reduced_plans,
@@ -126,16 +126,21 @@ _CONVERTERS = {"basic": convert_basic, "pruned": convert_pruned,
                "folded": convert_folded}
 
 
+def _turn_taking(game):
+    """``game`` made public turn-taking, with a warning if that changed it."""
+    fixed = make_public_turn_taking(game)
+    if fixed is not game:
+        print(f"warning: {game.name} is not public-turn-taking; "
+              "applying the turn-taking transform", file=sys.stderr)
+    return fixed
+
+
 def cmd_convert(args) -> int:
     if args.safe_ir and args.mode == "basic":
         raise _CliError(EXIT_PARAMS,
                         "--safe-ir needs exclusion data; it cannot be "
                         "combined with --mode basic")
-    game = _load(args.input, converted=False)
-    if not is_public_turn_taking(game):
-        print(f"warning: {game.name} is not public-turn-taking; "
-              "applying the turn-taking transform", file=sys.stderr)
-        game = make_public_turn_taking(game)
+    game = _turn_taking(_load(args.input, converted=False))
     cg = _CONVERTERS[args.mode](game)
     if args.safe_ir:
         cg = apply_safe_imperfect_recall(cg)
@@ -218,7 +223,7 @@ def cmd_verify(args) -> int:
     if args.samples < 0:
         raise _CliError(EXIT_PARAMS,
                         f"--samples must be >= 0, got {args.samples}")
-    game = _load(args.input, converted=False)
+    game = _turn_taking(_load(args.input, converted=False))
     cg = _load(args.converted, converted=True)
     if cg.source_digest != game_digest(game):
         raise _CliError(EXIT_ORIGIN,

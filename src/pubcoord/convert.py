@@ -726,14 +726,6 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 out = tuple(src[s].children[src[s].index[a]] for i in isets
                             for s in support
                             if iset_of[s] == i and a in src[s].index)
-            # one actor in a support means one in every belief within it
-            other = next((s for s in out
-                          if src[s].player is not src[out[0]].player), None)
-            if other is not None:
-                raise NotPublicTurnTaking(
-                    f"game {game.name!r} hides who acts from the "
-                    f"coordinator: source states {out[0]} and {other} have "
-                    "different actors")
             next_supports[support, step] = out
         return out
 
@@ -888,15 +880,21 @@ def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
 
     With safe imperfect recall applied this is the merged key
     ``("sir",) + supports[nid]``; otherwise it is the visibility-derived
-    observation sequence, made once per distinct sequence.
+    observation sequence, made once per distinct sequence.  Kept in
+    ``vars(cg)`` like :func:`~pubcoord.solvers.compile_converted`'s form.
     """
-    coord = np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist()
-    if cg.safe_ir_applied:
-        return {nid: ("sir",) + cg.supports[nid] for nid in coord}
-    walk = cg.tree.walk()
-    keys = walk.keys(COORD_SEEN)
-    return {nid: keys[s] for nid, s in
-            zip(coord, walk.seq[COORD_SEEN][coord].tolist())}
+    keys = vars(cg).get("_node_keys")
+    if keys is None:
+        coord = np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist()
+        if cg.safe_ir_applied:
+            keys = {nid: ("sir",) + cg.supports[nid] for nid in coord}
+        else:
+            walk = cg.tree.walk()
+            seqs = walk.keys(COORD_SEEN)
+            keys = {nid: seqs[s] for nid, s in
+                    zip(coord, walk.seq[COORD_SEEN][coord].tolist())}
+        vars(cg)["_node_keys"] = keys
+    return keys
 
 
 def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:

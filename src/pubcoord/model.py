@@ -316,58 +316,58 @@ def team_perfect_recall_refinement(game: VEFG) -> VEFG:
 
 
 def is_public_turn_taking(game: VEFG) -> bool:
-    """True iff within every infoset all histories share the acting-player
-    sequence of their prefixes."""
-    # number the acting sequences, then compare numbers within each infoset
-    acting = [0] * len(game.nodes)
-    number: dict[tuple[int, PlayerRole], int] = {}
-    stack = [game.root]
+    """True iff the team's common view tells who acts next: an infoset's
+    histories share their acting players, and states at one depth with the
+    same team-seen labels (a member's own actions count as seen) share
+    their actor, ``None`` at a terminal, and whether the team sees the move."""
+    team = frozenset(game.team_players())
+    slot = {p: k for k, p in enumerate(game.players)}
+    observers = [frozenset((p,)) for p in slot] + [team]
+    number, first = {}, {}  # sequence ids; what an infoset / class shares
+    stack = [(game.root, 0, None, (None,) * len(observers))]
     while stack:
-        nid = stack.pop()
+        nid, depth, acting, views = stack.pop()
         node = game.nodes[nid]
-        if node.edges:
-            a = number.setdefault((acting[nid], node.player), len(number) + 1)
-            for e in node.edges:
-                acting[e.child] = a
-                stack.append(e.child)
-    return all(len({acting[nid] for nid in members}) == 1
-               for p in game.players
-               for members in _group(game, frozenset((p,)), p).values())
+        own = team if node.player in team else frozenset()
+        mark = (node.player, {team <= e.seen_by | own for e in node.edges})
+        k = slot.get(node.player)
+        if (len(mark[1]) > 1 or first.setdefault((depth, views[-1]), mark)
+                != mark or k is not None and first.setdefault(
+                    (node.player, views[k]), acting) != acting):
+            return False
+        acting = number.setdefault((acting, node.player), len(number))
+        for e in node.edges:
+            stack.append((e.child, depth + 1, acting, tuple([
+                number.setdefault((v, e.label), len(number)) if o <= own
+                or o <= e.seen_by else v for o, v in zip(observers, views)])))
+    return True
 
 
 def make_public_turn_taking(game: VEFG) -> VEFG:
-    """Force public turn-taking by inserting single-noop decision levels.
-
-    Depth levels cycle through all players (chance included); a node whose
-    actor is not the designated player of its level is postponed behind a
-    single "noop" edge seen only by the inserted actor.  Returns the input
-    unchanged when the property already holds.
-    """
+    """Force public turn-taking, level by level: levels cycle through all
+    players and chance, and a node its level's player does not play, or a
+    terminal sharing its team view with a non-terminal of its level, waits
+    behind a "noop" edge seen only by that player.  Returns the input
+    unchanged when the property already holds."""
     if is_public_turn_taking(game):
         return game
-    cycle: tuple[PlayerRole, ...] = game.players + (CHANCE,)
-    nodes: list[Node] = []
-
-    def build(nid: int, level: int) -> int:
-        node = game.nodes[nid]
-        if node.is_terminal:
-            nodes.append(node)
-            return len(nodes) - 1
-        designated = cycle[level % len(cycle)]
-        if node.player == designated:
-            edges = tuple(
-                replace(e, child=build(e.child, level + 1)) for e in node.edges)
-            nodes.append(replace(node, edges=edges))
-        else:
-            child = build(nid, level + 1)
-            if designated == CHANCE:
-                edge = Edge("noop", child, prob=Fraction(1), seen_by=frozenset())
-            else:
-                edge = Edge("noop", child, seen_by=frozenset((designated,)))
-            nodes.append(Node(player=designated, edges=(edge,)))
-        return len(nodes) - 1
-
-    # each source level nests at most one call per player in the cycle
-    with recursion_headroom(len(game.nodes) * (len(cycle) + 1)):
-        root = build(game.root, 0)
-    return replace(game, nodes=tuple(nodes), root=root)
+    cycle, team = game.players + (CHANCE,), frozenset(game.team_players())
+    nodes, depth, level, number = [], 0, [(game.root, None)], {}
+    while level:  # per node of a level: its source node and team view
+        actor = cycle[depth % len(cycle)]
+        busy = {v for nid, v in level if game.nodes[nid].edges}
+        base, below = len(nodes) + len(level), []
+        for nid, v in level:
+            node = game.nodes[nid]
+            if node.player is not actor and (node.edges or v in busy):
+                node = Node(actor, (Edge("noop", nid, *(
+                    (Fraction(1), frozenset()) if actor is CHANCE
+                    else (None, frozenset((actor,))))),))
+            k = base + len(below)
+            nodes.append(replace(node, edges=tuple(
+                replace(e, child=k + j) for j, e in enumerate(node.edges))))
+            below += [(e.child, number.setdefault((v, e.label), len(number))
+                       if actor in team or team <= e.seen_by else v)
+                      for e in node.edges]
+        depth, level = depth + 1, below
+    return replace(game, nodes=tuple(nodes), root=0)

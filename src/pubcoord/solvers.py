@@ -50,6 +50,7 @@ from .model import (
     OPPONENT,
     PlayerRole,
     VEFG,
+    infosets,
 )
 
 # A behavioral profile: per player name ("coord" / "o"), a map from infoset
@@ -137,18 +138,20 @@ class _SeqForest:
 
 def _sequence_form(game: VEFG, players: list):
     """One walk of ``game``: a :class:`_SeqForest` per listed player (empty
-    for ``None``), and per value-carrying terminal, in depth-first order,
-    its chance-weighted utility and each player's sequence id (an array of
+    for ``None``), its :func:`~pubcoord.model.infosets` numbered in walk
+    order, and per value-carrying terminal, in depth-first order, its
+    chance-weighted utility and each player's sequence id (an array of
     players x terminals).  A player whose infoset follows different own
     sequences on two visits raises :class:`ImperfectRecallPlayer`."""
     index = {p: k for k, p in enumerate(players) if p is not None}
     forests = [_SeqForest() for _ in players]
+    key_of = [{nid: key for key, members in (infosets(game, p) if p else {})
+               .items() for nid in members} for p in players]
     ids: list[dict] = [{} for _ in players]  # infoset key -> number
     wu, seqs = [], []
-    stack = [(game.root, Fraction(1), ((),) * len(players),
-              (0,) * len(players))]
+    stack = [(game.root, Fraction(1), (0,) * len(players))]
     while stack:
-        nid, reach, keys, seq = stack.pop()
+        nid, reach, seq = stack.pop()
         node = game.nodes[nid]
         if node.is_terminal:
             w = float(reach) * float(node.utility)
@@ -158,29 +161,22 @@ def _sequence_form(game: VEFG, players: list):
             continue
         k = index.get(node.player)
         if k is not None:
-            f, key = forests[k], keys[k]
-            labels = tuple(e.label for e in node.edges)
+            f, key = forests[k], key_of[k][nid]
             i = ids[k].setdefault(key, len(f.keys))
             if i == len(f.keys):
                 f.keys.append(key)
-                f.actions.append(labels)
+                f.actions.append(tuple(e.label for e in node.edges))
                 f.parent.append(seq[k])
                 f.first.append(f.size)
-                f.size += len(labels)
+                f.size += len(node.edges)
             elif f.parent[i] != seq[k]:
                 raise ImperfectRecallPlayer(
                     f"infoset {key!r} of {node.player.name} reached after "
                     f"own sequences {f.parent[i]} and {seq[k]}")
-            elif f.actions[i] != labels:
-                raise ActionMismatchWithinInfoset(
-                    f"infoset {key!r} of {node.player.name} has actions "
-                    f"{f.actions[i]} and {labels}")
         for a in range(len(node.edges) - 1, -1, -1):
             e = node.edges[a]
             stack.append((
                 e.child, reach * Fraction(e.prob) if node.is_chance else reach,
-                tuple(kj + (e.label,) if p in e.seen_by else kj
-                      for p, kj in zip(players, keys)),
                 seq if k is None else seq[:k] + (f.first[i] + a,)
                 + seq[k + 1:]))
     return (forests, np.array(wu),

@@ -416,17 +416,23 @@ def test_malformed_columnar_file_exits_4(tmp_path, capsys, corruption):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
-def test_convert_actor_hidden_from_coordinator_exits_4(tmp_path, optimize):
+def test_convert_actor_hidden_from_coordinator_exits_0(tmp_path, optimize):
+    # convert applies the turn-taking transform to a game whose team view
+    # hides who acts, and verify applies it too before comparing digests
     from conftest import hidden_actor_game
     g = tmp_path / "hidden.json"
     io_json.save_game(hidden_actor_game(), str(g))
     for mode in ("basic", "pruned", "folded"):
+        c = tmp_path / f"{mode}.json"
         code, _, err = run_subprocess("convert", g, "--mode", mode, "--out",
-                                      tmp_path / "c.json", optimize=optimize)
-        assert code == 4, err
+                                      c, optimize=optimize)
+        assert code == 0, err
+        assert "applying the turn-taking transform" in err
+        code, out, err = run_subprocess("verify", g, c, "--json",
+                                        optimize=optimize)
+        assert code == 0, err
         assert "Traceback" not in err
-        assert "hides who acts" in err
-    assert not (tmp_path / "c.json").exists()
+        assert json.loads(out)["max_abs_diff"] == 0
 
 
 def test_solve_and_oracle_survive_python_O(tmp_path):

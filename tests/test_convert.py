@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from pubcoord import (
 from pubcoord.census import census
 from pubcoord.convert import (
     ConvertedTree,
+    _Columns,
     _prepare,
     _team_isets,
     converted_values,
@@ -56,17 +58,24 @@ from pubcoord.model import (
     gc_paused,
     infosets,
     is_public_turn_taking,
+    make_public_turn_taking,
     validate_game,
     validate_perfect_recall,
 )
 
 from pubcoord.io_json import converted_from_dict, converted_to_dict
-from pubcoord.solvers import compile_converted
+from pubcoord.solvers import (
+    compile_converted,
+    expected_value,
+    solve_cfr,
+    tmecor_bruteforce,
+)
 
 from conftest import (
     ALL,
     O,
     T0,
+    T1,
     hidden_actor_game,
     mini_team_game,
     with_root_probs,
@@ -183,17 +192,23 @@ def test_conversion_leaves_no_cyclic_garbage(kuhn0):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_conversion_leaves_the_collector_as_it_found_it(kuhn0, enabled):
-    # the builder pauses the cyclic collector, on success and on a rejected
-    # game alike, and restores the caller's setting
+def test_conversion_leaves_the_collector_as_it_found_it(kuhn0, enabled,
+                                                        monkeypatch):
+    # the builder pauses the cyclic collector, on success and on a failure
+    # inside the build alike, and restores the caller's setting
+    def broken_emit(*args, **kwargs):
+        raise RuntimeError("emit failed")
+
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         for convert in (convert_basic, convert_pruned, convert_folded):
             convert(kuhn0)
             assert gc.isenabled() is enabled, convert.__name__
-            with pytest.raises(NotPublicTurnTaking):
-                convert(hidden_actor_game())
+            with monkeypatch.context() as m:
+                m.setattr(_Columns, "emit", broken_emit)
+                with pytest.raises(RuntimeError, match="emit failed"):
+                    convert(kuhn0)
             assert gc.isenabled() is enabled, convert.__name__
     finally:
         (gc.enable if was else gc.disable)()
@@ -218,12 +233,84 @@ def test_convert_requires_team(kuhn0):
 @pytest.mark.parametrize("terminal_first", [True, False])
 @pytest.mark.parametrize("mode", sorted(CONVERTERS))
 def test_actor_hidden_from_coordinator_is_rejected(mode, terminal_first):
-    # every model-layer check passes; only the team's common view mixes a
-    # terminal with a t0 decision
+    # the team's common view mixes a terminal with a t0 decision: the check
+    # fails and the converters reject the game before building; the
+    # transform postpones the terminal, and the result converts
     g = hidden_actor_game(terminal_first)
-    assert not validate_perfect_recall(g) and is_public_turn_taking(g)
-    with pytest.raises(NotPublicTurnTaking):
+    assert not validate_perfect_recall(g) and not is_public_turn_taking(g)
+    with pytest.raises(NotPublicTurnTaking, match="is not public turn-taking"):
         CONVERTERS[mode](g)
+    fixed = make_public_turn_taking(g)
+    validate_game(fixed)
+    assert is_public_turn_taking(fixed)
+    cg = CONVERTERS[mode](fixed)
+    report = check_payoff_equivalence(fixed, cg, samples=100, seed=0)
+    assert report["max_abs_diff"] == 0
+    oracle = tmecor_bruteforce(g).value
+    assert oracle == pytest.approx(1.5)
+    assert tmecor_bruteforce(fixed).value == pytest.approx(oracle)
+    profile, _ = solve_cfr(cg, "lcfr+", 300)
+    assert abs(expected_value(cg, profile) - oracle) <= 1e-3
+
+
+def test_team_view_of_a_hidden_state_is_rejected():
+    # chance, hidden from the team, leads to two chance nodes that the
+    # team's common view cannot tell apart; the team sees the move of one
+    # and not of the other, so seeing nothing would tell the states apart
+    terms = tuple(Node(utility=Fraction(u)) for u in (1, -1, 2))
+    t0 = Node(player=T0, edges=(Edge("a", 0, seen_by=frozenset(ALL)),
+                                Edge("b", 1, seen_by=frozenset(ALL))))
+    hidden = Node(player=CHANCE, edges=(Edge("p", 3, Fraction(1),
+                                             frozenset({O})),))
+    shown = Node(player=CHANCE, edges=(Edge("q", 2, Fraction(1),
+                                            frozenset(ALL)),))
+    root = Node(player=CHANCE, edges=(
+        Edge("x", 4, Fraction(1, 2), frozenset({O})),
+        Edge("y", 5, Fraction(1, 2), frozenset({O}))))
+    g = VEFG("hidden-view", ALL, (*terms, t0, hidden, shown, root), 6)
+    validate_game(g)
+    assert not validate_perfect_recall(g) and not is_public_turn_taking(g)
+    # noop levels cannot make the team's sight of a move uniform
+    fixed = make_public_turn_taking(g)
+    assert not is_public_turn_taking(fixed)
+    for convert in CONVERTERS.values():
+        for game in (g, fixed):
+            with pytest.raises(NotPublicTurnTaking,
+                               match="is not public turn-taking"):
+                convert(game)
+
+
+def _deep_hidden_actor_game(depth: int) -> VEFG:
+    """A public chain of ``depth`` decisions of t0, o and t1 in turn, where
+    ``a`` continues and ``b`` ends the game, that ends in
+    :func:`hidden_actor_game`."""
+    tail = hidden_actor_game()
+    nodes, nid = list(tail.nodes), tail.root
+    for k in reversed(range(depth)):
+        nodes.append(Node(utility=Fraction(k % 5 - 2)))
+        nodes.append(Node(player=(T0, O, T1)[k % 3], edges=(
+            Edge("a", nid, seen_by=frozenset(ALL)),
+            Edge("b", len(nodes) - 1, seen_by=frozenset(ALL)))))
+        nid = len(nodes) - 1
+    g = VEFG("deep-hidden-actor", ALL, tuple(nodes), nid)
+    validate_game(g)
+    return g
+
+
+def test_deep_game_transforms_without_recursion():
+    # the chain is deeper than the recursion limit allows for a recursive
+    # walk; the level-by-level transform leaves the limit alone
+    g = _deep_hidden_actor_game(3000)
+    limit = sys.getrecursionlimit()
+    assert limit < 3000 and len(g.nodes) == 6005
+    assert not is_public_turn_taking(g)
+    fixed = make_public_turn_taking(g)
+    assert sys.getrecursionlimit() == limit
+    validate_game(fixed)
+    assert is_public_turn_taking(fixed)
+    cg = convert_folded(fixed)
+    report = check_payoff_equivalence(fixed, cg, samples=20, seed=0)
+    assert report["max_abs_diff"] == 0
 
 
 def test_action_mismatch_within_infoset_is_caught():
@@ -329,6 +416,25 @@ def test_rho_sigma_roundtrip_exhaustive_small(mode):
         back = map_coordinator_to_team(cg, pi_t)
         for ref in _reachable_team_refs(g, plan):
             assert back[ref] == plan[ref], (mode, ref)
+
+
+@pytest.mark.parametrize("mode", sorted(CONVERTERS))
+def test_strategy_maps_walk_each_tree_once(mini, mode, monkeypatch):
+    # the coordinator infoset keys are kept on the game: a second rho /
+    # sigma round trip on the same game walks no tree
+    walks = []
+    walk = ConvertedTree.walk
+    monkeypatch.setattr(ConvertedTree, "walk",
+                        lambda tree: walks.append(tree) or walk(tree))
+    cg = CONVERTERS[mode](mini)
+    for v in [cg] + ([apply_safe_imperfect_recall(cg)]
+                     if mode != "basic" else []):
+        back = map_coordinator_to_team(v, map_team_to_coordinator(v, {}))
+        assert len(walks) <= 1
+        walks.clear()
+        assert map_coordinator_to_team(
+            v, map_team_to_coordinator(v, {})) == back
+        assert not walks
 
 
 def test_sigma_reports_illegal_prescriptions(mini):
