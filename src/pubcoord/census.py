@@ -13,12 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame
-from .errors import (
-    ActionMismatchWithinInfoset,
-    NonDivisibleLevelProfile,
-    SpecOutOfBounds,
-)
+from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame, _partition
+from .errors import NonDivisibleLevelProfile, SpecOutOfBounds
 from .model import CHANCE, COORDINATOR, OPPONENT, team_member
 
 
@@ -41,8 +37,9 @@ def census(cg: ConvertedGame, compact: bool = False) -> NodeCensus:
     With ``compact=True``, probability-one dummy chance nodes of the basic and
     pruned representations (which merely replay the extracted action) are
     merged into their parent edge and not counted.  Folded prescription-chance
-    nodes are structural and never compacted.  Nodes of one opponent infoset
-    that offer different actions raise
+    nodes are structural and never compacted.  One bare walk per call,
+    cheaper than compiling; nodes of one opponent infoset that offer
+    different actions raise
     :class:`~pubcoord.errors.ActionMismatchWithinInfoset`.
     """
     tree = cg.tree
@@ -64,16 +61,10 @@ def census(cg: ConvertedGame, compact: bool = False) -> NodeCensus:
     adv_isets = 0
     if OPPONENT in tree.players:
         nodes = np.flatnonzero(tree.played_by(OPPONENT))
-        seqs = walk.seq[OPP_SEEN][nodes]
-        _, first, inv = np.unique(seqs, return_index=True, return_inverse=True)
-        bad = tree.first_mismatch(nodes, nodes[first][inv])
-        if bad >= 0:
-            key = walk.keys(OPP_SEEN)[seqs[bad]]
-            raise ActionMismatchWithinInfoset(
-                f"nodes {nodes[first][inv][bad]} and {nodes[bad]} share "
-                f"infoset {key!r} of {OPPONENT.name} but have different "
-                "actions")
-        adv_isets = first.size
+        part = _partition(tree, nodes, walk.seq[OPP_SEEN][nodes],
+                          walk.keys(OPP_SEEN).__getitem__)
+        part.agree()
+        adv_isets = len(part.keys)
     return NodeCensus(
         coordinator_nodes=int(coord), adversary_nodes=int(adversary),
         terminal_nodes=int(terminal), chance_nodes=int(chance),

@@ -44,10 +44,11 @@ cyclic collector is paused while it builds.
 The tree is kept as int columns (:class:`ConvertedTree`): per node its
 player, utility and edge end, per edge its label, child, probability and
 who observes it, values numbered in small tables.  No ``Node`` or ``Edge``
-is made: the census, the infoset keys, the strategy maps, the payoff check,
-tree equality and :mod:`pubcoord.solvers` read the columns; the ``game``
-property, the tree as a :class:`~pubcoord.model.VEFG`, is built only when a
-caller reads it.
+is made: the census, tree equality and :func:`compile_converted` read the
+columns, and the compiled form, both sides' infosets numbered once, serves
+the infoset keys, the strategy maps, the payoff check and
+:mod:`pubcoord.solvers`.  The ``game`` property, the tree as a
+:class:`~pubcoord.model.VEFG`, is built only when a caller reads it.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
 forgetting prescription components that addressed already-excluded states.
@@ -63,12 +64,12 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +80,7 @@ from .errors import (
     IllegalActionInPlan,
     IllegalPrescription,
     ImperfectRecallInput,
+    IncompleteProfile,
     InvalidIterationCount,
     NotPublicTurnTaking,
     ProbabilityNotNormalized,
@@ -174,6 +176,12 @@ def _shifted(column: array, lo: int, hi: int, shift: int) -> bytes:
     the bytes of a column of that type."""
     return (np.frombuffer(column, np.intc, hi - lo, lo * column.itemsize)
             + shift).tobytes()
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i] .. start[i] + count[i] - 1``, back to back."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(
+        count.sum())
 
 
 class _Columns:
@@ -380,8 +388,7 @@ class ConvertedTree:
         """The edge ids of ``nodes``, node by node in action order, given
         the per-node edge ``count``."""
         c = count[nodes]
-        return np.repeat(self.end[nodes] - np.cumsum(c), c) + np.arange(
-            c.sum())
+        return _ranges(self.end[nodes] - c, c)
 
     def first_mismatch(self, nodes: np.ndarray, reps: np.ndarray) -> int:
         """The first index ``i`` at which node ``nodes[i]`` offers other
@@ -522,7 +529,8 @@ class ConvertedGame:
     elsewhere both are ``None``.  Edge ``k`` of a coordinator node
     prescribes the ``k``-th element of ``itertools.product`` over the
     active infosets' action lists, and leads to the chance node resolving
-    it.  ``node_kind`` and ``origin_player`` are derived from these.
+    it.  ``node_kind`` and ``origin_player`` are derived from these, and
+    the infosets by :func:`compile_converted`, kept in the instance dict.
     """
 
     mode: str                     # "basic" | "pruned" | "folded"
@@ -875,26 +883,236 @@ def convert_folded(game: VEFG) -> ConvertedGame:
     return _convert(game, "folded")
 
 
-def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
-    """Infoset key per coordinator decision node, read from the columns.
+# ---------------------------------------------------------------------------
+# Compiled form: both sides' infosets and the tree as flat arrays
+# ---------------------------------------------------------------------------
 
-    With safe imperfect recall applied this is the merged key
-    ``("sir",) + supports[nid]``; otherwise it is the visibility-derived
-    observation sequence, made once per distinct sequence.  Kept in
-    ``vars(cg)`` like :func:`~pubcoord.solvers.compile_converted`'s form.
-    """
-    keys = vars(cg).get("_node_keys")
-    if keys is None:
-        coord = np.flatnonzero(cg.tree.played_by(COORDINATOR)).tolist()
-        if cg.safe_ir_applied:
-            keys = {nid: ("sir",) + cg.supports[nid] for nid in coord}
-        else:
-            walk = cg.tree.walk()
-            seqs = walk.keys(COORD_SEEN)
-            keys = {nid: seqs[s] for nid, s in
-                    zip(coord, walk.seq[COORD_SEEN][coord].tolist())}
-        vars(cg)["_node_keys"] = keys
-    return keys
+
+@dataclass
+class _Partition:
+    """An information partition of one side's decision nodes.  Infoset
+    ``i`` owns the action slots ``offset[i] .. offset[i + 1] - 1``; infosets
+    are numbered in order of their first node.  ``mismatch`` names a node
+    whose actions differ from its infoset's first node's (empty: none)."""
+
+    keys: list[tuple]
+    actions: list[tuple[str, ...]]
+    of_node: np.ndarray       # infoset of each of the side's decision nodes
+    offset: np.ndarray
+    edge_slot: np.ndarray     # slot of each edge leaving those nodes
+    groups: list[np.ndarray]  # per action count n: its infosets' slots
+    mismatch: str
+
+    def agree(self) -> None:
+        if self.mismatch:
+            raise ActionMismatchWithinInfoset(self.mismatch)
+
+    def lookup(self, profile: dict, name: str) -> np.ndarray:
+        """``profile``'s probabilities for this partition, one per slot."""
+        flat: list = []
+        for key, acts in zip(self.keys, self.actions):
+            dist = profile.get(name, {}).get(key)
+            if dist is None:
+                raise IncompleteProfile(
+                    f"profile lacks infoset {key!r} of player {name!r}")
+            flat.extend(dist.get(a, 0.0) for a in acts)
+        return np.array(flat, dtype=float)
+
+    def as_profile(self, flat: np.ndarray) -> dict:
+        vals = flat.tolist()
+        return {key: dict(zip(acts, vals[o:o + len(acts)])) for key, acts, o
+                in zip(self.keys, self.actions, self.offset.tolist())}
+
+
+def _partition(tree: ConvertedTree, nodes: np.ndarray, groups: np.ndarray,
+               key: Callable[[int], tuple]) -> _Partition:
+    """Number the infosets of a side's decision nodes, the game ids
+    ``nodes``: the nodes of an infoset share their entry of ``groups``, and
+    ``key(group)`` is the infoset's key."""
+    _, first, inv = np.unique(groups, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    of_node = rank[inv]
+    firsts = first[by_first]
+    keys = [key(g) for g in groups[firsts].tolist()]
+    actions = [tree.actions(v) for v in nodes[firsts].tolist()]
+    bad = tree.first_mismatch(nodes, nodes[firsts][of_node])
+    mismatch = "" if bad < 0 else (
+        f"action mismatch within infoset {keys[of_node[bad]]!r}: "
+        f"{actions[of_node[bad]]} vs {tree.actions(int(nodes[bad]))}")
+    count = np.array([len(a) for a in actions], dtype=np.int64)
+    offset = np.concatenate(([0], np.cumsum(count)))
+    return _Partition(
+        keys=keys, actions=actions, of_node=of_node, offset=offset,
+        edge_slot=_ranges(offset[of_node], tree.count()[nodes]),
+        groups=[offset[:-1][count == n][:, None] + np.arange(n)
+                for n in np.unique(count).tolist()], mismatch=mismatch)
+
+
+@dataclass
+class _Side:
+    nodes: np.ndarray      # the side's decision nodes, ascending
+    edges: np.ndarray      # the edges leaving them, ascending
+    profile: _Partition    # strategy-lookup keys (merged under safe IR)
+    pr: _Partition         # perfect-recall (visibility-derived) keys
+
+
+@dataclass
+class _Compiled:
+    """A converted game as flat arrays.  Nodes are numbered breadth-first:
+    depth ``d`` holds the ids ``levels[d][0] .. levels[d][1] - 1``, each
+    node's edges are consecutive and in action order, and the child of edge
+    ``e`` is node ``e + 1``.  Node ``p`` is the tree's node ``order[p]``
+    and edge ``e`` its edge ``edge[e]``, which lead to the value tables."""
+
+    order: np.ndarray      # per node: its tree node id
+    edge: np.ndarray       # per edge: its tree edge id
+    utility: np.ndarray    # per node; 0 off terminals
+    first: np.ndarray      # per node: its first edge
+    parent: np.ndarray     # per edge
+    prob: np.ndarray       # per edge: chance probability, 1 on decisions
+    levels: list[tuple[int, int]]
+    sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
+    steps: list = field(init=False, repr=False)
+
+    @property
+    def has_opponent(self) -> bool:
+        return "o" in self.sides
+
+    @property
+    def iset_actions(self) -> dict[str, dict[tuple, tuple[str, ...]]]:
+        return {name: dict(zip(s.profile.keys, s.profile.actions))
+                for name, s in self.sides.items()}
+
+    def weights(self, strategies: dict[str, np.ndarray]) -> np.ndarray:
+        """Per edge: the chance probability, the given sides' per-slot
+        strategy at their decisions, and 1 at the other decisions."""
+        w = self.prob.copy()
+        for name, flat in strategies.items():
+            side = self.sides[name]
+            w[side.edges] = flat[side.profile.edge_slot]
+        return w
+
+    def __post_init__(self) -> None:
+        # per depth d: its id range, the next depth's, and the parent of
+        # each node at depth d + 1 as an offset into depth d
+        self.steps = [(p0, p1, a, b, self.parent[a - 1:b - 1] - p0)
+                      for (p0, p1), (a, b) in zip(self.levels,
+                                                  self.levels[1:])]
+
+    def reach(self, w: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
+        """Per node down to depth ``depth`` (default: every node): the
+        product of the edge weights ``w`` from the root, in ``w``'s dtype.
+        Each row of a 2-D ``w`` gives one row of reaches."""
+        end = self.levels[-1 if depth is None else depth][1]
+        reach = np.empty(w.shape[:-1] + (end,), dtype=w.dtype)
+        reach[..., 0] = 1
+        for p0, p1, a, b, up in self.steps[:depth]:
+            reach[..., a:b] = (reach[..., p0:p1].take(up, axis=-1)
+                               * w[..., a - 1:b - 1])
+        return reach
+
+    def backup(self, w: np.ndarray, val: np.ndarray,
+               decide: Optional[Callable[[int], None]] = None,
+               top: int = 0) -> np.ndarray:
+        """Bottom-up, in place: each internal node down from depth ``top``
+        gets the ``w``-weighted sum of its children's values, added in
+        action order; after each depth ``decide(depth)`` may overwrite that
+        depth's values."""
+        for d in range(len(self.steps) - 1, top - 1, -1):
+            p0, p1, a, b, up = self.steps[d]
+            val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
+            if decide is not None:
+                decide(d)
+        return val
+
+
+def _compile(cg: ConvertedGame) -> _Compiled:
+    """:func:`compile_converted` but for its infosets' action check."""
+    c = vars(cg).get("_compiled")
+    if c is not None:
+        return c
+    tree = cg.tree
+    walk = tree.walk()
+    order = walk.order        # breadth-first id -> game node id
+    role = tree.player[order]
+    odd = np.array([r not in (None, CHANCE, COORDINATOR, OPPONENT)
+                    for r in tree.roles])[role]
+    if odd.any():
+        i = int(np.argmax(odd))
+        raise UnknownPlayer(f"node {order[i]} of a converted game belongs "
+                            f"to {tree.roles[role[i]]!r}")
+    count = tree.count()[order].astype(np.int64)
+    first_a = np.cumsum(count) - count
+    levels = list(zip(walk.bounds, walk.bounds[1:]))
+    depth_a = np.repeat(np.arange(len(levels)), np.diff(walk.bounds))
+    utility = np.array([float(u) for u in tree.utilities])[
+        tree.utility[order]]
+    prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
+                    dtype=float)[tree.prob[walk.edges]]
+    sides: dict[str, _Side] = {}
+    both = (("coord", COORDINATOR, COORD_SEEN), ("o", OPPONENT, OPP_SEEN))
+    for name, player, bit in both[:1 + (OPPONENT in tree.players)]:
+        side_nodes = np.flatnonzero(tree.played_by(player)[order])
+        nodes = order[side_nodes]
+        profile = pr = _partition(tree, nodes, walk.seq[bit][nodes],
+                                  walk.keys(bit).__getitem__)
+        if cg.safe_ir_applied and name == "coord":
+            # profiles key the merged infosets by compatible-state set
+            index: dict = {}
+            merged = np.array([index.setdefault(cg.supports[v], len(index))
+                               for v in nodes.tolist()], dtype=np.int64)
+            supports = list(index)
+            profile = _partition(tree, nodes, merged,
+                                 lambda k: ("sir",) + supports[k])
+        # best responses decide an infoset at the one depth of its nodes
+        at = depth_a[side_nodes]
+        if np.any(at != at[np.unique(pr.of_node, return_index=True)[1]][
+                pr.of_node]):
+            raise NotPublicTurnTaking(
+                f"an infoset of {name!r} has nodes at several depths")
+        sides[name] = _Side(nodes=side_nodes, profile=profile, pr=pr,
+                            edges=_ranges(first_a[side_nodes],
+                                          count[side_nodes]))
+    c = vars(cg)["_compiled"] = _Compiled(
+        order=order, edge=walk.edges,
+        utility=np.where(tree.played_by(None)[order], utility, 0.0),
+        first=first_a, parent=np.repeat(np.arange(len(order)), count),
+        prob=np.where(np.repeat(tree.played_by(CHANCE)[order], count), prob,
+                      1.0),
+        levels=levels, sides=sides)
+    return c
+
+
+def compile_converted(cg: ConvertedGame) -> _Compiled:
+    """Flatten a converted game for CFR and evaluation (see
+    :class:`_Compiled`), once: the form is kept on ``cg``, as
+    ``functools.cached_property`` would, since a ``ConvertedGame`` is
+    immutable and nothing writes into the form's arrays.  It is read from
+    the columns of ``cg.tree`` by one breadth-first level pass, which also
+    numbers the label sequences each side saw, and its partitions are the
+    one infoset numbering of a converted game; an infoset's nodes must
+    agree on their actions."""
+    c = _compile(cg)
+    for side in c.sides.values():
+        side.profile.agree()
+        side.pr.agree()
+    return c
+
+
+def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
+    """Infoset key per coordinator decision node, by ascending node id: its
+    infoset's key in the profile partition of :func:`compile_converted`.
+    With safe imperfect recall applied this is the merged key, ``"sir"``
+    followed by ``supports[nid]``; otherwise it is the visibility-derived
+    observation sequence."""
+    c = compile_converted(cg)
+    side = c.sides["coord"]
+    nodes, keys = c.order[side.nodes], side.profile.keys
+    by_id = np.argsort(nodes)
+    return {v: keys[i] for v, i in zip(nodes[by_id].tolist(),
+                                       side.profile.of_node[by_id].tolist())}
 
 
 def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
@@ -931,20 +1149,21 @@ def coordinator_choices(cg: ConvertedGame, digits: np.ndarray
 
     The edges follow ``itertools.product`` over the active infosets' action
     lists, so the index is the mixed-radix number whose digits are the
-    plan's action indices at those infosets: the sum of each digit times
-    its place value, the product of the later infosets' action counts.
+    plan's action indices at the node's own active infosets, read by
+    Horner's rule over their positions.
     """
     nodes = np.flatnonzero(cg.tree.played_by(COORDINATOR))
-    index: dict[tuple[int, ...], int] = {}
-    of_node = [index.setdefault(cg.active[v], len(index))
-               for v in nodes.tolist()]
-    # per infoset and distinct active tuple: the infoset's place value
-    place = np.zeros((len(cg.iset_actions), len(index)), dtype=np.int64)
-    for j, active in enumerate(index):
-        k = 1
-        for iid in reversed(active):
-            place[iid, j], k = k, k * len(cg.iset_actions[iid])
-    return nodes, (digits @ place)[:, of_node]
+    active = [cg.active[v] for v in nodes.tolist()]
+    width = max(map(len, active), default=0)
+    # per node its active infosets, padded in front by -1: radix 1, digit 0
+    isets = np.array([(-1,) * (width - len(a)) + a for a in active],
+                     dtype=np.int64).reshape(len(active), width)
+    radix = np.array([len(a) for a in cg.iset_actions] + [1])[isets]
+    digits = np.hstack([digits, np.zeros((len(digits), 1), np.int64)])
+    choice = np.zeros((len(digits), len(active)), dtype=np.int64)
+    for j in range(width):
+        choice = choice * radix[:, j] + digits[:, isets[:, j]]
+    return nodes, choice
 
 
 def map_team_to_coordinator(cg: ConvertedGame, joint_plan
@@ -1052,11 +1271,12 @@ def converted_values(game: VEFG, cg: ConvertedGame,
     sorted key; the team plan is mapped through rho.
 
     Checked before any row is read: ``cg`` has the team infosets of
-    ``game``, and every opponent node of ``cg`` observed the key of an
-    opponent infoset of ``game`` and offers all its actions.  Each
-    terminal's chance-path product times its utility is an int over one
-    common denominator, so a value is an exact int sum.  Rows go through in
-    chunks, as boolean (rows x nodes) breadth-first reach passes of at most
+    ``game``, and every opponent infoset of ``cg``'s compiled form (see
+    :func:`compile_converted`) observed the key of an opponent infoset of
+    ``game`` and offers all its actions.  Each terminal's chance-path
+    product times its utility is an int over one common denominator, so a
+    value is an exact int sum.  Rows go through in chunks, as boolean (rows
+    x nodes) reach passes over the compiled form's levels, of at most
     ``_CHUNK_ENTRIES`` entries.
     """
     g = _prepare(game)
@@ -1065,41 +1285,42 @@ def converted_values(game: VEFG, cg: ConvertedGame,
                           f"those of {game.name}")
     refs, actions, _ = _isets(g)
     radix = np.array([len(a) for a in actions], dtype=np.int64)
-    tree, walk = cg.tree, cg.tree.walk()
-    order, n = walk.order, len(walk.order)
-    count = tree.count()[order]
-    # per edge: the breadth-first position of its node, its child's being
-    # the edge's + 1, and its index among the node's edges
-    owner = np.repeat(np.arange(n), count)
-    local = np.arange(n - 1) - (np.cumsum(count) - count)[owner]
-    levels = list(zip(walk.bounds[1:-1], walk.bounds[2:]))
-    path = np.ones((2, n), dtype=object)  # chance-path product num, den
-    factor = _terms(tree.probs)[:, tree.prob[walk.edges]]
-    for a, b in levels:
-        path[:, a:b] = path[:, owner[a - 1:b - 1]] * factor[:, a - 1:b - 1]
-    terminals = np.flatnonzero(tree.played_by(None)[order])
+    tree, c = cg.tree, _compile(cg)
+    n, parent = len(c.order), c.parent
+    # chance-path products, numerators and denominators
+    path = c.reach(_terms(tree.probs)[:, tree.prob[c.edge]])
+    terminals = np.flatnonzero(tree.played_by(None)[c.order])
     num, den = path[:, terminals] * _terms(tree.utilities)[
-        :, tree.utility[order[terminals]]]
+        :, tree.utility[c.order[terminals]]]
     common = lcm(*set(den.tolist()))
     weight = num * (common // den)
-    # per opponent node: the digit of its infoset, the edge of each action
-    opp = np.flatnonzero(tree.played_by(OPPONENT)[order])
-    digit, edge = [], np.zeros((opp.size, radix.max(initial=0)), np.int64)
-    index = {key: i for i, (p, key) in enumerate(refs) if p.kind == "opponent"}
-    keys = walk.keys(OPP_SEEN)
-    for r, v in enumerate(order[opp].tolist()):
-        key, labels = keys[walk.seq[OPP_SEEN][v]], tree.actions(v)
-        if key not in index:
-            raise SchemaError(f"opponent node {v} of {tree.name} observed "
-                              f"{key!r}, an infoset {game.name} does not have")
-        digit.append(index[key])
-        for k, a in enumerate(actions[index[key]]):
-            if a not in labels:
-                raise SchemaError(f"opponent node {v} of {tree.name} lacks "
-                                  f"the action {a!r} of {game.name}")
-            edge[r, k] = labels.index(a)
-    chance = tree.played_by(CHANCE)[order][owner]
-    position = np.argsort(order)  # node id -> breadth-first position
+    # per opponent infoset: the digit of its source infoset in a row, and
+    # the edge of each of that infoset's actions
+    opp = c.sides.get("o")
+    if opp is not None:
+        index = {key: i for i, (p, key) in enumerate(refs)
+                 if p.kind == "opponent"}
+        digit = np.zeros(len(opp.pr.keys), dtype=np.int64)
+        edge = np.zeros((digit.size, radix.max(initial=0)), dtype=np.int64)
+        for i, (key, labels) in enumerate(zip(opp.pr.keys, opp.pr.actions)):
+            if key not in index:
+                raise SchemaError(
+                    f"an opponent infoset of {tree.name} observed {key!r}, "
+                    f"an infoset {game.name} does not have")
+            digit[i] = index[key]
+            for k, a in enumerate(actions[digit[i]]):
+                if a not in labels:
+                    raise SchemaError(
+                        f"opponent infoset {key!r} of {tree.name} lacks the "
+                        f"action {a!r} of {game.name}")
+                edge[i, k] = labels.index(a)
+    # after the source comparison, which names a missing source action:
+    # the nodes of each infoset must agree on their actions
+    compile_converted(cg)
+    # per edge: its index among its node's edges, and whether chance plays
+    local = np.arange(n - 1) - c.first[parent]
+    chance = tree.played_by(CHANCE)[c.order][parent]
+    position = np.argsort(c.order)  # node id -> breadth-first position
 
     def values() -> Iterator[Fraction]:
         rows, step = iter(plans), max(1, _CHUNK_ENTRIES // n)
@@ -1115,12 +1336,10 @@ def converted_values(game: VEFG, cg: ConvertedGame,
             pick = np.zeros((len(d), n), dtype=np.int32)  # edge per decision
             coord, choice = coordinator_choices(cg, d[:, :len(cg.iset_refs)])
             pick[:, position[coord]] = choice
-            pick[:, opp] = edge[np.arange(opp.size), d[:, digit]]
-            reach = np.ones((len(d), n), dtype=bool)
-            for a, b in levels:
-                e = slice(a - 1, b - 1)
-                reach[:, a:b] = reach[:, owner[e]] & (
-                    chance[e] | (pick[:, owner[e]] == local[e]))
+            if opp is not None:
+                of = opp.pr.of_node
+                pick[:, opp.nodes] = edge[of, d[:, digit[of]]]
+            reach = c.reach(chance | (pick[:, parent] == local))
             for hit in reach[:, terminals]:
                 yield Fraction(int(weight[hit].sum()), common)
 

@@ -20,9 +20,10 @@ Provides:
   (visibility-derived) information partition; profiles defined on merged
   imperfect-recall keys are expanded onto it.
 
-CFR and the evaluation utilities run as passes over one flat array form of
-the converted game, built by ``compile_converted`` on the first call for a
-converted game and kept on it.
+CFR and the evaluation utilities run as passes over the compiled form of
+the converted game: flat breadth-first arrays and both sides' infosets,
+built by :func:`pubcoord.convert.compile_converted` (imported here) on the
+first call for a converted game and kept on it.
 """
 from __future__ import annotations
 
@@ -33,17 +34,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame, ConvertedTree
+from .convert import ConvertedGame, _Compiled, _Partition, compile_converted
 from .errors import (
-    ActionMismatchWithinInfoset,
     EmptyMatrix,
     GameTooLarge,
     ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
-    NotPublicTurnTaking,
     SolverFailure,
-    UnknownPlayer,
 )
 from .model import (
     _CHUNK_ENTRIES,
@@ -379,224 +377,6 @@ def _tmecor_double_oracle(game: VEFG, tol: float, max_entries: int):
 
 
 # ---------------------------------------------------------------------------
-# Compiled converted game: flat arrays for CFR and evaluation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Partition:
-    """An information partition of one side's decision nodes.  Infoset
-    ``i`` owns the action slots ``offset[i] .. offset[i + 1] - 1``; infosets
-    are numbered in breadth-first order of their first node."""
-
-    keys: list[tuple]
-    actions: list[tuple[str, ...]]
-    of_node: np.ndarray       # infoset of each of the side's decision nodes
-    offset: np.ndarray
-    edge_slot: np.ndarray     # slot of each edge leaving those nodes
-    groups: list[np.ndarray]  # per action count n: its infosets' slots
-
-    def normalize(self, flat: np.ndarray) -> np.ndarray:
-        """:func:`_normalize_rows` of every infoset's slots."""
-        out = np.empty_like(flat)
-        for slots in self.groups:
-            out[slots] = _normalize_rows(flat[slots])
-        return out
-
-    def lookup(self, profile: Profile, name: str) -> np.ndarray:
-        """``profile``'s probabilities for this partition, one per slot."""
-        flat: list = []
-        for key, acts in zip(self.keys, self.actions):
-            dist = profile.get(name, {}).get(key)
-            if dist is None:
-                raise IncompleteProfile(
-                    f"profile lacks infoset {key!r} of player {name!r}")
-            flat.extend(dist.get(a, 0.0) for a in acts)
-        return np.array(flat, dtype=float)
-
-    def as_profile(self, flat: np.ndarray) -> dict:
-        vals = flat.tolist()
-        return {key: dict(zip(acts, vals[o:o + len(acts)])) for key, acts, o
-                in zip(self.keys, self.actions, self.offset.tolist())}
-
-
-@dataclass
-class _Side:
-    nodes: np.ndarray      # the side's decision nodes, ascending
-    edges: np.ndarray      # the edges leaving them, ascending
-    profile: _Partition    # strategy-lookup keys (merged under safe IR)
-    pr: _Partition         # perfect-recall (visibility-derived) keys
-
-
-@dataclass
-class _Compiled:
-    """A converted game as flat arrays.  Nodes are numbered breadth-first:
-    depth ``d`` holds the ids ``levels[d][0] .. levels[d][1] - 1``, each
-    node's edges are consecutive and in action order, and the child of edge
-    ``e`` is node ``e + 1``."""
-
-    utility: np.ndarray    # per node; 0 off terminals
-    first: np.ndarray      # per node: its first edge
-    parent: np.ndarray     # per edge
-    prob: np.ndarray       # per edge: chance probability, 1 on decisions
-    levels: list[tuple[int, int]]
-    sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
-    steps: list = field(init=False, repr=False)
-
-    @property
-    def has_opponent(self) -> bool:
-        return "o" in self.sides
-
-    @property
-    def iset_actions(self) -> dict[str, dict[tuple, tuple[str, ...]]]:
-        return {name: dict(zip(s.profile.keys, s.profile.actions))
-                for name, s in self.sides.items()}
-
-    def weights(self, strategies: dict[str, np.ndarray]) -> np.ndarray:
-        """Per edge: the chance probability, the given sides' per-slot
-        strategy at their decisions, and 1 at the other decisions."""
-        w = self.prob.copy()
-        for name, flat in strategies.items():
-            side = self.sides[name]
-            w[side.edges] = flat[side.profile.edge_slot]
-        return w
-
-    def __post_init__(self) -> None:
-        # per depth d: its id range, the next depth's, and the parent of
-        # each node at depth d + 1 as an offset into depth d
-        self.steps = [(p0, p1, a, b, self.parent[a - 1:b - 1] - p0)
-                      for (p0, p1), (a, b) in zip(self.levels,
-                                                  self.levels[1:])]
-
-    def reach(self, w: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
-        """Per node down to depth ``depth`` (default: every node): the
-        product of the edge weights ``w`` from the root.  Each row of a 2-D
-        ``w`` gives one row of reaches."""
-        end = self.levels[-1 if depth is None else depth][1]
-        reach = np.empty(w.shape[:-1] + (end,))
-        reach[..., 0] = 1.0
-        for p0, p1, a, b, up in self.steps[:depth]:
-            reach[..., a:b] = (reach[..., p0:p1].take(up, axis=-1)
-                               * w[..., a - 1:b - 1])
-        return reach
-
-    def backup(self, w: np.ndarray, val: np.ndarray,
-               decide: Optional[Callable[[int], None]] = None,
-               top: int = 0) -> np.ndarray:
-        """Bottom-up, in place: each internal node down from depth ``top``
-        gets the ``w``-weighted sum of its children's values, added in
-        action order; after each depth ``decide(depth)`` may overwrite that
-        depth's values."""
-        for d in range(len(self.steps) - 1, top - 1, -1):
-            p0, p1, a, b, up = self.steps[d]
-            val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
-            if decide is not None:
-                decide(d)
-        return val
-
-
-def _partition(tree: ConvertedTree, nodes: np.ndarray, groups: np.ndarray,
-               key: Callable[[int], tuple], local: np.ndarray) -> _Partition:
-    """Number the infosets of a side's decision nodes, the game ids
-    ``nodes`` in breadth-first order: the nodes of an infoset share their
-    entry of ``groups``, and ``key(group)`` is the infoset's key.
-    ``local`` holds the action index of each edge leaving the nodes."""
-    _, first, inv = np.unique(groups, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    of_node = rank[inv]
-    firsts = first[by_first]
-    keys = [key(g) for g in groups[firsts].tolist()]
-    actions = [tree.actions(v) for v in nodes[firsts].tolist()]
-    bad = tree.first_mismatch(nodes, nodes[firsts][of_node])
-    if bad >= 0:
-        i = of_node[bad]
-        raise ActionMismatchWithinInfoset(
-            f"action mismatch within infoset {keys[i]!r}: {actions[i]} vs "
-            f"{tree.actions(int(nodes[bad]))}")
-    count = np.array([len(a) for a in actions], dtype=np.int64)
-    offset = np.concatenate(([0], np.cumsum(count)))
-    return _Partition(
-        keys=keys, actions=actions, of_node=of_node, offset=offset,
-        edge_slot=np.repeat(offset[of_node], count[of_node]) + local,
-        groups=[offset[:-1][count == n][:, None] + np.arange(n)
-                for n in np.unique(count).tolist()])
-
-
-def compile_converted(cg: ConvertedGame) -> _Compiled:
-    """Flatten a converted game for CFR and evaluation (see
-    :class:`_Compiled`), once: the form is kept on ``cg``, as
-    ``functools.cached_property`` would, since a ``ConvertedGame`` is
-    immutable and nothing writes into the form's arrays.  It is read from
-    the columns of ``cg.tree`` by one breadth-first level pass, which also
-    numbers the label sequences each side saw."""
-    if "_compiled" in vars(cg):
-        return vars(cg)["_compiled"]
-    tree = cg.tree
-    walk = tree.walk()
-    order = walk.order        # breadth-first id -> game node id
-    role = tree.player[order]
-    kinds = [None if r is None else r.kind for r in tree.roles]
-    odd = np.array([k not in (None, "chance", "coordinator", "opponent")
-                    for k in kinds])[role]
-    if odd.any():
-        i = int(np.argmax(odd))
-        raise UnknownPlayer(f"node {order[i]} of a converted game belongs "
-                            f"to {tree.roles[role[i]]!r}")
-
-    def of_kind(kind) -> np.ndarray:
-        return np.array([k == kind for k in kinds])[role]
-
-    count = tree.count()[order].astype(np.int64)
-    first_a = np.cumsum(count) - count
-    levels = list(zip(walk.bounds, walk.bounds[1:]))
-    depth_a = np.repeat(np.arange(len(levels)), np.diff(walk.bounds))
-    utility = np.array([float(u) for u in tree.utilities])[
-        tree.utility[order]]
-    prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
-                    dtype=float)[tree.prob[walk.edges]]
-    sides: dict[str, _Side] = {}
-    for name, kind, bit in ((("coord", "coordinator", COORD_SEEN),
-                             ("o", "opponent", OPP_SEEN))
-                            if OPPONENT in tree.players
-                            else (("coord", "coordinator", COORD_SEEN),)):
-        side_nodes = np.flatnonzero(of_kind(kind))
-        nodes = order[side_nodes]
-        counts = count[side_nodes]
-        local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts)
-                                                    - counts, counts)
-        seqs = walk.seq[bit][nodes]
-        if cg.safe_ir_applied and name == "coord":
-            # profiles key the merged infosets by compatible-state set
-            index: dict = {}
-            merged = np.array([index.setdefault(cg.supports[v], len(index))
-                               for v in nodes.tolist()], dtype=np.int64)
-            supports = list(index)
-            profile = _partition(tree, nodes, merged,
-                                 lambda k: ("sir",) + supports[k], local)
-            pr = _partition(tree, nodes, seqs, walk.keys(bit).__getitem__,
-                            local)
-        else:
-            profile = pr = _partition(tree, nodes, seqs,
-                                      walk.keys(bit).__getitem__, local)
-        # best responses decide an infoset at the one depth of its nodes
-        at = depth_a[side_nodes]
-        if np.any(at != at[np.unique(pr.of_node, return_index=True)[1]][
-                pr.of_node]):
-            raise NotPublicTurnTaking(
-                f"an infoset of {name!r} has nodes at several depths")
-        sides[name] = _Side(
-            nodes=side_nodes, profile=profile, pr=pr,
-            edges=np.repeat(first_a[side_nodes], counts) + local)
-    c = vars(cg)["_compiled"] = _Compiled(
-        utility=np.where(of_kind(None), utility, 0.0), first=first_a,
-        parent=np.repeat(np.arange(len(order)), count),
-        prob=np.where(np.repeat(of_kind("chance"), count), prob, 1.0),
-        levels=levels, sides=sides)
-    return c
-
-
-# ---------------------------------------------------------------------------
 # CFR family
 # ---------------------------------------------------------------------------
 
@@ -621,6 +401,14 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     x = x / s[:, None]
     x[empty] = 1.0 / x.shape[1]
     return x
+
+
+def _normalize(part: _Partition, flat: np.ndarray) -> np.ndarray:
+    """:func:`_normalize_rows` of every infoset's slots of ``part``."""
+    out = np.empty_like(flat)
+    for slots in part.groups:
+        out[slots] = _normalize_rows(flat[slots])
+    return out
 
 
 def _traversal(c: _Compiled, me: str) -> Callable:
@@ -673,14 +461,14 @@ def _iterate(c: _Compiled, walks: list, algo: str, t: int,
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     # both sides' regret-matched strategies (None: no opponent); ``cfr``
     # keeps those of the start of the iteration for both traversals
-    sigma = [p.normalize(np.maximum(r, 0.0))
+    sigma = [_normalize(p, np.maximum(r, 0.0))
              for p, r in zip(parts, regrets)] + [None]
     for k, run in enumerate(walks):
         run(regrets[k], strat[k], sigma[1 - k], sigma[k])
         if algo != "cfr":
             np.maximum(regrets[k], 0.0, out=regrets[k])
             if k + 1 < len(walks):
-                sigma[k] = parts[k].normalize(regrets[k])
+                sigma[k] = _normalize(parts[k], regrets[k])
     if algo == "lcfr+":
         w = t / (t + 1.0)
         for x in regrets:
@@ -721,7 +509,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     walks = [_traversal(c, name) for name in c.sides]
 
     def average_profile() -> Profile:
-        return {name: p.as_profile(p.normalize(x))
+        return {name: p.as_profile(_normalize(p, x))
                 for name, p, x in zip(c.sides, parts, strat)}
 
     log = ConvergenceLog()

@@ -437,6 +437,26 @@ def test_strategy_maps_walk_each_tree_once(mini, mode, monkeypatch):
         assert not walks
 
 
+@pytest.mark.parametrize("safe_ir", [False, True])
+def test_readers_share_the_compiled_walk(mini, safe_ir, monkeypatch):
+    # the compiled form is the one infoset numbering of a converted game:
+    # the payoff check and the strategy maps read it, and only the census
+    # walks the tree on its own
+    walks = []
+    walk = ConvertedTree.walk
+    monkeypatch.setattr(ConvertedTree, "walk",
+                        lambda tree: walks.append(tree) or walk(tree))
+    cg = convert_folded(mini)
+    if safe_ir:
+        cg = apply_safe_imperfect_recall(cg)
+    compile_converted(cg)
+    census(cg)
+    assert check_payoff_equivalence(mini, cg, samples=5)["max_abs_diff"] == 0
+    back = map_coordinator_to_team(cg, map_team_to_coordinator(cg, {}))
+    assert back == map_coordinator_to_team(cg, map_team_to_coordinator(cg, {}))
+    assert len(walks) == 2
+
+
 def test_sigma_reports_illegal_prescriptions(mini):
     cg = convert_basic(mini)
     pi_t = map_team_to_coordinator(cg, {})
