@@ -13,9 +13,9 @@ from math import comb
 
 import numpy as np
 
-from .convert import COORD_SEEN, OPP_SEEN, ConvertedGame, _partition
+from .convert import ConvertedGame, _sides
 from .errors import NonDivisibleLevelProfile, SpecOutOfBounds
-from .model import CHANCE, COORDINATOR, OPPONENT, team_member
+from .model import CHANCE, COORDINATOR, team_member
 
 
 @dataclass(frozen=True)
@@ -32,45 +32,40 @@ class NodeCensus:
 
 def census(cg: ConvertedGame, compact: bool = False) -> NodeCensus:
     """Count converted-game nodes by category, from the columns of
-    ``cg.tree``.
+    ``cg.tree``, and infosets: the coordinator's profile infosets (merged
+    under safe IR) and the opponent's, as ``compile_converted`` numbers them.
 
     With ``compact=True``, probability-one dummy chance nodes of the basic and
     pruned representations (which merely replay the extracted action) are
     merged into their parent edge and not counted.  Folded prescription-chance
-    nodes are structural and never compacted.  One bare walk per call,
-    cheaper than compiling; nodes of one opponent infoset that offer
-    different actions raise
-    :class:`~pubcoord.errors.ActionMismatchWithinInfoset`.
-    """
+    nodes are structural and never compacted.  The infosets are read from
+    the compiled form if ``cg`` keeps one, else from one walk that keeps no
+    form and makes no key, and raise where a compile would: at an infoset
+    across depths, or opponent nodes of one infoset with other actions."""
     tree = cg.tree
     # per node: 0 terminal, 1 chance, 2 coordinator, 3 any other player
     kind = np.array([0 if r is None else 1 if r is CHANCE else
                      2 if r is COORDINATOR else 3 for r in tree.roles],
                     dtype=np.int64)[tree.player]
     single = tree.count() == 1
-    if compact:
-        keep = np.array([k != "dummy" for k in cg.node_kind], dtype=bool)
-        kind, single = kind[keep], single[keep]
+    if compact and cg.mode != "folded":
+        # the dummies: the chance children of the coordinator's edges
+        dummy = tree.child[tree.edges_of(np.flatnonzero(kind == 2),
+                                         tree.count())]
+        kind, single = np.delete(kind, dummy), np.delete(single, dummy)
     terminal, chance, coord, adversary = np.bincount(kind, minlength=4)
-    coord_nodes = np.flatnonzero(tree.played_by(COORDINATOR))
-    walk = tree.walk()
-    if cg.safe_ir_applied:
-        coord_isets = len({cg.supports[v] for v in coord_nodes.tolist()})
-    else:
-        coord_isets = np.unique(walk.seq[COORD_SEEN][coord_nodes]).size
-    adv_isets = 0
-    if OPPONENT in tree.players:
-        nodes = np.flatnonzero(tree.played_by(OPPONENT))
-        part = _partition(tree, nodes, walk.seq[OPP_SEEN][nodes],
-                          walk.keys(OPP_SEEN).__getitem__)
-        part.agree()
-        adv_isets = len(part.keys)
+    c = vars(cg).get("_compiled")
+    sides = _sides(cg, tree.walk()) if c is None else c.sides
+    opp = sides.get("o")
+    if opp is not None:
+        opp.pr.agree()
     return NodeCensus(
         coordinator_nodes=int(coord), adversary_nodes=int(adversary),
         terminal_nodes=int(terminal), chance_nodes=int(chance),
         chance_single_child=int(np.count_nonzero(single & (kind == 1))),
         total_nodes=int(coord + adversary + terminal + chance),
-        coordinator_infosets=int(coord_isets), adversary_infosets=adv_isets)
+        coordinator_infosets=len(sides["coord"].profile.first),
+        adversary_infosets=0 if opp is None else len(opp.pr.first))
 
 
 def toy_formula_count(cg: ConvertedGame) -> int:

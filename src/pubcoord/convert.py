@@ -44,10 +44,10 @@ cyclic collector is paused while it builds.
 The tree is kept as int columns (:class:`ConvertedTree`): per node its
 player, utility and edge end, per edge its label, child, probability and
 who observes it, values numbered in small tables.  No ``Node`` or ``Edge``
-is made: the census, tree equality and :func:`compile_converted` read the
-columns, and the compiled form, both sides' infosets numbered once, serves
-the infoset keys, the strategy maps, the payoff check and
-:mod:`pubcoord.solvers`.  The ``game`` property, the tree as a
+is made.  One side builder numbers both sides' infosets from a walk with
+arrays only, and makes key tuples when read; :func:`compile_converted`
+keeps them for the infoset keys, the strategy maps, the payoff check, the
+census and :mod:`pubcoord.solvers`.  The ``game`` property, the tree as a
 :class:`~pubcoord.model.VEFG`, is built only when a caller reads it.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
@@ -64,7 +64,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import InitVar, dataclass, field, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -273,13 +273,17 @@ class _Walk:
     steps: dict[int, dict[int, int]]
     labels: tuple[str, ...]
 
-    def keys(self, bit: int) -> list[tuple[str, ...]]:
-        """Per sequence id of observer ``bit``, its labels as a tuple, made
-        once per sequence."""
-        keys: list[tuple[str, ...]] = [()]
-        for code in self.steps[bit]:
-            parent, label = divmod(code, len(self.labels))
-            keys.append(keys[parent] + (self.labels[label],))
+    def keys(self, bit: int) -> Callable[[list[int]], list[tuple[str, ...]]]:
+        """A function from sequence ids of observer ``bit`` to their label
+        tuples, made when it is called; it holds the steps, not the walk."""
+        codes, labels = np.fromiter(self.steps[bit], np.int64), self.labels
+
+        def keys(seqs: list[int]) -> list[tuple[str, ...]]:
+            table: list[tuple[str, ...]] = [()]
+            for code in codes.tolist():
+                parent, label = divmod(code, len(labels))
+                table.append(table[parent] + (labels[label],))
+            return [table[s] for s in seqs]
         return keys
 
 
@@ -389,18 +393,6 @@ class ConvertedTree:
         the per-node edge ``count``."""
         c = count[nodes]
         return _ranges(self.end[nodes] - c, c)
-
-    def first_mismatch(self, nodes: np.ndarray, reps: np.ndarray) -> int:
-        """The first index ``i`` at which node ``nodes[i]`` offers other
-        action labels than node ``reps[i]``, or -1."""
-        count = self.count()
-        bad = count[nodes] != count[reps]
-        same = np.flatnonzero(~bad)
-        differ = (self.label[self.edges_of(nodes[same], count)]
-                  != self.label[self.edges_of(reps[same], count)])
-        bad[np.repeat(same, count[nodes[same]])[differ]] = True
-        hit = np.flatnonzero(bad)
-        return int(hit[0]) if hit.size else -1
 
     def check(self) -> np.ndarray:
         """Check the tree rules on the columns, whose indices are in range:
@@ -888,20 +880,63 @@ def convert_folded(game: VEFG) -> ConvertedGame:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Partition:
-    """An information partition of one side's decision nodes.  Infoset
-    ``i`` owns the action slots ``offset[i] .. offset[i + 1] - 1``; infosets
-    are numbered in order of their first node.  ``mismatch`` names a node
-    whose actions differ from its infoset's first node's (empty: none)."""
+    """An information partition of one side's decision nodes, the game ids
+    ``nodes``, by arrays alone: an infoset's nodes share their ``sets``
+    entry, infoset ``i`` owns the slots ``offset[i] .. offset[i + 1] - 1``,
+    and infosets go in order of their first node, ``nodes[first[i]]``.  Made
+    on first read: ``keys`` (``key`` of a list of entries), ``actions``, and
+    ``mismatch``, a node offering other actions than its infoset's first."""
 
-    keys: list[tuple]
-    actions: list[tuple[str, ...]]
-    of_node: np.ndarray       # infoset of each of the side's decision nodes
-    offset: np.ndarray
-    edge_slot: np.ndarray     # slot of each edge leaving those nodes
-    groups: list[np.ndarray]  # per action count n: its infosets' slots
-    mismatch: str
+    tree: ConvertedTree
+    nodes: np.ndarray
+    count: InitVar[np.ndarray]  # per node: its number of actions
+    sets: InitVar[np.ndarray]
+    key: InitVar[Callable[[list[int]], list[tuple]]]
+    first: np.ndarray = field(init=False)
+    of_node: np.ndarray = field(init=False)   # infoset of each node
+    offset: np.ndarray = field(init=False)
+    edge_slot: np.ndarray = field(init=False)  # of each edge leaving them
+    groups: list = field(init=False)  # per action count n: its slots
+
+    def __post_init__(self, count: np.ndarray, sets: np.ndarray,
+                      key: Callable) -> None:
+        _, first, inv = np.unique(sets, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        self.first, self.of_node = first[by_first], np.argsort(by_first)[inv]
+        per_iset = count[self.first]
+        self.offset = np.concatenate(([0], np.cumsum(per_iset)))
+        self.edge_slot = _ranges(self.offset[self.of_node], count)
+        self.groups = [self.offset[:-1][per_iset == n][:, None] + np.arange(n)
+                       for n in np.unique(per_iset).tolist()]
+        self._make_keys = lambda e=sets[self.first]: key(e.tolist())
+
+    @cached_property
+    def keys(self) -> list[tuple]:
+        return self._make_keys()
+
+    @cached_property
+    def actions(self) -> list[tuple[str, ...]]:
+        tree, cut = self.tree, self.offset.tolist()
+        per = np.diff(self.offset)  # the first nodes' edges, back to back
+        names = list(map(tree.labels.__getitem__, tree.label[_ranges(
+            tree.end[self.nodes[self.first]] - per, per)].tolist()))
+        return [tuple(names[a:b]) for a, b in zip(cut, cut[1:])]
+
+    @cached_property
+    def mismatch(self) -> str:
+        tree, nodes, count = self.tree, self.nodes, self.tree.count()
+        reps = nodes[self.first][self.of_node]
+        bad = count[nodes] != count[reps]
+        same = np.flatnonzero(~bad)
+        differ = (tree.label[tree.edges_of(nodes[same], count)]
+                  != tree.label[tree.edges_of(reps[same], count)])
+        bad[np.repeat(same, count[nodes[same]])[differ]] = True
+        i = int(np.argmax(bad))
+        return "" if not bad.any() else (
+            f"action mismatch within infoset {self.keys[self.of_node[i]]!r}: "
+            f"{self.actions[self.of_node[i]]} vs {tree.actions(nodes[i])}")
 
     def agree(self) -> None:
         if self.mismatch:
@@ -922,32 +957,6 @@ class _Partition:
         vals = flat.tolist()
         return {key: dict(zip(acts, vals[o:o + len(acts)])) for key, acts, o
                 in zip(self.keys, self.actions, self.offset.tolist())}
-
-
-def _partition(tree: ConvertedTree, nodes: np.ndarray, groups: np.ndarray,
-               key: Callable[[int], tuple]) -> _Partition:
-    """Number the infosets of a side's decision nodes, the game ids
-    ``nodes``: the nodes of an infoset share their entry of ``groups``, and
-    ``key(group)`` is the infoset's key."""
-    _, first, inv = np.unique(groups, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    of_node = rank[inv]
-    firsts = first[by_first]
-    keys = [key(g) for g in groups[firsts].tolist()]
-    actions = [tree.actions(v) for v in nodes[firsts].tolist()]
-    bad = tree.first_mismatch(nodes, nodes[firsts][of_node])
-    mismatch = "" if bad < 0 else (
-        f"action mismatch within infoset {keys[of_node[bad]]!r}: "
-        f"{actions[of_node[bad]]} vs {tree.actions(int(nodes[bad]))}")
-    count = np.array([len(a) for a in actions], dtype=np.int64)
-    offset = np.concatenate(([0], np.cumsum(count)))
-    return _Partition(
-        keys=keys, actions=actions, of_node=of_node, offset=offset,
-        edge_slot=_ranges(offset[of_node], tree.count()[nodes]),
-        groups=[offset[:-1][count == n][:, None] + np.arange(n)
-                for n in np.unique(count).tolist()], mismatch=mismatch)
 
 
 @dataclass
@@ -975,23 +984,22 @@ class _Compiled:
     levels: list[tuple[int, int]]
     sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
     steps: list = field(init=False, repr=False)
-
-    @property
-    def has_opponent(self) -> bool:
-        return "o" in self.sides
+    # rho's index and radix matrices, made by coordinator_choices
+    rho: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def iset_actions(self) -> dict[str, dict[tuple, tuple[str, ...]]]:
         return {name: dict(zip(s.profile.keys, s.profile.actions))
                 for name, s in self.sides.items()}
 
-    def weights(self, strategies: dict[str, np.ndarray]) -> np.ndarray:
-        """Per edge: the chance probability, the given sides' per-slot
-        strategy at their decisions, and 1 at the other decisions."""
+    def weights(self, profile: dict, names) -> np.ndarray:
+        """Per edge: the chance probability, the strategy ``profile`` gives
+        the sides ``names`` at their decisions, and 1 at the others."""
         w = self.prob.copy()
-        for name, flat in strategies.items():
-            side = self.sides[name]
-            w[side.edges] = flat[side.profile.edge_slot]
+        for name in names:
+            part = self.sides[name].profile
+            w[self.sides[name].edges] = part.lookup(profile, name)[
+                part.edge_slot]
         return w
 
     def __post_init__(self) -> None:
@@ -1028,6 +1036,35 @@ class _Compiled:
         return val
 
 
+def _sides(cg: ConvertedGame, walk: _Walk) -> dict[str, _Side]:
+    """The sides of ``cg`` from a breadth-first ``walk`` of its tree: per
+    side, infosets by the label sequence it saw, the coordinator's profile
+    ones by compatible-state set under safe IR; each at one depth."""
+    tree, order = cg.tree, walk.order
+    count = tree.count()[order].astype(np.int64)
+    first = np.cumsum(count) - count
+    sides: dict[str, _Side] = {}
+    both = (("coord", COORDINATOR, COORD_SEEN), ("o", OPPONENT, OPP_SEEN))
+    for name, player, bit in both[:1 + (OPPONENT in tree.players)]:
+        side_nodes = np.flatnonzero(tree.played_by(player)[order])
+        nodes, counts = order[side_nodes], count[side_nodes]
+        profile = pr = _Partition(tree, nodes, counts, walk.seq[bit][nodes],
+                                  walk.keys(bit))
+        if cg.safe_ir_applied and name == "coord":
+            index: dict = {}
+            merged = np.array([index.setdefault(cg.supports[v], len(index))
+                               for v in nodes.tolist()], dtype=np.int64)
+            profile = _Partition(tree, nodes, counts, merged, lambda ks: [
+                ("sir",) + s for s in map(list(index).__getitem__, ks)])
+        depth = np.searchsorted(walk.bounds, side_nodes, "right")
+        if np.any(depth != depth[pr.first][pr.of_node]):
+            raise NotPublicTurnTaking(
+                f"an infoset of {name!r} has nodes at several depths")
+        sides[name] = _Side(nodes=side_nodes, profile=profile, pr=pr,
+                            edges=_ranges(first[side_nodes], counts))
+    return sides
+
+
 def _compile(cg: ConvertedGame) -> _Compiled:
     """:func:`compile_converted` but for its infosets' action check."""
     c = vars(cg).get("_compiled")
@@ -1044,44 +1081,19 @@ def _compile(cg: ConvertedGame) -> _Compiled:
         raise UnknownPlayer(f"node {order[i]} of a converted game belongs "
                             f"to {tree.roles[role[i]]!r}")
     count = tree.count()[order].astype(np.int64)
-    first_a = np.cumsum(count) - count
-    levels = list(zip(walk.bounds, walk.bounds[1:]))
-    depth_a = np.repeat(np.arange(len(levels)), np.diff(walk.bounds))
     utility = np.array([float(u) for u in tree.utilities])[
         tree.utility[order]]
     prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
                     dtype=float)[tree.prob[walk.edges]]
-    sides: dict[str, _Side] = {}
-    both = (("coord", COORDINATOR, COORD_SEEN), ("o", OPPONENT, OPP_SEEN))
-    for name, player, bit in both[:1 + (OPPONENT in tree.players)]:
-        side_nodes = np.flatnonzero(tree.played_by(player)[order])
-        nodes = order[side_nodes]
-        profile = pr = _partition(tree, nodes, walk.seq[bit][nodes],
-                                  walk.keys(bit).__getitem__)
-        if cg.safe_ir_applied and name == "coord":
-            # profiles key the merged infosets by compatible-state set
-            index: dict = {}
-            merged = np.array([index.setdefault(cg.supports[v], len(index))
-                               for v in nodes.tolist()], dtype=np.int64)
-            supports = list(index)
-            profile = _partition(tree, nodes, merged,
-                                 lambda k: ("sir",) + supports[k])
-        # best responses decide an infoset at the one depth of its nodes
-        at = depth_a[side_nodes]
-        if np.any(at != at[np.unique(pr.of_node, return_index=True)[1]][
-                pr.of_node]):
-            raise NotPublicTurnTaking(
-                f"an infoset of {name!r} has nodes at several depths")
-        sides[name] = _Side(nodes=side_nodes, profile=profile, pr=pr,
-                            edges=_ranges(first_a[side_nodes],
-                                          count[side_nodes]))
     c = vars(cg)["_compiled"] = _Compiled(
         order=order, edge=walk.edges,
         utility=np.where(tree.played_by(None)[order], utility, 0.0),
-        first=first_a, parent=np.repeat(np.arange(len(order)), count),
+        first=np.cumsum(count) - count,
+        parent=np.repeat(np.arange(len(order)), count),
         prob=np.where(np.repeat(tree.played_by(CHANCE)[order], count), prob,
                       1.0),
-        levels=levels, sides=sides)
+        levels=list(zip(walk.bounds, walk.bounds[1:])),
+        sides=_sides(cg, walk))
     return c
 
 
@@ -1089,11 +1101,9 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
     """Flatten a converted game for CFR and evaluation (see
     :class:`_Compiled`), once: the form is kept on ``cg``, as
     ``functools.cached_property`` would, since a ``ConvertedGame`` is
-    immutable and nothing writes into the form's arrays.  It is read from
-    the columns of ``cg.tree`` by one breadth-first level pass, which also
-    numbers the label sequences each side saw, and its partitions are the
-    one infoset numbering of a converted game; an infoset's nodes must
-    agree on their actions."""
+    immutable and nothing writes into the form's arrays.  Its sides
+    (:func:`_sides`) are the one infoset numbering of a converted game; an
+    infoset's nodes must agree on their actions."""
     c = _compile(cg)
     for side in c.sides.values():
         side.profile.agree()
@@ -1102,11 +1112,10 @@ def compile_converted(cg: ConvertedGame) -> _Compiled:
 
 
 def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
-    """Infoset key per coordinator decision node, by ascending node id: its
-    infoset's key in the profile partition of :func:`compile_converted`.
-    With safe imperfect recall applied this is the merged key, ``"sir"``
-    followed by ``supports[nid]``; otherwise it is the visibility-derived
-    observation sequence."""
+    """Infoset key per coordinator decision node, by ascending node id, in
+    the profile partition of :func:`compile_converted`: under safe
+    imperfect recall the merged key, ``"sir"`` followed by
+    ``supports[nid]``, else the visibility-derived observation sequence."""
     c = compile_converted(cg)
     side = c.sides["coord"]
     nodes, keys = c.order[side.nodes], side.profile.keys
@@ -1141,29 +1150,30 @@ def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
 # ---------------------------------------------------------------------------
 
 
-def coordinator_choices(cg: ConvertedGame, digits: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """rho at node level: the coordinator node ids, ascending, and per row
-    of ``digits`` (an action index per team infoset) the index of the
-    prescription edge each node takes.
+def coordinator_choices(cg: ConvertedGame, digits: np.ndarray) -> np.ndarray:
+    """rho at node level: per row of ``digits`` (an action index per team
+    infoset), the index of the prescription edge each coordinator node
+    takes, in the order of ``compile_converted(cg).sides["coord"].nodes``.
 
     The edges follow ``itertools.product`` over the active infosets' action
     lists, so the index is the mixed-radix number whose digits are the
     plan's action indices at the node's own active infosets, read by
-    Horner's rule over their positions.
-    """
-    nodes = np.flatnonzero(cg.tree.played_by(COORDINATOR))
-    active = [cg.active[v] for v in nodes.tolist()]
-    width = max(map(len, active), default=0)
-    # per node its active infosets, padded in front by -1: radix 1, digit 0
-    isets = np.array([(-1,) * (width - len(a)) + a for a in active],
-                     dtype=np.int64).reshape(len(active), width)
-    radix = np.array([len(a) for a in cg.iset_actions] + [1])[isets]
+    Horner's rule over their positions."""
+    c = _compile(cg)
+    if c.rho is None:  # once per converted game
+        active = [cg.active[v] for v in c.order[c.sides["coord"].nodes]]
+        width = max(map(len, active), default=0)
+        # per node its active infosets, padded in front by -1: radix 1, digit 0
+        isets = np.array([(-1,) * (width - len(a)) + a for a in active],
+                         dtype=np.int64).reshape(len(active), width)
+        radix = np.array([len(a) for a in cg.iset_actions] + [1])
+        c.rho = isets, radix[isets]
+    isets, radix = c.rho
     digits = np.hstack([digits, np.zeros((len(digits), 1), np.int64)])
-    choice = np.zeros((len(digits), len(active)), dtype=np.int64)
-    for j in range(width):
+    choice = np.zeros((len(digits), len(isets)), dtype=np.int64)
+    for j in range(isets.shape[1]):
         choice = choice * radix[:, j] + digits[:, isets[:, j]]
-    return nodes, choice
+    return choice
 
 
 def map_team_to_coordinator(cg: ConvertedGame, joint_plan
@@ -1182,15 +1192,17 @@ def map_team_to_coordinator(cg: ConvertedGame, joint_plan
             raise IllegalActionInPlan(
                 f"action {a!r} illegal at infoset {ref}; legal: {acts}")
         digits.append(0 if a is None else acts.index(a))
-    nodes, choice = coordinator_choices(cg, np.array([digits], np.int64))
-    keys, out = coordinator_node_keys(cg), {}
-    for nid, k in zip(nodes.tolist(), choice[0].tolist()):
-        label = cg.tree.actions(nid)[k]
-        if out.setdefault(keys[nid], label) != label:
-            raise IllegalPrescription(
-                f"inconsistent prescriptions within coordinator infoset "
-                f"{keys[nid]!r}")
-    return out
+    c = compile_converted(cg)
+    side, part = c.sides["coord"], c.sides["coord"].profile
+    label = cg.tree.label[c.edge[c.first[side.nodes] + coordinator_choices(
+        cg, np.array([digits], np.int64))[0]]]
+    bad = np.flatnonzero(label != label[part.first][part.of_node])
+    if bad.size:
+        raise IllegalPrescription(
+            f"inconsistent prescriptions within coordinator infoset "
+            f"{part.keys[part.of_node[bad[0]]]!r}")
+    return dict(zip(part.keys, map(cg.tree.labels.__getitem__,
+                                   label[part.first].tolist())))
 
 
 def map_coordinator_to_team(cg: ConvertedGame, pi_t
@@ -1300,7 +1312,7 @@ def converted_values(game: VEFG, cg: ConvertedGame,
     if opp is not None:
         index = {key: i for i, (p, key) in enumerate(refs)
                  if p.kind == "opponent"}
-        digit = np.zeros(len(opp.pr.keys), dtype=np.int64)
+        digit = np.zeros(len(opp.pr.first), dtype=np.int64)
         edge = np.zeros((digit.size, radix.max(initial=0)), dtype=np.int64)
         for i, (key, labels) in enumerate(zip(opp.pr.keys, opp.pr.actions)):
             if key not in index:
@@ -1320,7 +1332,6 @@ def converted_values(game: VEFG, cg: ConvertedGame,
     # per edge: its index among its node's edges, and whether chance plays
     local = np.arange(n - 1) - c.first[parent]
     chance = tree.played_by(CHANCE)[c.order][parent]
-    position = np.argsort(c.order)  # node id -> breadth-first position
 
     def values() -> Iterator[Fraction]:
         rows, step = iter(plans), max(1, _CHUNK_ENTRIES // n)
@@ -1334,8 +1345,8 @@ def converted_values(game: VEFG, cg: ConvertedGame,
                 raise IllegalActionInPlan(f"plan {bad[0]} is not one action "
                                           "index in range per infoset")
             pick = np.zeros((len(d), n), dtype=np.int32)  # edge per decision
-            coord, choice = coordinator_choices(cg, d[:, :len(cg.iset_refs)])
-            pick[:, position[coord]] = choice
+            pick[:, c.sides["coord"].nodes] = coordinator_choices(
+                cg, d[:, :len(cg.iset_refs)])
             if opp is not None:
                 of = opp.pr.of_node
                 pick[:, opp.nodes] = edge[of, d[:, digit[of]]]

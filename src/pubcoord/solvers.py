@@ -530,15 +530,10 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 # ---------------------------------------------------------------------------
 
 
-def _profile_weights(c: _Compiled, profile: Profile, names) -> np.ndarray:
-    return c.weights({name: c.sides[name].profile.lookup(profile, name)
-                      for name in names})
-
-
 def expected_value(cg: ConvertedGame, profile: Profile) -> float:
     """Team expected utility of a behavioral profile, one bottom-up pass."""
     c = compile_converted(cg)
-    w = _profile_weights(c, profile, c.sides)
+    w = c.weights(profile, c.sides)
     return float(c.backup(w, c.utility.copy())[0])
 
 
@@ -553,9 +548,9 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     (public turn-taking) game is one depth.
     """
     c = compile_converted(cg)
-    if responder == "o" and not c.has_opponent:
+    if responder == "o" and "o" not in c.sides:
         raise IncompleteProfile("game has no opponent to respond with")
-    w = _profile_weights(c, profile, [s for s in c.sides if s != responder])
+    w = c.weights(profile, [s for s in c.sides if s != responder])
     cf = c.reach(w)
     side = c.sides[responder]
     part = side.pr
@@ -563,10 +558,9 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     starts = [a for a, _ in c.levels] + [len(c.utility)]
     edge_cut = np.searchsorted(par, starts)
     node_cut = np.searchsorted(side.nodes, starts)
-    _, firsts = np.unique(part.of_node, return_index=True)
-    iset_cut = np.searchsorted(side.nodes[firsts], starts)
+    iset_cut = np.searchsorted(side.nodes[part.first], starts)
     count = np.diff(part.offset)
-    best = np.zeros(len(part.keys), dtype=np.int64)
+    best = np.zeros(len(part.first), dtype=np.int64)
     val = (1.0 if responder == "coord" else -1.0) * c.utility
 
     def decide(d: int) -> None:

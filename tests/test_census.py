@@ -1,6 +1,9 @@
 """Closed-form size formulas and node censuses of converted benchmarks."""
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from pubcoord import (
@@ -22,6 +25,8 @@ from pubcoord import (
 from pubcoord.census import toy_formula_count
 from pubcoord.convert import coordinator_node_keys
 from pubcoord.errors import SpecOutOfBounds
+
+from conftest import mini_team_game
 
 # Published size table for the parametric game with C=3 private outcomes and
 # A=2 actions, H = 1..14 informed-player levels, in scientific notation with
@@ -117,6 +122,25 @@ def test_census_compact_drops_dummy_chance(mini):
     # folded prescription chance is structural and never compacted
     cf = convert_folded(mini)
     assert census(cf, compact=True).chance_nodes == census(cf).chance_nodes
+
+
+@pytest.mark.parametrize("outcomes", [2, 3])
+def test_compact_census_drops_exactly_the_dummy_nodes(outcomes):
+    for seed in range(20):
+        g = mini_team_game(seed, outcomes)
+        for convert in (convert_basic, convert_pruned, convert_folded):
+            cg = convert(g)
+            for v in [cg] + ([apply_safe_imperfect_recall(cg)]
+                             if cg.mode != "basic" else []):
+                full, compact = census(v), census(v, compact=True)
+                dummy = np.array([k == "dummy" for k in v.node_kind])
+                n = int(dummy.sum())
+                assert (n > 0) == (v.mode != "folded")
+                assert compact == replace(
+                    full, chance_nodes=full.chance_nodes - n,
+                    total_nodes=full.total_nodes - n,
+                    chance_single_child=full.chance_single_child - int(
+                        np.count_nonzero(v.tree.count()[dummy] == 1)))
 
 
 # ---------------------------------------------------------------------------

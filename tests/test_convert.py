@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -29,11 +30,15 @@ from pubcoord import (
 )
 from pubcoord.census import census
 from pubcoord.convert import (
+    COORD_SEEN,
     ConvertedTree,
     _Columns,
+    _Walk,
+    _isets,
     _prepare,
     _team_isets,
     converted_values,
+    coordinator_choices,
     coordinator_node_keys,
     exact_expected_value,
     game_digest,
@@ -440,8 +445,7 @@ def test_strategy_maps_walk_each_tree_once(mini, mode, monkeypatch):
 @pytest.mark.parametrize("safe_ir", [False, True])
 def test_readers_share_the_compiled_walk(mini, safe_ir, monkeypatch):
     # the compiled form is the one infoset numbering of a converted game:
-    # the payoff check and the strategy maps read it, and only the census
-    # walks the tree on its own
+    # the census, the payoff check and the strategy maps read it
     walks = []
     walk = ConvertedTree.walk
     monkeypatch.setattr(ConvertedTree, "walk",
@@ -454,7 +458,62 @@ def test_readers_share_the_compiled_walk(mini, safe_ir, monkeypatch):
     assert check_payoff_equivalence(mini, cg, samples=5)["max_abs_diff"] == 0
     back = map_coordinator_to_team(cg, map_team_to_coordinator(cg, {}))
     assert back == map_coordinator_to_team(cg, map_team_to_coordinator(cg, {}))
-    assert len(walks) == 2
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("safe_ir", [False, True])
+def test_census_of_a_compiled_game_walks_no_tree(mini, safe_ir, monkeypatch):
+    cg = convert_folded(mini)
+    if safe_ir:
+        cg = apply_safe_imperfect_recall(cg)
+    fresh = census(dataclasses.replace(cg))
+    compile_converted(cg)
+    monkeypatch.setattr(ConvertedTree, "walk", None)  # any walk raises
+    assert census(cg) == fresh
+
+
+@pytest.mark.parametrize("safe_ir", [False, True])
+def test_compile_makes_no_key_until_one_is_read(mini, safe_ir, monkeypatch):
+    made = []
+    keys = _Walk.keys
+
+    def counted(walk, bit):
+        inner = keys(walk, bit)
+        return lambda seqs: made.append(bit) or inner(seqs)
+    monkeypatch.setattr(_Walk, "keys", counted)
+    cg = convert_folded(mini)
+    if safe_ir:
+        cg = apply_safe_imperfect_recall(cg)
+    c = compile_converted(cg)
+    census(cg)
+    parts = [p for side in c.sides.values() for p in (side.profile, side.pr)]
+    assert not made
+    assert not any("keys" in vars(p) or "actions" in vars(p) for p in parts)
+    node_keys = coordinator_node_keys(cg)
+    assert made == ([] if safe_ir else [COORD_SEEN])
+    assert set(node_keys.values()) == set(c.sides["coord"].profile.keys)
+    coordinator_node_keys(cg)
+    c.sides["coord"].pr.keys
+    assert made == [COORD_SEEN]
+
+
+def test_rho_matrices_are_built_once_for_every_chunk(monkeypatch):
+    game = mini_team_game(2, chance_outcomes=3)
+    cg = apply_safe_imperfect_recall(convert_pruned(game))
+    _, actions, _ = _isets(_prepare(game))
+    rng = random.Random(5)
+    plans = [[rng.randrange(len(a)) for a in actions] for _ in range(12)]
+    whole = list(converted_values(game, cg, plans))
+    again = dataclasses.replace(cg)
+    c = compile_converted(again)
+    assert c.rho is None
+    kept = []  # the matrices after each call
+    monkeypatch.setattr("pubcoord.convert.coordinator_choices", lambda *a: (
+        coordinator_choices(*a), kept.append(c.rho))[0])
+    # one row per chunk
+    monkeypatch.setattr("pubcoord.convert._CHUNK_ENTRIES", 1)
+    assert list(converted_values(game, again, plans)) == whole
+    assert len(kept) == len(plans) and all(m is kept[0] for m in kept)
 
 
 def test_sigma_reports_illegal_prescriptions(mini):

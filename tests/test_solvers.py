@@ -528,7 +528,7 @@ def _uniform_profile(cg):
     from pubcoord.solvers import compile_converted
     c = compile_converted(cg)
     prof = {}
-    for side in ("coord", "o") if c.has_opponent else ("coord",):
+    for side in c.sides:
         prof[side] = {}
         for key, acts in c.iset_actions[side].items():
             prof[side][key] = {a: 1 / len(acts) for a in acts}
@@ -623,6 +623,7 @@ def test_compile_rejects_action_mismatch_within_infoset():
 
 def test_compile_rejects_infoset_spanning_depths():
     from dataclasses import replace
+    from pubcoord.census import census
     from pubcoord.model import COORDINATOR
     # the opponent, seeing nothing, acts at depth 1 after chance "a" and at
     # depth 2 after chance "b" and a coordinator move: one infoset, two depths
@@ -638,9 +639,12 @@ def test_compile_rejects_infoset_spanning_depths():
     g = VEFG("two-depths", (COORDINATOR, OPPONENT),
              (*terms, *o_at, coord, root), 7)
     validate_game(g)
+    cg = replace(_pennies_converted(), tree=ConvertedTree.from_game(g))
     with pytest.raises(NotPublicTurnTaking):
-        compile_converted(replace(_pennies_converted(),
-                                  tree=ConvertedTree.from_game(g)))
+        compile_converted(cg)
+    # the census numbers infosets by the compile's rule
+    with pytest.raises(NotPublicTurnTaking, match="several depths"):
+        census(cg)
 
 
 def test_census_rejects_action_mismatch_within_infoset():
