@@ -1,9 +1,12 @@
 """Command-line harness: generate, convert, solve, oracle, verify.
 
 Exit codes: 0 success (for ``verify``: discrepancy <= 1e-9), 1 verification
-discrepancy, 2 invalid parameters or flag combinations, 3 I/O failure,
-4 validation failure / wrong game kind, 5 game too large: oracle guard or
-out of memory, 6 origin mismatch between a game and a converted file.
+discrepancy, 3 a file that cannot be read or written; any other failure is a
+library error, whose kind gives the code (:func:`exit_code`): 2 invalid
+parameters or flag combinations, 5 game too large (the oracle's guard, or
+out of memory), 6 origin mismatch between a game and a converted file, 4 any
+other (validation failure, wrong game kind).  The library checks parameters,
+so a bad one surfaces after the input files are read.
 
 All diagnostics go to standard error; summaries go to standard output
 (machine-readable with ``--json``); bulk data goes to files.
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,7 +29,14 @@ from .convert import (
     convert_pruned,
     game_digest,
 )
-from .errors import GameError, GameTooLarge, SpecOutOfBounds
+from .errors import (
+    ExclusionDataMissing,
+    GameError,
+    GameTooLarge,
+    InvalidParameter,
+    OriginMismatch,
+    SchemaError,
+)
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
 from .model import gc_paused, make_public_turn_taking
 from .solvers import (
@@ -41,17 +50,20 @@ from .solvers import (
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
-EXIT_PARAMS = 2
-EXIT_IO = 3
-EXIT_VALIDATION = 4
-EXIT_TOO_LARGE = 5
-EXIT_ORIGIN = 6
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A file that cannot be read or written."""
+
+
+# exit code per error kind; the first base class that matches wins
+_EXIT_CODES = ((InvalidParameter, 2), (GameTooLarge, 5), (MemoryError, 5),
+               (OriginMismatch, 6), (GameError, 4), (_CliError, 3))
+
+
+def exit_code(kind: type) -> int:
+    """The exit code of an error of class ``kind``."""
+    return next(code for base, code in _EXIT_CODES if issubclass(kind, base))
 
 
 def _emit(summary: dict, as_json: bool) -> None:
@@ -69,24 +81,25 @@ def _load(path: str, converted: bool):
             with open(path) as f:
                 d = json.load(f)
         except (OSError, ValueError) as exc:
-            raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
+            raise _CliError(f"cannot read {path}: {exc}")
         if (isinstance(d, dict) and "origin" in d) != converted:
             held, needed = (("an original", "a converted") if converted
                             else ("a converted", "an original"))
-            raise _CliError(EXIT_VALIDATION, f"{path} holds {held} game; "
-                                             f"{needed} game is required")
+            raise SchemaError(f"{path} holds {held} game; {needed} game is "
+                              "required")
         try:
             return (io_json.converted_from_dict(d) if converted
                     else io_json.game_from_dict(d))
-        except GameError as exc:
-            raise _CliError(EXIT_VALIDATION, f"{path}: {exc}")
+        except GameError as exc:  # keeps its kind; the message names the file
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _write(path: str, writer) -> None:
     try:
         writer(path)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {path}: {exc}")
+        raise _CliError(f"cannot write {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +108,21 @@ def _write(path: str, writer) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "toy":
-            game = gen_toy(ToySpec(args.chance, args.actions, args.depth,
-                                   both_private=args.both_private,
-                                   payoff_seed=args.payoff_seed))
-        elif args.kind == "kuhn":
-            game = gen_kuhn3(PokerSpec("kuhn", args.ranks,
-                                       adversary_position=args.adv_pos))
-        else:
-            game = gen_leduc3(PokerSpec("leduc", args.ranks, args.raises,
-                                        adversary_position=args.adv_pos))
-    except SpecOutOfBounds as exc:
-        raise _CliError(EXIT_PARAMS, str(exc))
+    if args.kind == "toy":
+        game = gen_toy(ToySpec(args.chance, args.actions, args.depth,
+                               both_private=args.both_private,
+                               payoff_seed=args.payoff_seed))
+    elif args.kind == "kuhn":
+        game = gen_kuhn3(PokerSpec("kuhn", args.ranks,
+                                   adversary_position=args.adv_pos))
+    else:
+        game = gen_leduc3(PokerSpec("leduc", args.ranks, args.raises,
+                                    adversary_position=args.adv_pos))
     _write(args.out, lambda p: io_json.save_game(game, p))
     summary = {"name": game.name, "nodes": len(game.nodes),
                "players": len(game.players)}
     if args.kind == "toy":
-        summary["p1_plans"] = count_reduced_plans(
-            game, game.players[0])
+        summary["p1_plans"] = count_reduced_plans(game, game.players[0])
     _emit(summary, args.json)
     return EXIT_OK
 
@@ -136,10 +145,9 @@ def _turn_taking(game):
 
 
 def cmd_convert(args) -> int:
-    if args.safe_ir and args.mode == "basic":
-        raise _CliError(EXIT_PARAMS,
-                        "--safe-ir needs exclusion data; it cannot be "
-                        "combined with --mode basic")
+    if args.safe_ir and args.mode == "basic":  # before any conversion
+        raise ExclusionDataMissing("--safe-ir needs exclusion data; it "
+                                   "cannot be combined with --mode basic")
     game = _turn_taking(_load(args.input, converted=False))
     cg = _CONVERTERS[args.mode](game)
     if args.safe_ir:
@@ -168,17 +176,12 @@ def _strategy_json(profile) -> dict:
 
 
 def cmd_solve(args) -> int:
-    if args.iterations < 0:
-        raise _CliError(EXIT_PARAMS,
-                        f"iterations must be >= 0, got {args.iterations}")
-    if args.log_every < 0:
-        raise _CliError(EXIT_PARAMS,
-                        f"--log-every must be >= 0, got {args.log_every}")
     cg = _load(args.input, converted=True)
     profile, log = solve_cfr(cg, algo=args.algo, iterations=args.iterations,
                              log_every=args.log_every)
-    value = expected_value(cg, profile)
-    expl = exploitability(cg, profile)
+    # the log's last row evaluates the returned profile
+    _, value, expl = log.rows[-1] if log.rows else (
+        None, expected_value(cg, profile), exploitability(cg, profile))
     if args.csv:
         _write(args.csv, lambda p: Path(p).write_text(log.to_csv()))
     if args.strategy:
@@ -196,18 +199,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 0 < args.tol < math.inf:  # NaN fails too
-        raise _CliError(EXIT_PARAMS, f"--tol must be finite and > 0, "
-                                     f"got {args.tol}")
-    if args.max_entries < 1:
-        raise _CliError(EXIT_PARAMS, f"--max-entries must be >= 1, "
-                                     f"got {args.max_entries}")
     game = _load(args.input, converted=False)
-    try:
-        res = tmecor_bruteforce(game, tol=args.tol,
-                                max_entries=args.max_entries)
-    except GameTooLarge as exc:
-        raise _CliError(EXIT_TOO_LARGE, str(exc))
+    res = tmecor_bruteforce(game, tol=args.tol, max_entries=args.max_entries)
     _emit({"tmecor_value": f"{res.value:.12g}",
            "team_support": len(res.team_support),
            "opponent_support": len(res.opponent_support)}, args.json)
@@ -220,15 +213,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        raise _CliError(EXIT_PARAMS,
-                        f"--samples must be >= 0, got {args.samples}")
     game = _turn_taking(_load(args.input, converted=False))
     cg = _load(args.converted, converted=True)
     if cg.source_digest != game_digest(game):
-        raise _CliError(EXIT_ORIGIN,
-                        f"{args.converted} does not derive from "
-                        f"{args.input}: source digest mismatch")
+        raise OriginMismatch(f"{args.converted} does not derive from "
+                             f"{args.input}: source digest mismatch")
     if args.samples == 0:
         print("warning: 0 samples verify nothing", file=sys.stderr)
         _emit({"samples": 0, "max_abs_diff": 0.0}, args.json)
@@ -316,15 +305,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except GameError as exc:  # a game the command cannot work with
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MemoryError:
         print("error: out of memory; the game is too large", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        return exit_code(MemoryError)
+    except (GameError, _CliError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exit_code(type(exc))
 
 
 if __name__ == "__main__":

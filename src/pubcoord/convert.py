@@ -79,7 +79,6 @@ from .errors import (
     ExclusionDataMissing,
     IllegalActionInPlan,
     IllegalPrescription,
-    ImperfectRecallInput,
     IncompleteProfile,
     InvalidIterationCount,
     NotPublicTurnTaking,
@@ -98,12 +97,12 @@ from .model import (
     Node,
     PlayerRole,
     VEFG,
+    check_perfect_recall,
     gc_paused,
     infosets,
     is_public_turn_taking,
     recursion_headroom,
     team_perfect_recall_refinement,
-    validate_perfect_recall,
 )
 
 TeamInfosetRef = tuple[PlayerRole, InfosetKey]
@@ -574,11 +573,7 @@ def _prepare(game: VEFG) -> VEFG:
     if g is not None:
         return g
     g = team_perfect_recall_refinement(game)
-    violations = validate_perfect_recall(g)
-    if violations:
-        raise ImperfectRecallInput(
-            f"perfect recall violated at {violations[:3]} (total "
-            f"{len(violations)})")
+    check_perfect_recall(g)
     if not is_public_turn_taking(g):
         raise NotPublicTurnTaking(
             f"game {game.name!r} is not public turn-taking; apply "

@@ -5,6 +5,10 @@ class GameError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(GameError):
+    """An argument outside the range its function documents."""
+
+
 # -- game construction / validation -------------------------------------------
 
 class SchemaError(GameError):
@@ -49,7 +53,10 @@ class ImperfectRecallInput(GameError):
     pass
 
 
-class ExclusionDataMissing(GameError):
+ImperfectRecallPlayer = ImperfectRecallInput
+
+
+class ExclusionDataMissing(InvalidParameter):
     pass
 
 
@@ -61,17 +68,17 @@ class IllegalPrescription(GameError):
     pass
 
 
+class OriginMismatch(GameError):
+    """A converted game does not derive from the given source game."""
+
+
 # -- generators ----------------------------------------------------------------
 
-class SpecOutOfBounds(GameError):
+class SpecOutOfBounds(InvalidParameter):
     pass
 
 
 # -- solvers -------------------------------------------------------------------
-
-class ImperfectRecallPlayer(GameError):
-    pass
-
 
 class EmptyMatrix(GameError):
     pass
@@ -81,7 +88,7 @@ class GameTooLarge(GameError):
     pass
 
 
-class InvalidIterationCount(GameError):
+class InvalidIterationCount(InvalidParameter):
     pass
 
 

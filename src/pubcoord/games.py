@@ -129,15 +129,11 @@ def gen_toy(spec: ToySpec) -> VEFG:
 
 
 def _poker_roles(adv_pos: int) -> list[PlayerRole]:
-    roles: list[PlayerRole] = []
-    t = 0
-    for pos in range(3):
-        if pos == adv_pos:
-            roles.append(OPPONENT)
-        else:
-            roles.append(team_member(t))
-            t += 1
-    return roles
+    if adv_pos not in (0, 1, 2):
+        raise SpecOutOfBounds(
+            f"adversary position must be 0, 1 or 2; got {adv_pos}")
+    team = map(team_member, range(2))
+    return [OPPONENT if pos == adv_pos else next(team) for pos in range(3)]
 
 
 def gen_kuhn3(spec: PokerSpec) -> VEFG:
@@ -147,10 +143,6 @@ def gen_kuhn3(spec: PokerSpec) -> VEFG:
         raise SpecOutOfBounds("3-player Kuhn needs at least 3 ranks")
     if spec.raises != 1:
         raise SpecOutOfBounds("Kuhn allows exactly one raise")
-    if spec.adversary_position not in (0, 1, 2):
-        raise SpecOutOfBounds(
-            f"adversary position must be 0, 1 or 2; got "
-            f"{spec.adversary_position}")
     r = spec.ranks
     # chance nodes for the root and the partial deals, then a 25-node
     # betting tree under each full deal
@@ -167,10 +159,6 @@ def gen_leduc3(spec: PokerSpec) -> VEFG:
         raise SpecOutOfBounds("Leduc needs at least 2 ranks")
     if spec.raises not in (1, 2):
         raise SpecOutOfBounds("Leduc raises must be 1 or 2")
-    if spec.adversary_position not in (0, 1, 2):
-        raise SpecOutOfBounds(
-            f"adversary position must be 0, 1 or 2; got "
-            f"{spec.adversary_position}")
     if spec.ranks > 5:
         raise SpecOutOfBounds("Leduc ranks above 5 exceed the size guard")
     return _gen_poker(spec)

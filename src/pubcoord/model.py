@@ -12,11 +12,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     ActionMismatchWithinInfoset,
     CyclicStructure,
+    ImperfectRecallInput,
     NotATeamGame,
     UnknownPlayer,
 )
@@ -223,20 +224,27 @@ def derive_visibility_class(edge: Edge, player_set: Iterable[PlayerRole]) -> str
 
 
 def _group(game: VEFG, observers: frozenset[PlayerRole],
-           actor: Optional[PlayerRole] = None) -> dict[InfosetKey, list[int]]:
+           actor: Optional[PlayerRole] = None,
+           own: Optional[dict] = None) -> dict[InfosetKey, list[int]]:
     """Reachable nodes grouped by the labels that every observer saw on the
     way, members ascending; with ``actor``, only that player's decision
-    nodes."""
+    nodes, and ``own`` is filled with each one's own sequence: the length
+    of the key at the actor's last decision on the way and the action
+    taken there, ``None`` before its first."""
     nodes, groups = game.nodes, {}
-    stack: list[tuple[int, InfosetKey]] = [(game.root, ())]
+    stack = [(game.root, (), None)]
     pop, push = stack.pop, stack.append
     while stack:
-        nid, seq = pop()
+        nid, seq, last = pop()
         node = nodes[nid]
         if actor is None or node.player is actor:  # roles are interned
             groups.setdefault(seq, []).append(nid)
+            if own is not None:
+                own[nid] = last
+        mine = node.player is actor  # no edges when both are None
         for e in node.edges:
-            push((e.child, seq + (e.label,) if observers <= e.seen_by else seq))
+            push((e.child, seq + (e.label,) if observers <= e.seen_by else seq,
+                  (len(seq), e.label) if mine else last))
     for members in groups.values():
         members.sort()
     return groups
@@ -248,20 +256,19 @@ def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
             _group(game, frozenset((player,))).items() for nid in members}
 
 
-def _action_mismatches(game: VEFG, groups: dict[InfosetKey, list[int]]):
-    """``(first, nid, key)`` for every node ``nid`` whose action labels
-    differ from those of ``first``, the lowest node of its group ``key``."""
-    for key, members in groups.items():
-        actions = [e.label for e in game.nodes[members[0]].edges]
-        for nid in members[1:]:
-            if [e.label for e in game.nodes[nid].edges] != actions:
-                yield members[0], nid, key
+def _mismatches(groups: dict[InfosetKey, list[int]], sig: Callable):
+    """``(first, nid, key)`` for every node ``nid`` whose ``sig`` differs
+    from that of ``first``, the lowest node of its group ``key``."""
+    for key, (first, *rest) in groups.items():
+        s = sig(first)
+        yield from ((first, nid, key) for nid in rest if sig(nid) != s)
 
 
 def infosets(game: VEFG, player: PlayerRole) -> dict[InfosetKey, list[int]]:
     """Partition the player's decision nodes by observed-action sequence."""
     groups = _group(game, frozenset((player,)), player)
-    bad = next(_action_mismatches(game, groups), None)
+    bad = next(_mismatches(groups, lambda v: [
+        e.label for e in game.nodes[v].edges]), None)
     if bad is not None:
         raise ActionMismatchWithinInfoset(
             f"nodes {bad[0]} and {bad[1]} share infoset {bad[2]!r} of "
@@ -278,22 +285,35 @@ def public_states(game: VEFG, observer_set: Iterable[PlayerRole]
     return _group(game, observers)
 
 
-def validate_perfect_recall(game: VEFG) -> list[tuple[PlayerRole, int]]:
-    """Report (player, node) pairs violating perfect recall; empty means ok."""
-    violations: list[tuple[PlayerRole, int]] = []
-    for nid, node in enumerate(game.nodes):
-        if node.player is not None and not node.is_chance:
-            for e in node.edges:
-                if node.player not in e.seen_by:
-                    violations.append((node.player, nid))
-                    break
-    # nodes sharing an infoset must offer the same actions; report each
-    # offender, groups in order of their lowest node
-    for player in game.players:
-        groups = _group(game, frozenset((player,)), player)
-        violations.extend((player, nid) for _, nid, _ in
-                          sorted(_action_mismatches(game, groups)))
+def validate_perfect_recall(game: VEFG,
+                            players: Optional[Iterable[PlayerRole]] = None
+                            ) -> list[tuple[PlayerRole, int]]:
+    """Report (player, node) pairs violating perfect recall for ``players``
+    (default: every strategic player); empty means ok.  A player sees its
+    own moves, and the nodes of one of its infosets offer the same actions
+    and follow the same own sequence: the player's last own infoset and
+    action on the way.  Blind moves come first, in node order; then, per
+    player, each other offender, infosets in order of their lowest node."""
+    players = game.players if players is None else tuple(players)
+    violations = [(node.player, nid) for nid, node in enumerate(game.nodes)
+                  if node.player in players
+                  and any(node.player not in e.seen_by for e in node.edges)]
+    for player in players:
+        own: dict[int, Optional[tuple]] = {}
+        groups = _group(game, frozenset((player,)), player, own)
+        bad = _mismatches(groups, lambda v: (
+            [e.label for e in game.nodes[v].edges], own[v]))
+        violations.extend((player, nid) for _, nid, _ in sorted(bad))
     return violations
+
+
+def check_perfect_recall(game: VEFG, players=None) -> None:
+    """Raise :class:`ImperfectRecallInput` naming the first offenders of
+    :func:`validate_perfect_recall`, if any."""
+    bad = validate_perfect_recall(game, players)
+    if bad:
+        raise ImperfectRecallInput(
+            f"perfect recall violated at {bad[:3]} (total {len(bad)})")
 
 
 def team_perfect_recall_refinement(game: VEFG) -> VEFG:

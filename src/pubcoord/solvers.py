@@ -38,9 +38,9 @@ from .convert import ConvertedGame, _Compiled, _Partition, compile_converted
 from .errors import (
     EmptyMatrix,
     GameTooLarge,
-    ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
+    InvalidParameter,
     SolverFailure,
 )
 from .model import (
@@ -48,6 +48,7 @@ from .model import (
     OPPONENT,
     PlayerRole,
     VEFG,
+    check_perfect_recall,
     infosets,
 )
 
@@ -139,12 +140,13 @@ def _sequence_form(game: VEFG, players: list):
     for ``None``), its :func:`~pubcoord.model.infosets` numbered in walk
     order, and per value-carrying terminal, in depth-first order, its
     chance-weighted utility and each player's sequence id (an array of
-    players x terminals).  A player whose infoset follows different own
-    sequences on two visits raises :class:`ImperfectRecallPlayer`."""
+    players x terminals).  The listed players must have perfect recall
+    (:func:`~pubcoord.model.check_perfect_recall`)."""
     index = {p: k for k, p in enumerate(players) if p is not None}
     forests = [_SeqForest() for _ in players]
     key_of = [{nid: key for key, members in (infosets(game, p) if p else {})
                .items() for nid in members} for p in players]
+    check_perfect_recall(game, list(index))
     ids: list[dict] = [{} for _ in players]  # infoset key -> number
     wu, seqs = [], []
     stack = [(game.root, Fraction(1), (0,) * len(players))]
@@ -167,10 +169,6 @@ def _sequence_form(game: VEFG, players: list):
                 f.parent.append(seq[k])
                 f.first.append(f.size)
                 f.size += len(node.edges)
-            elif f.parent[i] != seq[k]:
-                raise ImperfectRecallPlayer(
-                    f"infoset {key!r} of {node.player.name} reached after "
-                    f"own sequences {f.parent[i]} and {seq[k]}")
         for a in range(len(node.edges) - 1, -1, -1):
             e = node.edges[a]
             stack.append((
@@ -266,8 +264,13 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
     one numpy pass each, with no float array over ``2**20`` entries.  The
     opponent's best response is the same dynamic program.  Teams of any
     size are solved.  When that reach array would exceed ``max_entries``
-    entries, :class:`GameTooLarge` is raised.
+    entries, :class:`GameTooLarge` is raised.  ``tol`` must be finite and
+    positive and ``max_entries`` at least 1 (:class:`InvalidParameter`).
     """
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
+    if max_entries < 1:
+        raise InvalidParameter(f"max_entries must be >= 1, got {max_entries}")
     return _tmecor_double_oracle(game, tol, max_entries)
 
 
@@ -591,9 +594,8 @@ def exploitability(cg: ConvertedGame, profile: Profile) -> float:
     For games without an opponent this reduces to the coordinator's
     improvement potential max-value - current value.
     """
-    v = expected_value(cg, profile)
     br_t, _ = best_response(cg, profile, "coord")
     if OPPONENT not in cg.tree.players:
-        return br_t - v
-    br_o, _ = best_response(cg, profile, "o")
-    return (br_t - v) + (br_o - (-v))
+        return br_t - expected_value(cg, profile)
+    # (br_t - v) + (br_o + v): the opponent's best response is in its payoff
+    return br_t + best_response(cg, profile, "o")[0]

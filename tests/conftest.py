@@ -75,6 +75,33 @@ def hidden_actor_game(terminal_first: bool = True) -> VEFG:
     return g
 
 
+def own_sequence_collision_game() -> VEFG:
+    """Two t0 nodes with key ('x', 'y') and actions l / r, reached after
+    different own sequences: chance deals "x" (seen by t0) and t0 plays
+    "y", then o plays "u" unseen by t0; or chance deals "q" (seen by
+    nobody), t0 plays "x" and o plays "y".  t1 never acts; every other
+    move is seen by all.  The game is public turn-taking."""
+    seen, pub = (lambda *p: frozenset(p)), frozenset(ALL)
+    term = [Node(utility=Fraction(u)) for u in (3, -1, -2, 2, 1, 0, 1)]
+    after = [Node(player=T0, edges=(Edge("l", k, seen_by=pub),
+                                    Edge("r", k + 1, seen_by=pub)))
+             for k in (0, 2)]                                      # 7, 8
+    o_after_y = Node(player=O, edges=(Edge("u", 7, seen_by=seen(O)),))
+    o_after_x = Node(player=O, edges=(Edge("y", 8, seen_by=pub),
+                                      Edge("t", 4, seen_by=pub)))  # 9, 10
+    dealt_x = Node(player=T0, edges=(Edge("y", 9, seen_by=pub),
+                                     Edge("z", 6, seen_by=pub)))
+    dealt_q = Node(player=T0, edges=(Edge("x", 10, seen_by=pub),
+                                     Edge("w", 5, seen_by=pub)))  # 11, 12
+    root = Node(player=CHANCE, edges=(
+        Edge("x", 11, Fraction(1, 2), seen(T0)),
+        Edge("q", 12, Fraction(1, 2), seen())))
+    g = VEFG("own-sequence-collision", ALL, (
+        *term, *after, o_after_y, o_after_x, dealt_x, dealt_q, root), 13)
+    validate_game(g)
+    return g
+
+
 @pytest.fixture(scope="session")
 def kuhn0():
     return gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0))

@@ -83,6 +83,7 @@ from conftest import (
     T1,
     hidden_actor_game,
     mini_team_game,
+    own_sequence_collision_game,
     with_root_probs,
 )
 
@@ -333,6 +334,16 @@ def test_action_mismatch_within_infoset_is_caught():
     with pytest.raises(ActionMismatchWithinInfoset):
         infosets(g, T0)
     assert validate_perfect_recall(g) == [(T0, 5)]
+    for convert in CONVERTERS.values():
+        with pytest.raises(ImperfectRecallInput):
+            convert(g)
+
+
+def test_own_sequence_collision_is_rejected():
+    # public turn-taking, so only the own-sequence clause of the perfect
+    # recall rule rejects it
+    g = own_sequence_collision_game()
+    assert is_public_turn_taking(g)
     for convert in CONVERTERS.values():
         with pytest.raises(ImperfectRecallInput):
             convert(g)

@@ -36,7 +36,15 @@ from pubcoord.model import (
     validate_perfect_recall,
 )
 
-from conftest import ALL, O, T0, T1, mini_team_game, with_root_probs
+from conftest import (
+    ALL,
+    O,
+    T0,
+    T1,
+    mini_team_game,
+    own_sequence_collision_game,
+    with_root_probs,
+)
 
 
 def test_parse_role_roundtrip():
@@ -213,6 +221,15 @@ def test_perfect_recall_detects_blind_player():
     g = VEFG("blind", ALL, (term0, term1, root), 2)
     validate_game(g)
     assert (T0, 2) in validate_perfect_recall(g)
+
+
+def test_perfect_recall_detects_own_sequence_collision():
+    # nodes 7 and 8 share t0's key ('x', 'y') and actions, but follow t0's
+    # "y" at ('x',) and its "x" at (); only the listed players are checked
+    g = own_sequence_collision_game()
+    assert validate_perfect_recall(g) == [(T0, 8)]
+    assert validate_perfect_recall(g, [T0]) == [(T0, 8)]
+    assert validate_perfect_recall(g, [T1, O]) == []
 
 
 def test_team_refinement_makes_team_actions_mutually_seen(mini):

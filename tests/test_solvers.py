@@ -19,9 +19,11 @@ from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     EmptyMatrix,
     GameTooLarge,
+    ImperfectRecallInput,
     ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
+    InvalidParameter,
     NotPublicTurnTaking,
     SolverFailure,
 )
@@ -49,7 +51,7 @@ from pubcoord.solvers import (
     tmecor_bruteforce,
 )
 
-from conftest import ALL, O, T0, T1, mini_team_game
+from conftest import ALL, O, T0, T1, mini_team_game, own_sequence_collision_game
 
 T2 = parse_role("t2")
 
@@ -125,6 +127,31 @@ def test_imperfect_recall_player_rejected():
     validate_game(g)
     with pytest.raises(ImperfectRecallPlayer):
         reduced_normal_form_plans(g, T0)
+
+
+def test_own_sequence_collision_is_rejected_by_the_oracle():
+    # the converters' perfect-recall rule, with the same error type
+    g = own_sequence_collision_game()
+    assert ImperfectRecallPlayer is ImperfectRecallInput
+    with pytest.raises(ImperfectRecallInput):
+        tmecor_bruteforce(g)
+    with pytest.raises(ImperfectRecallInput):
+        count_reduced_plans(g, T0)
+    assert count_reduced_plans(g, O) == 2
+
+
+def test_oracle_rejects_a_player_blind_to_its_own_move():
+    # t0's one infoset is reached once, so only the blind-move clause of
+    # the perfect-recall rule rejects the game
+    root = Node(player=T0, edges=(
+        Edge("a", 0, seen_by=frozenset({T1, O})),
+        Edge("b", 1, seen_by=frozenset({T1, O}))))
+    g = VEFG("blind", ALL, (Node(utility=1), Node(utility=0), root), 2)
+    validate_game(g)
+    with pytest.raises(ImperfectRecallInput):
+        tmecor_bruteforce(g)
+    with pytest.raises(ImperfectRecallInput):
+        count_reduced_plans(g, T0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +366,18 @@ def test_tmecor_team_only_game_maximizes():
     # no opponent: value is the best joint plan's expected utility
     assert res.value == pytest.approx(_reference_tmecor(g), abs=1e-9)
     assert res.opponent_support == [(1.0, dict())]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_entries": 0}])
+def test_tmecor_rejects_bad_arguments_before_any_lp(monkeypatch, kwargs):
+    def no_lp(*args, **kw):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(solvers, "linprog", no_lp)
+    with pytest.raises(InvalidParameter):
+        tmecor_bruteforce(mini_team_game(1), **kwargs)
 
 
 def test_tmecor_guard_rejects_leduc():
