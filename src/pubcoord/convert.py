@@ -32,14 +32,16 @@ state of weight 1.  A ``Fraction`` is made only for a value new to its table.
 
 Every call emits its subtree as one contiguous post-order id range ending at
 the returned id.  So the builder builds each distinct pair once and answers
-a repeat with a copy of that range, its ids shifted; within one coordinator
-node, a prescription that gives each belief state the action an earlier one
-gave (and, under prune, keeps the same infosets compatible) is one copy of
-that earlier range.  The copies are exact because the builder is a pure
-function of its inputs.  What it reads of a source node, a terminal belief,
-an ``active`` tuple and the supports after a step is tabled once per
-conversion.  The memo and tables are freed when the conversion returns; the
-cyclic collector is paused while it builds.
+a repeat with a copy of that range, its ids shifted (a terminal, cheaper to
+emit than to copy, is emitted); within one coordinator node, a prescription
+that gives each belief state the action an earlier one gave (and, under
+prune, keeps the same infosets compatible) is one copy of that earlier
+range.  The copies are exact because the builder is a pure function of its
+inputs.  A one-state belief (all, with fold off) resolves a prescription by
+one edge of probability 1, with no grouping.  The source table is kept per
+game for every mode; a terminal belief, an ``active`` tuple and the
+supports after a step are tabled per conversion, and freed with the memo on
+return.  The cyclic collector is paused while the builder runs.
 
 The tree is kept as int columns (:class:`ConvertedTree`): per node its
 player, utility and edge end, per edge its label, child, probability and
@@ -262,20 +264,20 @@ class _Walk:
     1]]``, and ``edges`` their edges, node by node in action order.  Per
     observer bit, ``seq[bit]`` gives every node id the id of the label
     sequence that observer saw on the way (-1: unreached); sequence 0 is
-    empty, and ``steps[bit]`` maps ``parent * len(labels) + label`` to the
-    id of every other sequence, numbered in insertion order."""
+    empty, and ``steps[bit]`` holds the others' codes ``parent *
+    len(labels) + label`` in id order (new ones at each depth ascending)."""
 
     order: np.ndarray
     bounds: list[int]
     edges: np.ndarray
     seq: dict[int, np.ndarray]
-    steps: dict[int, dict[int, int]]
+    steps: dict[int, np.ndarray]
     labels: tuple[str, ...]
 
     def keys(self, bit: int) -> Callable[[list[int]], list[tuple[str, ...]]]:
         """A function from sequence ids of observer ``bit`` to their label
         tuples, made when it is called; it holds the steps, not the walk."""
-        codes, labels = np.fromiter(self.steps[bit], np.int64), self.labels
+        codes, labels = self.steps[bit], self.labels
 
         def keys(seqs: list[int]) -> list[tuple[str, ...]]:
             table: list[tuple[str, ...]] = [()]
@@ -443,7 +445,7 @@ class ConvertedTree:
                 f"chance node {v} has an edge without probability" if chance[v]
                 else f"decision node {v} carries chance probabilities")
         chance_nodes = np.flatnonzero(chance)
-        for c in np.unique(count[chance_nodes]).tolist():
+        for c in np.flatnonzero(np.bincount(count[chance_nodes])).tolist():
             nodes = chance_nodes[count[chance_nodes] == c]
             rows, first = np.unique(
                 self.prob[self.edges_of(nodes, count)].reshape(-1, c), axis=0,
@@ -461,7 +463,7 @@ class ConvertedTree:
                     raise ProbabilityNotNormalized(
                         f"chance node {v} probabilities sum to {total}")
         deciding = ~(terminal | chance)
-        for r in np.unique(self.player[deciding]).tolist():
+        for r in np.flatnonzero(np.bincount(self.player[deciding])).tolist():
             if self.roles[r] not in self.players:
                 v = int(np.flatnonzero(deciding & (self.player == r))[0])
                 raise UnknownPlayer(f"node {v} acted by unlisted player "
@@ -470,14 +472,17 @@ class ConvertedTree:
 
     def walk(self) -> _Walk:
         """One level-synchronous pass from the root (see :class:`_Walk`).
-        Per depth and observer, the edges the observer sees get one
-        sequence id per distinct (parent's sequence, label) pair, by one
-        ``np.unique``; the others pass their parent's sequence on."""
+        Per depth and observer, each distinct (parent's sequence, label)
+        code seen keeps the id it got at an earlier depth or gets a new one,
+        numbered in arrays; unseen edges pass their parent's sequence on."""
         count = self.count()
         n_labels = len(self.labels)
         seq = {bit: np.full(len(self.player), -1, dtype=np.int64)
                for bit in (COORD_SEEN, OPP_SEEN)}
-        steps: dict[int, dict[int, int]] = {bit: {} for bit in seq}
+        # per observer: its new codes per depth, every code's id, and the
+        # first id made at the previous depth
+        steps, index = {bit: [] for bit in seq}, {bit: {} for bit in seq}
+        fresh = dict.fromkeys(seq, 0)
         level = np.array([self.root], dtype=np.int64)
         for s in seq.values():
             s[level] = 0
@@ -491,18 +496,25 @@ class ConvertedTree:
             for bit, s in seq.items():
                 kid_seq = s[at]
                 seen = (self.seen[e] & bit) != 0
-                pairs, inv = np.unique(
+                codes, inv = np.unique(
                     kid_seq[seen] * n_labels + self.label[e[seen]],
                     return_inverse=True)
-                index = steps[bit]
-                ids = [index.setdefault(p, len(index) + 1)
-                       for p in pairs.tolist()]
-                kid_seq[seen] = np.array(ids, dtype=np.int64)[inv]
+                ids, got = index[bit], np.zeros(codes.size, np.int64)
+                # a code of a parent made at the previous depth is new
+                old = codes < fresh[bit] * n_labels
+                got[old] = [ids.get(c, 0) for c in codes[old].tolist()]
+                new = got == 0
+                fresh[bit] = len(ids) + 1
+                got[new] = fresh[bit] + np.arange(np.count_nonzero(new))
+                ids.update(zip(codes[new].tolist(), got[new].tolist()))
+                steps[bit].append(codes[new])
+                kid_seq[seen] = got[inv]
                 s[kids] = kid_seq
             edges.append(e)
             level = kids.astype(np.int64)
-        return _Walk(np.concatenate(order), bounds, np.concatenate(edges),
-                     seq, steps, self.labels)
+        return _Walk(np.concatenate(order), bounds, np.concatenate(edges), seq,
+                     {bit: np.concatenate(c) for bit, c in steps.items()},
+                     self.labels)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -629,9 +641,9 @@ def _split(items, total: int) -> list[tuple]:
     """Group successor ``(key, child, weight, seen bits)`` items by key, in
     first-seen order, as ``(key, numerator, denominator, child belief, seen
     bits)``: the group's weight over ``total``, reduced, and the seen bits
-    of its last item.  A one-state group's belief has weight 1 (with fold
-    off every group is one state); a larger one keeps its weights, over
-    their gcd, or gets weight 1 on every state when its mass is 0."""
+    of its last item.  A one-state group's belief has weight 1; a larger one
+    keeps its weights, over their gcd, or gets weight 1 on every state when
+    its mass is 0."""
     groups: dict = {}
     last_seen: dict = {}
     for key, child, w, seen in items:
@@ -649,16 +661,14 @@ def _split(items, total: int) -> list[tuple]:
 
 class _Source:
     """A source node as the builder reads it: its edges' labels, children,
-    probabilities and converted seen bits, a label -> edge ``index``, at
-    chance the probabilities as int ``weights`` over their lcm ``scale``,
-    and the edges' label and probability ``ids`` once emitted as a copy."""
+    probabilities and converted seen bits, a label -> edge ``index``, and at
+    chance the probabilities as int ``weights`` over their lcm ``scale``."""
 
     __slots__ = ("player", "utility", "labels", "children", "probs", "seen",
-                 "index", "weights", "scale", "ids")
+                 "index", "weights", "scale")
 
     def __init__(self, node: Node, team: frozenset, opp) -> None:
-        edges, self.ids = node.edges, None
-        self.player, self.utility = node.player, node.utility
+        edges, self.player, self.utility = node.edges, node.player, node.utility
         self.labels = tuple(e.label for e in edges)
         self.children = tuple(e.child for e in edges)
         self.probs = tuple(e.prob for e in edges)
@@ -698,9 +708,12 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
     refs, iset_actions, iset_of = _team_isets(g)
     b = _Columns()
     labels, probs = b.labels, b.probs
-    # per-conversion tables: per source node, per active tuple, per terminal
+    # per game the source table; per conversion: per source node its edges'
+    # label and probability ids once copied, per active tuple, per terminal
     # belief its utility id, and per (support, step) the support after it
-    src = [_Source(node, team, opp) for node in g.nodes]
+    src = vars(g).get("_sources") or vars(g).setdefault(
+        "_sources", tuple(_Source(v, team, opp) for v in g.nodes))
+    edge_ids: dict[_Source, tuple[list, list]] = {}
     prescriptions: dict[tuple[int, ...], _Prescriptions] = {}
     utility_of: dict[Belief, int] = {}
     next_supports: dict[tuple, tuple[int, ...]] = {}
@@ -749,6 +762,8 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
     spans: dict[tuple, tuple[int, int]] = {}
 
     def build(belief: Belief, support: tuple[int, ...]) -> int:
+        if src[belief[0][0]].player is None:  # terminal: emitted, not copied
+            return b.emit(None, utility(belief))
         span = spans.get((belief, support))
         if span is not None:
             return b.copy(*span)
@@ -762,8 +777,6 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         # utilities; the support, on what the coordinator saw, the infosets
         node = src[belief[0][0]]
         player = node.player
-        if player is None:
-            return b.emit(None, utility(belief))
         if player is CHANCE and fold:
             m = lcm(*(src[s].scale for s, _ in belief))
             items = [(a, c, w * (m // src[s].scale) * x, seen)
@@ -789,11 +802,10 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                       next_support(support, a if node.seen[k] & COORD_SEEN
                                    else None))
                 for k, a in enumerate(node.labels)]
-            if node.ids is None:
-                node.ids = ([labels.id(a) for a in node.labels],
-                            [probs.id(p) for p in node.probs])
-            return b.emit(player, None, node.ids[0], children, node.ids[1],
-                          node.seen)
+            ids = edge_ids.get(node) or edge_ids.setdefault(node, (
+                [labels.id(a) for a in node.labels],
+                [probs.id(p) for p in node.probs]))
+            return b.emit(player, None, ids[0], children, ids[1], node.seen)
         # team decision node -> coordinator node with one edge per
         # prescription, each resolved by a chance node over the distinct
         # actions it prescribes to the belief states
@@ -816,20 +828,31 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 resolves.append(b.copy(*span))
                 continue
             lo = len(b.player)
-            plays = []
-            for r, w, p in states:
-                k = r.index[pre.plays[codes[p]][0]]
-                plays.append((codes[p], r.children[k], w, r.seen[k]))
-            plays = _split(plays, total)
-            # in declaration order of the acting infoset's action list
-            plays.sort(key=lambda play: node.index.get(
-                pre.plays[play[0]][0], len(node.index)))
-            children = [build(nb, next_support(support, pre.plays[x]))
-                        for x, _, _, nb, _ in plays]
-            resolve = b.emit(
-                CHANCE, None, [labels.id(pre.plays[x][0]) for x, *_ in plays],
-                children, [probs.ratio(q, t) for _, q, t, _, _ in plays],
-                bytes(COORD_SEEN | seen & OPP_SEEN for *_, seen in plays))
+            if len(states) == 1:  # one edge, of probability 1
+                r, _, p = states[0]
+                play = pre.plays[codes[p]]
+                k = r.index[play[0]]
+                child = build(((r.children[k], 1),),
+                              next_support(support, play))
+                resolve = b.emit(CHANCE, None, [labels.id(play[0])], [child],
+                                 [probs.ratio(1, 1)],
+                                 bytes((COORD_SEEN | r.seen[k] & OPP_SEEN,)))
+            else:
+                plays = []
+                for r, w, p in states:
+                    k = r.index[pre.plays[codes[p]][0]]
+                    plays.append((codes[p], r.children[k], w, r.seen[k]))
+                plays = _split(plays, total)
+                # in declaration order of the acting infoset's action list
+                plays.sort(key=lambda play: node.index.get(
+                    pre.plays[play[0]][0], len(node.index)))
+                children = [build(nb, next_support(support, pre.plays[x]))
+                            for x, _, _, nb, _ in plays]
+                resolve = b.emit(
+                    CHANCE, None,
+                    [labels.id(pre.plays[x][0]) for x, *_ in plays], children,
+                    [probs.ratio(q, t) for _, q, t, _, _ in plays],
+                    bytes(COORD_SEEN | seen & OPP_SEEN for *_, seen in plays))
             done[key] = (lo, resolve)
             resolves.append(resolve)
         if pre.edges is None:
@@ -904,7 +927,7 @@ class _Partition:
         self.offset = np.concatenate(([0], np.cumsum(per_iset)))
         self.edge_slot = _ranges(self.offset[self.of_node], count)
         self.groups = [self.offset[:-1][per_iset == n][:, None] + np.arange(n)
-                       for n in np.unique(per_iset).tolist()]
+                       for n in np.flatnonzero(np.bincount(per_iset)).tolist()]
         self._make_keys = lambda e=sets[self.first]: key(e.tolist())
 
     @cached_property

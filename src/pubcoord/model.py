@@ -294,45 +294,51 @@ def validate_perfect_recall(game: VEFG,
     and follow the same own sequence: the player's last own infoset and
     action on the way.  Blind moves come first, in node order; then, per
     player, each other offender, infosets in order of their lowest node."""
+    return [(p, nid) for p, nid, _ in _recall_violations(game, players)]
+
+
+def _recall_violations(game: VEFG, players) -> list[tuple]:
+    """The offenders of :func:`validate_perfect_recall`, with their clause."""
     players = game.players if players is None else tuple(players)
-    violations = [(node.player, nid) for nid, node in enumerate(game.nodes)
+    acts = [[e.label for e in node.edges] for node in game.nodes]
+    violations = [(node.player, nid, "blind move")
+                  for nid, node in enumerate(game.nodes)
                   if node.player in players
                   and any(node.player not in e.seen_by for e in node.edges)]
     for player in players:
         own: dict[int, Optional[tuple]] = {}
         groups = _group(game, frozenset((player,)), player, own)
-        bad = _mismatches(groups, lambda v: (
-            [e.label for e in game.nodes[v].edges], own[v]))
-        violations.extend((player, nid) for _, nid, _ in sorted(bad))
+        bad = _mismatches(groups, lambda v: (acts[v], own[v]))
+        violations.extend((player, nid, "action mismatch" if acts[first] !=
+                           acts[nid] else "own-sequence collision")
+                          for first, nid, _ in sorted(bad))
     return violations
 
 
 def check_perfect_recall(game: VEFG, players=None) -> None:
     """Raise :class:`ImperfectRecallInput` naming the first offenders of
-    :func:`validate_perfect_recall`, if any."""
-    bad = validate_perfect_recall(game, players)
-    if bad:
-        raise ImperfectRecallInput(
-            f"perfect recall violated at {bad[:3]} (total {len(bad)})")
+    :func:`validate_perfect_recall`, if any, and the clause each breaks."""
+    if bad := _recall_violations(game, players):
+        raise ImperfectRecallInput("perfect recall violated: " + "; ".join(
+            f"{clause} at ({p!r}, {nid})" for p, nid, clause in bad[:3])
+            + f" (total {len(bad)})")
 
 
 def team_perfect_recall_refinement(game: VEFG) -> VEFG:
-    """Mark every team-member action as seen by all team members."""
+    """Mark every team-member action as seen by all team members; ``game``
+    itself when every one already is."""
     team = frozenset(game.team_players())
     if not team:
         raise NotATeamGame(f"game {game.name!r} has no team members")
-    new_nodes = []
-    changed = False
-    for node in game.nodes:
-        if node.player is not None and node.player.kind == "team":
-            edges = tuple(replace(e, seen_by=e.seen_by | team) for e in node.edges)
-            if edges != node.edges:
-                changed = True
-                node = replace(node, edges=edges)
-        new_nodes.append(node)
-    if not changed:
-        return game
-    return replace(game, nodes=tuple(new_nodes))
+    nodes, changed = list(game.nodes), False
+    for nid, node in enumerate(game.nodes):
+        if (node.player is not None and node.player.kind == "team"
+                and not all(team <= e.seen_by for e in node.edges)):
+            changed = True
+            nodes[nid] = replace(node, edges=tuple(
+                e if team <= e.seen_by else replace(e, seen_by=e.seen_by | team)
+                for e in node.edges))
+    return replace(game, nodes=tuple(nodes)) if changed else game
 
 
 def is_public_turn_taking(game: VEFG) -> bool:

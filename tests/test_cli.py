@@ -219,16 +219,19 @@ def test_folded_pipeline_on_inexact_float_chance_row(tmp_path, capsys):
 # malformed inputs and the exit-code contract
 # ---------------------------------------------------------------------------
 
-def run_subprocess(*argv, optimize=False):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(pubcoord.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
-    cmd = [sys.executable] + (["-O"] if optimize else [])
-    proc = subprocess.run(cmd + ["-m", "pubcoord.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_subprocess(*argv, optimize=False):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    proc = _python(*(["-O"] if optimize else []), "-m", "pubcoord.cli", *argv)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -447,6 +450,25 @@ def test_solve_and_oracle_survive_python_O(tmp_path):
         optimized = run_subprocess(*argv, optimize=True)
         assert plain[0] == optimized[0] == 0, (plain[2], optimized[2])
         assert plain[1] == optimized[1]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # a plain ``np.unique`` imports numpy.ma under numpy 2.x, which every
+    # fresh process would pay for; no command's path runs one
+    if _python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)"
+               ).stdout.strip() == "True":
+        pytest.skip("importing numpy alone imports numpy.ma")
+    probe = ("import sys; from pubcoord.cli import main; code = main("
+             "sys.argv[1:]); print('numpy.ma' in sys.modules, "
+             "file=sys.stderr); sys.exit(code)")
+    g, c = tmp_path / "kuhn.json", tmp_path / "conv.json"
+    for argv in (("gen", "kuhn", "--ranks", "3", "--out", g),
+                 ("convert", g, "--mode", "folded", "--safe-ir", "--out", c),
+                 ("solve", c, "--iterations", "5"),
+                 ("verify", g, c, "--samples", "5")):
+        proc = _python("-c", probe, *argv)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        assert proc.stderr.splitlines()[-1] == "False", argv[0]
 
 
 # solve and verify on the committed converted file; pinned when the file

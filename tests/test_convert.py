@@ -31,6 +31,7 @@ from pubcoord import (
 from pubcoord.census import census
 from pubcoord.convert import (
     COORD_SEEN,
+    OPP_SEEN,
     ConvertedTree,
     _Columns,
     _Walk,
@@ -86,6 +87,7 @@ from conftest import (
     own_sequence_collision_game,
     with_root_probs,
 )
+from reference_walk import reference_keys, reference_sequences
 
 CONVERTERS = {"basic": convert_basic, "pruned": convert_pruned,
               "folded": convert_folded}
@@ -335,7 +337,8 @@ def test_action_mismatch_within_infoset_is_caught():
         infosets(g, T0)
     assert validate_perfect_recall(g) == [(T0, 5)]
     for convert in CONVERTERS.values():
-        with pytest.raises(ImperfectRecallInput):
+        with pytest.raises(ImperfectRecallInput,
+                           match=r"action mismatch at \(t0, 5\)"):
             convert(g)
 
 
@@ -863,6 +866,146 @@ def test_mini_games_match_pinned_digest(mode):
             cg = CONVERTERS[mode](mini_team_game(seed, chance_outcomes))
             h.update(repr(_pin(cg)).encode())
     assert h.hexdigest() == _MINI_PINNED[mode]
+
+
+# (game, mode) -> sha256 of :func:`_raw_pin`, taken at the commit before
+# the builder emitted leaves and one-state resolves directly.  ``_pin``
+# compares values; this compares the ids, so the order in which each value
+# table was filled, and with it the converted JSON files, stays fixed.
+_RAW_PINNED = {
+    ("kuhn3-0", "basic"):
+        "12c84bc4c2130181eca2137980429d2dfb5cb87fe154e88f5626e6a5ae1247f0",
+    ("kuhn3-0", "pruned"):
+        "cbc1a6635eb5fa00515f8a86ca3a4830de4f6a270a7632517ab4d432ed14d218",
+    ("kuhn3-0", "folded"):
+        "823e6d589265d4719c22e3053dd1cfc1876ca2f6be2ecdc8415372bfda82e095",
+    ("kuhn3-1", "basic"):
+        "a6b8d3f775121bf470852312bba988ea8876ed482a670b115994d40f5d09a1a3",
+    ("kuhn3-1", "pruned"):
+        "6178fe0f88e6bb406ede07748730341c75eff28f36ec98da69aa759e56937794",
+    ("kuhn3-1", "folded"):
+        "1029abdea41315c8c149258edfdd707a715453f709223253f9ff1a3ebd674e72",
+    ("kuhn3-2", "basic"):
+        "c194c1ce10b46cb80d3db00d7da6ee6f9a26795bdf716f0d116760b470c58462",
+    ("kuhn3-2", "pruned"):
+        "5aea34e0bedfe1ff969520a2089f88da2e75fd00ec9a961ba5e1dc15cdef1ab3",
+    ("kuhn3-2", "folded"):
+        "0c73581b45295fda38d130721185459579a4da37cee38ed068dcc842d899344e",
+    ("kuhn4-0", "folded"):
+        "74bf7c6dbc8a2e745d45f80034d9cadaa0f021e17182cb2d26f61ec3531d6630",
+    ("leduc21-0", "basic"):
+        "2abac410dec04ab236de168c68e31a7b956d0960a5dbb67d408a710c496eee68",
+    ("leduc21-0", "pruned"):
+        "d829b04705817ef051dcea13a933eb38686f96e691e5e8aa1882166615145853",
+    ("leduc21-0", "folded"):
+        "501967d6acc662cfd1397ae5bd0e633d2d1379ffde1b5a97f72ea3bc4d708422",
+    ("leduc21-1", "basic"):
+        "d736c2928723fb6f584a6cd36460f0cb2be54c80d6c2c9977923c5441b3feee5",
+    ("leduc21-1", "pruned"):
+        "0d7c5ddc087af2b86131bee7c886159d09720de5c6290336cc7e43055f1ccc00",
+    ("leduc21-1", "folded"):
+        "f3c197b99e9102a9d029926701e6fe91df57c85d88f183bc5acbeaef0690b8e6",
+    ("leduc21-2", "basic"):
+        "b3b314fd59abb16a6ca5c2328324fa903d8342b3c78b633c9e86ce02b3374da1",
+    ("leduc21-2", "pruned"):
+        "13772b017f1d40f19f8b1a9fcd3096361d7f6e98565cef14364be88ed84b93af",
+    ("leduc21-2", "folded"):
+        "e8676819cd640aebc7881635672f972916637e3213815025f4c8dabcdc1e38dc",
+    ("toy222f", "basic"):
+        "b7e618abbbe250cbc9cdee09514b18f79b6711c26ce6ae1074239232c755e6b1",
+    ("toy222f", "pruned"):
+        "1aa175572785f4c2f571527db4181faa327c109aa55a4e91681cad02619b0660",
+    ("toy222f", "folded"):
+        "5c8c18a96318812c38d72413ec41218ca9eb303914d13f565548a67da2eb7693",
+    ("toy232", "basic"):
+        "dac3b1a9e9b528bdcb55c7018e7e23489e58a79291a06c2a29af39cf40bfd7b6",
+    ("toy232", "pruned"):
+        "2bf5b22a145f4927c2ead3616b21f9563ed9ec19ccf714cc3f7f9958c6ec0d57",
+    ("toy232", "folded"):
+        "5e2c7953f8d2d847abd5344cb4a61b03243de3ca5890b806f431d546d48c4c54",
+    ("toy322bp", "basic"):
+        "14593c868128c52387bb30d31f239e369300558a814bcda1e5ab7e54f3735ac0",
+    ("toy322bp", "pruned"):
+        "6caf80113afee7075f12645ea3d3659eeb857d643ea698d92ac2a7084fc6d374",
+    ("toy322bp", "folded"):
+        "1f7bfdfca0f3c4055267af6fb62aea6d4f8e88d4360dded8effba89c4f87e902",
+}
+
+
+def _raw_pin(cg):
+    """sha256 over the tree's raw id columns and the order of its tables."""
+    t = cg.tree
+    h = hashlib.sha256()
+    for column in (t.player, t.utility, t.end, t.label, t.child, t.prob,
+                   t.seen):
+        h.update(np.asarray(column, "<i8").tobytes())
+    h.update(repr((t.roles, t.labels, t.probs, t.utilities)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_GAMES))
+def test_converted_columns_and_tables_match_pinned_digests(name):
+    g = _PIN_GAMES[name]()
+    for mode in _pinned_modes(name):
+        assert _raw_pin(CONVERTERS[mode](g)) == _RAW_PINNED[name, mode], (
+            name, mode)
+
+
+def _assert_walk_matches_reference(tree, c=None):
+    """``tree.walk()`` numbers every sequence as the dict-based reference
+    does; so do the perfect-recall partitions of the compiled form ``c``."""
+    walk = tree.walk()
+    seq, index = reference_sequences(tree)
+    for bit, name in ((COORD_SEEN, "coord"), (OPP_SEEN, "o")):
+        table = reference_keys(tree, index[bit])
+        assert np.array_equal(walk.seq[bit], seq[bit]), bit
+        assert walk.steps[bit].tolist() == list(index[bit]), bit
+        reached = seq[bit][seq[bit] >= 0].tolist()
+        assert walk.keys(bit)(reached) == [table[s] for s in reached], bit
+        side = None if c is None else c.sides.get(name)
+        if side is not None:
+            first = seq[bit][c.order[side.nodes[side.pr.first]]].tolist()
+            assert side.pr.keys == [table[s] for s in first], bit
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_GAMES))
+def test_walk_numbers_sequences_as_the_reference_on_pinned_games(name):
+    g = _PIN_GAMES[name]()
+    for mode in _pinned_modes(name):
+        cg = CONVERTERS[mode](g)
+        _assert_walk_matches_reference(cg.tree, compile_converted(cg))
+
+
+@pytest.mark.parametrize("chance_outcomes", [2, 3])
+def test_walk_numbers_sequences_as_the_reference_on_mini_games(
+        chance_outcomes):
+    for seed, convert in itertools.product(range(60), CONVERTERS.values()):
+        cg = convert(mini_team_game(seed, chance_outcomes))
+        _assert_walk_matches_reference(cg.tree, compile_converted(cg))
+
+
+def test_walk_keeps_the_id_of_a_code_met_at_an_earlier_depth():
+    # behind the opponent's hidden "z", node 9 shows the coordinator at
+    # depth 2 the "c" and "d" it saw after its empty sequence at depth 1
+    # (node 8), and node 7 extends "d" by the "f" node 6 showed at depth 2;
+    # ids: "c" 1, "d" 2, "e" 3, then "b" 4 and "d", "f" 5 (codes ascending)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    both = frozenset({COORDINATOR, OPPONENT})
+    coord, opp = frozenset({COORDINATOR}), frozenset({OPPONENT})
+    nodes = [Node(utility=u) for u in range(6)] + [
+        Node(CHANCE, (Edge("f", 0, Fraction(1), coord),)),
+        Node(CHANCE, (Edge("f", 1, Fraction(1), coord),)),
+        Node(CHANCE, (Edge("c", 2, half, coord), Edge("d", 6, half, both))),
+        Node(CHANCE, (Edge("b", 3, third, both), Edge("c", 4, third, coord),
+                      Edge("d", 7, third, coord))),
+        Node(OPPONENT, (Edge("z", 9, seen_by=opp), Edge("e", 5,
+                                                          seen_by=both))),
+        Node(CHANCE, (Edge("x", 8, half), Edge("y", 10, half)))]
+    tree = ConvertedTree.from_game(
+        VEFG("recurring", (COORDINATOR, OPPONENT), tuple(nodes), 11))
+    seq = tree.walk().seq[COORD_SEEN]
+    assert seq[:8].tolist() == [5, 5, 1, 4, 1, 3, 2, 2]
+    _assert_walk_matches_reference(tree)
 
 
 @pytest.mark.parametrize("name", sorted(_PIN_GAMES))

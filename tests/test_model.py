@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     CyclicStructure,
+    ImperfectRecallInput,
     ProbabilityNotNormalized,
     UnknownPlayer,
 )
@@ -23,6 +24,7 @@ from pubcoord.model import (
     Node,
     PlayerRole,
     VEFG,
+    check_perfect_recall,
     derive_visibility_class,
     infosets,
     is_public_turn_taking,
@@ -221,6 +223,8 @@ def test_perfect_recall_detects_blind_player():
     g = VEFG("blind", ALL, (term0, term1, root), 2)
     validate_game(g)
     assert (T0, 2) in validate_perfect_recall(g)
+    with pytest.raises(ImperfectRecallInput, match=r"blind move at \(t0, 2\)"):
+        check_perfect_recall(g)
 
 
 def test_perfect_recall_detects_own_sequence_collision():
@@ -230,6 +234,9 @@ def test_perfect_recall_detects_own_sequence_collision():
     assert validate_perfect_recall(g) == [(T0, 8)]
     assert validate_perfect_recall(g, [T0]) == [(T0, 8)]
     assert validate_perfect_recall(g, [T1, O]) == []
+    with pytest.raises(ImperfectRecallInput, match=(
+            r"violated: own-sequence collision at \(t0, 8\) \(total 1\)$")):
+        check_perfect_recall(g)
 
 
 def test_team_refinement_makes_team_actions_mutually_seen(mini):
@@ -246,6 +253,12 @@ def test_team_refinement_makes_team_actions_mutually_seen(mini):
     for node in refined.nodes:
         if node.player == T0:
             assert all({T0, T1} <= e.seen_by for e in node.edges)
+    # the nodes other than t0's, which need no refinement, are kept
+    assert [a is b for a, b in zip(refined.nodes, g.nodes)] == [
+        n.player != T0 for n in g.nodes]
+    assert refined == mini
+    # a game with nothing to refine is returned itself
+    assert team_perfect_recall_refinement(mini) is mini
 
 
 def test_mini_is_public_turn_taking(mini, kuhn0):
