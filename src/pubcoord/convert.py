@@ -38,10 +38,10 @@ that gives each belief state the action an earlier one gave (and, under
 prune, keeps the same infosets compatible) is one copy of that earlier
 range.  The copies are exact because the builder is a pure function of its
 inputs.  A one-state belief (all, with fold off) resolves a prescription by
-one edge of probability 1, with no grouping.  The source table is kept per
-game for every mode; a terminal belief, an ``active`` tuple and the
-supports after a step are tabled per conversion, and freed with the memo on
-return.  The cyclic collector is paused while the builder runs.
+one edge of probability 1, with no grouping.  The source table is kept in
+the game's record for every mode; a terminal belief, an ``active`` tuple
+and the supports after a step are tabled per conversion, and freed with
+the memo on return.  The cyclic collector is paused while it runs.
 
 The tree is kept as int columns (:class:`ConvertedTree`): per node its
 player, utility and edge end, per edge its label, child, probability and
@@ -101,7 +101,6 @@ from .model import (
     VEFG,
     check_perfect_recall,
     gc_paused,
-    infosets,
     is_public_turn_taking,
     recursion_headroom,
     team_perfect_recall_refinement,
@@ -276,14 +275,18 @@ class _Walk:
 
     def keys(self, bit: int) -> Callable[[list[int]], list[tuple[str, ...]]]:
         """A function from sequence ids of observer ``bit`` to their label
-        tuples, made when it is called; it holds the steps, not the walk."""
+        tuples, made for them and their prefixes; it holds the steps only."""
         codes, labels = self.steps[bit], self.labels
 
         def keys(seqs: list[int]) -> list[tuple[str, ...]]:
-            table: list[tuple[str, ...]] = [()]
-            for code in codes.tolist():
-                parent, label = divmod(code, len(labels))
-                table.append(table[parent] + (labels[label],))
+            steps, table = codes.tolist(), {0: ()}
+            for s in seqs:  # its prefixes not yet made, then itself
+                path = [s]
+                while path[-1] not in table:
+                    path.append(steps[path[-1] - 1] // len(labels))
+                for t in reversed(path[:-1]):
+                    parent, label = divmod(steps[t - 1], len(labels))
+                    table[t] = table[parent] + (labels[label],)
             return [table[s] for s in seqs]
         return keys
 
@@ -577,51 +580,6 @@ class ConvertedGame:
                      for c, p in zip(coord, self.origin_player))
 
 
-def _prepare(game: VEFG) -> VEFG:
-    """``game`` with team perfect recall, checked for perfect recall and
-    public turn-taking; kept in ``vars(game)`` once it passes, so a game
-    that fails raises on every call."""
-    g = vars(game).get("_prepared")
-    if g is not None:
-        return g
-    g = team_perfect_recall_refinement(game)
-    check_perfect_recall(g)
-    if not is_public_turn_taking(g):
-        raise NotPublicTurnTaking(
-            f"game {game.name!r} is not public turn-taking; apply "
-            "make_public_turn_taking first")
-    vars(game)["_prepared"] = g
-    return g
-
-
-def _isets(g: VEFG):
-    """Globally-indexed infosets of every player in (player, key) order,
-    the team's first, which is the layout of a pure-profile row:
-    ``(refs, actions, of)`` with ``of`` the infoset id of each decision
-    node; kept in ``vars(g)``."""
-    cached = vars(g).get("_isets")
-    if cached is None:
-        refs, actions, of = [], [], {}
-        for p in sorted(g.players, key=PlayerRole.sort_key):
-            for key, members in sorted(infosets(g, p).items()):
-                of.update(dict.fromkeys(members, len(refs)))
-                refs.append((p, key))
-                actions.append(
-                    tuple(e.label for e in g.nodes[members[0]].edges))
-        cached = vars(g)["_isets"] = (tuple(refs), tuple(actions), of)
-    return cached
-
-
-def _team_isets(g: VEFG):
-    """The team's part of :func:`_isets`; kept in ``vars(g)``."""
-    cached = vars(g).get("_team_isets")
-    if cached is None:
-        refs, actions, of = _isets(g)
-        t = sum(p.kind == "team" for p, _ in refs)
-        cached = vars(g)["_team_isets"] = (refs[:t], actions[:t], of)
-    return cached
-
-
 # mode -> (prune, fold)
 _SWITCHES = {"basic": (False, False), "pruned": (True, False),
              "folded": (True, True)}
@@ -682,6 +640,48 @@ class _Source:
                             for p in probs]
 
 
+@dataclass(eq=False)
+class _Prepared:
+    """What the converters and the payoff check read of a source game: the
+    infosets of the game with team perfect recall (the groups its check
+    returned) in the order of a pure-profile row, the first ``team`` of
+    them the team's, their actions and the infoset id ``of`` each decision
+    node; that game (``None``: the source game, lest the record make a
+    cycle); and the source table, once a conversion made it."""
+
+    refs: tuple[TeamInfosetRef, ...]
+    actions: tuple[tuple[str, ...], ...]
+    of: dict[int, int]
+    team: int
+    refined: Optional[VEFG]
+    sources: Optional[tuple[_Source, ...]] = None
+
+
+def _prepare(game: VEFG) -> _Prepared:
+    """The record of ``game``, once ``game`` with team perfect recall passes
+    the checks for perfect recall and public turn-taking; kept in
+    ``vars(game)``, so a game that fails raises on every call."""
+    rec = vars(game).get("_prepared")
+    if rec is not None:
+        return rec
+    g = team_perfect_recall_refinement(game)
+    groups = check_perfect_recall(g)
+    if not is_public_turn_taking(g):
+        raise NotPublicTurnTaking(
+            f"game {game.name!r} is not public turn-taking; apply "
+            "make_public_turn_taking first")
+    refs, actions, of = [], [], {}
+    for p in sorted(groups, key=PlayerRole.sort_key):
+        for key, members in sorted(groups[p].items()):
+            of.update(dict.fromkeys(members, len(refs)))
+            refs.append((p, key))
+            actions.append(tuple(e.label for e in g.nodes[members[0]].edges))
+    rec = vars(game)["_prepared"] = _Prepared(
+        tuple(refs), tuple(actions), of,
+        sum(p.kind == "team" for p, _ in refs), None if g is game else g)
+    return rec
+
+
 class _Prescriptions:
     """The prescriptions over one ``active`` tuple, in edge order: their
     ``G[...]`` labels and per active position a code of the ``plays``
@@ -703,16 +703,17 @@ class _Prescriptions:
 
 def _convert(game: VEFG, mode: str) -> ConvertedGame:
     prune, fold = _SWITCHES[mode]
-    g = _prepare(game)
-    team, opp = frozenset(g.team_players()), g.opponent()
-    refs, iset_actions, iset_of = _team_isets(g)
+    rec, opp = _prepare(game), game.opponent()
+    if rec.sources is None:
+        team = frozenset(game.team_players())
+        rec.sources = tuple(_Source(v, team, opp)
+                            for v in (rec.refined or game).nodes)
+    src, iset_of, iset_actions = rec.sources, rec.of, rec.actions
     b = _Columns()
     labels, probs = b.labels, b.probs
     # per game the source table; per conversion: per source node its edges'
     # label and probability ids once copied, per active tuple, per terminal
     # belief its utility id, and per (support, step) the support after it
-    src = vars(g).get("_sources") or vars(g).setdefault(
-        "_sources", tuple(_Source(v, team, opp) for v in g.nodes))
     edge_ids: dict[_Source, tuple[list, list]] = {}
     prescriptions: dict[tuple[int, ...], _Prescriptions] = {}
     utility_of: dict[Belief, int] = {}
@@ -865,15 +866,16 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
 
     # two Python frames (build, expand) per source level, plus the root call
     try:
-        with gc_paused(), recursion_headroom(2 * len(g.nodes) + 2):
-            root = build(((g.root, 1),), (g.root,))
+        with gc_paused(), recursion_headroom(2 * len(src) + 2):
+            root = build(((game.root, 1),), (game.root,))
             players = ((COORDINATOR, OPPONENT) if opp is not None
                        else (COORDINATOR,))
             return ConvertedGame(
                 tree=b.pack(f"{game.name}[{mode}]", players, root), mode=mode,
                 safe_ir_applied=False, source_digest=game_digest(game),
-                active=tuple(b.active), iset_refs=refs,
-                iset_actions=iset_actions, supports=tuple(b.supports))
+                active=tuple(b.active), iset_refs=rec.refs[:rec.team],
+                iset_actions=iset_actions[:rec.team],
+                supports=tuple(b.supports))
     finally:
         # ``build`` and ``expand`` refer to each other; dropping one frees
         # the memo and the builder's lists on return, not at the next run
@@ -1309,11 +1311,11 @@ def converted_values(game: VEFG, cg: ConvertedGame,
     x nodes) reach passes over the compiled form's levels, of at most
     ``_CHUNK_ENTRIES`` entries.
     """
-    g = _prepare(game)
-    if (cg.iset_refs, cg.iset_actions) != _team_isets(g)[:2]:
+    rec = _prepare(game)
+    refs, actions, t = rec.refs, rec.actions, rec.team
+    if (cg.iset_refs, cg.iset_actions) != (refs[:t], actions[:t]):
         raise SchemaError(f"the team infosets of {cg.tree.name} are not "
                           f"those of {game.name}")
-    refs, actions, _ = _isets(g)
     radix = np.array([len(a) for a in actions], dtype=np.int64)
     tree, c = cg.tree, _compile(cg)
     n, parent = len(c.order), c.parent
@@ -1382,16 +1384,15 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
     game, by :func:`converted_values`."""
     if samples < 0:
         raise InvalidIterationCount(f"samples must be >= 0, got {samples}")
-    g = _prepare(game)
-    # ``slot``: per source decision node, its infoset's index in a plan row
-    _, actions, slot = _isets(g)
+    rec = _prepare(game)
+    actions, of = rec.actions, rec.of
     rng = random.Random(seed)
     # pure plans, the team's first: draw order fixes a seed's report; the
     # evaluator reads a chunk ahead, and ``tee`` keeps those rows for the
     # source side
     plans, again = itertools.tee(
         tuple(rng.randrange(len(a)) for a in actions) for _ in range(samples))
-    diffs = (abs(exact_expected_value(g, lambda nid: plan[slot[nid]]) - v)
+    diffs = (abs(exact_expected_value(game, lambda nid: plan[of[nid]]) - v)
              for plan, v in zip(again, converted_values(game, cg, plans)))
     return {"samples": samples,
             "max_abs_diff": max(map(float, diffs), default=0.0)}

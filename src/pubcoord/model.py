@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     ActionMismatchWithinInfoset,
@@ -256,24 +256,15 @@ def seen_sequences(game: VEFG, player: PlayerRole) -> dict[int, InfosetKey]:
             _group(game, frozenset((player,))).items() for nid in members}
 
 
-def _mismatches(groups: dict[InfosetKey, list[int]], sig: Callable):
-    """``(first, nid, key)`` for every node ``nid`` whose ``sig`` differs
-    from that of ``first``, the lowest node of its group ``key``."""
-    for key, (first, *rest) in groups.items():
-        s = sig(first)
-        yield from ((first, nid, key) for nid in rest if sig(nid) != s)
-
-
 def infosets(game: VEFG, player: PlayerRole) -> dict[InfosetKey, list[int]]:
     """Partition the player's decision nodes by observed-action sequence."""
-    groups = _group(game, frozenset((player,)), player)
-    bad = next(_mismatches(groups, lambda v: [
-        e.label for e in game.nodes[v].edges]), None)
-    if bad is not None:
+    groups, bad = _recall(game, (player,))
+    nid = next((v for _, v, clause in bad if clause == "action mismatch"), None)
+    if nid is not None:
         raise ActionMismatchWithinInfoset(
-            f"nodes {bad[0]} and {bad[1]} share infoset {bad[2]!r} of "
-            f"{player.name} but have different actions")
-    return groups
+            f"node {nid} of {player.name} offers other actions than the "
+            "other nodes of its infoset")
+    return groups[player]
 
 
 def public_states(game: VEFG, observer_set: Iterable[PlayerRole]
@@ -294,34 +285,42 @@ def validate_perfect_recall(game: VEFG,
     and follow the same own sequence: the player's last own infoset and
     action on the way.  Blind moves come first, in node order; then, per
     player, each other offender, infosets in order of their lowest node."""
-    return [(p, nid) for p, nid, _ in _recall_violations(game, players)]
+    return [(p, nid) for p, nid, _ in _recall(game, players)[1]]
 
 
-def _recall_violations(game: VEFG, players) -> list[tuple]:
-    """The offenders of :func:`validate_perfect_recall`, with their clause."""
+def _recall(game: VEFG, players) -> tuple[dict, list[tuple]]:
+    """Each player's infosets, by one :func:`_group` walk each, and the
+    offenders of :func:`validate_perfect_recall` with their clause."""
     players = game.players if players is None else tuple(players)
-    acts = [[e.label for e in node.edges] for node in game.nodes]
     violations = [(node.player, nid, "blind move")
                   for nid, node in enumerate(game.nodes)
                   if node.player in players
                   and any(node.player not in e.seen_by for e in node.edges)]
+    groups = {}
     for player in players:
         own: dict[int, Optional[tuple]] = {}
-        groups = _group(game, frozenset((player,)), player, own)
-        bad = _mismatches(groups, lambda v: (acts[v], own[v]))
-        violations.extend((player, nid, "action mismatch" if acts[first] !=
-                           acts[nid] else "own-sequence collision")
-                          for first, nid, _ in sorted(bad))
-    return violations
+        sets = groups[player] = _group(game, frozenset((player,)), player, own)
+        acts = {v: [e.label for e in game.nodes[v].edges]
+                for members in sets.values() for v in members}
+        bad = sorted((first, v) for first, *rest in sets.values() for v in rest
+                     if (acts[v], own[v]) != (acts[first], own[first]))
+        violations.extend((player, v, "action mismatch" if acts[first] !=
+                           acts[v] else "own-sequence collision")
+                          for first, v in bad)
+    return groups, violations
 
 
-def check_perfect_recall(game: VEFG, players=None) -> None:
+def check_perfect_recall(game: VEFG, players=None
+                         ) -> dict[PlayerRole, dict[InfosetKey, list[int]]]:
     """Raise :class:`ImperfectRecallInput` naming the first offenders of
-    :func:`validate_perfect_recall`, if any, and the clause each breaks."""
-    if bad := _recall_violations(game, players):
+    :func:`validate_perfect_recall` and their clauses, if any; else return
+    the groups it checked, the :func:`infosets` of each player."""
+    groups, bad = _recall(game, players)
+    if bad:
         raise ImperfectRecallInput("perfect recall violated: " + "; ".join(
             f"{clause} at ({p!r}, {nid})" for p, nid, clause in bad[:3])
             + f" (total {len(bad)})")
+    return groups
 
 
 def team_perfect_recall_refinement(game: VEFG) -> VEFG:

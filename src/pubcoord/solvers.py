@@ -49,7 +49,6 @@ from .model import (
     PlayerRole,
     VEFG,
     check_perfect_recall,
-    infosets,
 )
 
 # A behavioral profile: per player name ("coord" / "o"), a map from infoset
@@ -137,16 +136,16 @@ class _SeqForest:
 
 def _sequence_form(game: VEFG, players: list):
     """One walk of ``game``: a :class:`_SeqForest` per listed player (empty
-    for ``None``), its :func:`~pubcoord.model.infosets` numbered in walk
-    order, and per value-carrying terminal, in depth-first order, its
-    chance-weighted utility and each player's sequence id (an array of
-    players x terminals).  The listed players must have perfect recall
-    (:func:`~pubcoord.model.check_perfect_recall`)."""
+    for ``None``), its infosets numbered in walk order, and per
+    value-carrying terminal, in depth-first order, its chance-weighted
+    utility and each player's sequence id (an array of players x
+    terminals).  The listed players must have perfect recall; the infosets
+    are the groups :func:`~pubcoord.model.check_perfect_recall` checked."""
     index = {p: k for k, p in enumerate(players) if p is not None}
     forests = [_SeqForest() for _ in players]
-    key_of = [{nid: key for key, members in (infosets(game, p) if p else {})
-               .items() for nid in members} for p in players]
-    check_perfect_recall(game, list(index))
+    groups = check_perfect_recall(game, list(index))
+    key_of = [{nid: key for key, members in groups.get(p, {}).items()
+               for nid in members} for p in players]
     ids: list[dict] = [{} for _ in players]  # infoset key -> number
     wu, seqs = [], []
     stack = [(game.root, Fraction(1), (0,) * len(players))]

@@ -115,3 +115,17 @@ def toy322():
 @pytest.fixture
 def mini():
     return mini_team_game(0)
+
+
+@pytest.fixture
+def group_walks(monkeypatch):
+    """The actor of every ``model._group`` walk made while the test runs,
+    in call order (``None``: a walk of every reachable node)."""
+    from pubcoord import model
+    walks, group = [], model._group
+
+    def counted(game, observers, actor=None, own=None):
+        walks.append(actor)
+        return group(game, observers, actor, own)
+    monkeypatch.setattr(model, "_group", counted)
+    return walks

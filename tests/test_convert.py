@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +36,7 @@ from pubcoord.convert import (
     ConvertedTree,
     _Columns,
     _Walk,
-    _isets,
     _prepare,
-    _team_isets,
     converted_values,
     coordinator_choices,
     coordinator_node_keys,
@@ -60,6 +59,7 @@ from pubcoord.model import (
     OPPONENT,
     Edge,
     Node,
+    PlayerRole,
     VEFG,
     gc_paused,
     infosets,
@@ -72,6 +72,7 @@ from pubcoord.model import (
 from pubcoord.io_json import converted_from_dict, converted_to_dict
 from pubcoord.solvers import (
     compile_converted,
+    count_reduced_plans,
     expected_value,
     solve_cfr,
     tmecor_bruteforce,
@@ -514,7 +515,7 @@ def test_compile_makes_no_key_until_one_is_read(mini, safe_ir, monkeypatch):
 def test_rho_matrices_are_built_once_for_every_chunk(monkeypatch):
     game = mini_team_game(2, chance_outcomes=3)
     cg = apply_safe_imperfect_recall(convert_pruned(game))
-    _, actions, _ = _isets(_prepare(game))
+    actions = _prepare(game).actions
     rng = random.Random(5)
     plans = [[rng.randrange(len(a)) for a in actions] for _ in range(12)]
     whole = list(converted_values(game, cg, plans))
@@ -662,15 +663,15 @@ def _source_values(g):
     """Every pure profile of ``g``: a row of action indices (per team
     infoset in canonical order, then per opponent infoset in sorted key
     order) and its exact value, by :func:`exact_expected_value`."""
-    p = _prepare(g)
-    _, actions, slot = _team_isets(p)
+    rec = _prepare(g)
+    actions, slot = rec.actions[:rec.team], rec.of
     slot = dict(slot)
     radix = [len(a) for a in actions]
-    for j, (_, members) in enumerate(sorted(infosets(p, O).items())):
-        radix.append(len(p.nodes[members[0]].edges))
+    for j, (_, members) in enumerate(sorted(infosets(g, O).items())):
+        radix.append(len(g.nodes[members[0]].edges))
         slot.update((nid, len(actions) + j) for nid in members)
     rows = list(itertools.product(*map(range, radix)))
-    return rows, [exact_expected_value(p, lambda nid: row[slot[nid]])
+    return rows, [exact_expected_value(g, lambda nid: row[slot[nid]])
                   for row in rows]
 
 
@@ -708,10 +709,44 @@ def test_a_given_game_becomes_the_tree_and_its_view(mini):
     assert tree == cg.tree and tree is not cg.tree and tree.game is g
 
 
+def test_each_player_is_grouped_once_per_source_game(group_walks):
+    # the perfect-recall check's groups are the numbering of the
+    # conversions and the payoff check, and the oracle's infosets
+    g = gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0))
+    cgs = [convert(g) for convert in CONVERTERS.values()]
+    check_payoff_equivalence(g, cgs[-1], samples=5)
+    list(converted_values(g, cgs[0], [[0] * len(_prepare(g).actions)]))
+    players = sorted(g.players, key=PlayerRole.sort_key)
+    assert sorted(group_walks, key=PlayerRole.sort_key) == players
+    for p in players:
+        group_walks.clear()
+        count_reduced_plans(gen_kuhn3(PokerSpec("kuhn", 3)), p)
+        assert group_walks == [p]
+    group_walks.clear()
+    tmecor_bruteforce(g)
+    assert sorted(group_walks, key=PlayerRole.sort_key) == players
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_kuhn3(PokerSpec("kuhn", 3)),
+    lambda: gen_toy(ToySpec(2, 2, 2, payoff_seed=3))])
+def test_a_converted_source_game_is_freed_without_the_collector(make):
+    # what a conversion keeps on its source game refers to no game
+    g = make()
+    with gc_paused():
+        cg = convert_folded(g)
+        check_payoff_equivalence(g, cg, samples=2)
+        fields = {f.name for f in dataclasses.fields(g)}
+        assert set(vars(g)) - fields == {"_digest", "_prepared"}
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+
+
 def test_source_prerequisites_are_derived_once(mini):
     g = _prepare(mini)
     assert _prepare(mini) is g
-    assert _team_isets(g) is _team_isets(g)
+    assert g.refs is _prepare(mini).refs
     assert game_digest(mini) == game_digest(dataclasses.replace(mini))
     # a game that fails its checks raises on every call
     no_team = dataclasses.replace(mini, players=(O,))
@@ -962,6 +997,9 @@ def _assert_walk_matches_reference(tree, c=None):
         assert walk.steps[bit].tolist() == list(index[bit]), bit
         reached = seq[bit][seq[bit] >= 0].tolist()
         assert walk.keys(bit)(reached) == [table[s] for s in reached], bit
+        # a few ids, repeated and out of order, build only their prefixes
+        some = random.Random(bit).choices(reached, k=min(len(reached), 40))
+        assert walk.keys(bit)(some) == [table[s] for s in some], bit
         side = None if c is None else c.sides.get(name)
         if side is not None:
             first = seq[bit][c.order[side.nodes[side.pr.first]]].tolist()

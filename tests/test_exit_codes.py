@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pubcoord import convert, errors, io_json
+from pubcoord import convert, errors, infosets, io_json
 from pubcoord.cli import exit_code, main
 from pubcoord.solvers import exploitability, expected_value, solve_cfr
 
@@ -51,7 +51,8 @@ def test_own_sequence_collision_exits_4(tmp_path, capsys, monkeypatch):
     # a converted file made without the own-sequence clause, as one made
     # before it existed; verify rejects its source game
     with monkeypatch.context() as m:
-        m.setattr(convert, "check_perfect_recall", lambda game: None)
+        m.setattr(convert, "check_perfect_recall", lambda game: {
+            p: infosets(game, p) for p in game.players})
         assert run(capsys, "convert", g, "--mode", "folded", "--out", c)[0] == 0
     code, _, err = run(capsys, "verify", g, c, "--samples", "5")
     assert code == 4 and "perfect recall violated" in err

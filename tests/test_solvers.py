@@ -480,8 +480,10 @@ def test_tmecor_supports_are_distributions(kuhn0):
 # ---------------------------------------------------------------------------
 
 
-def _pennies_converted():
-    """Matching pennies with the hider as a one-member team."""
+def _pennies_converted(matched=(1, 1)):
+    """Matching pennies with the matcher as a one-member team, which wins
+    ``matched[0]`` on heads, ``matched[1]`` on tails and loses 1 on a
+    mismatch."""
     players = (T0, O)
     nodes = []
 
@@ -490,9 +492,9 @@ def _pennies_converted():
         return len(nodes) - 1
 
     terms = {}
-    for a in "HT":
+    for a, win in zip("HT", matched):
         for b in "ht":
-            u = 1 if a.lower() == b else -1
+            u = win if a.lower() == b else -1
             terms[(a, b)] = add(Node(utility=Fraction(u)))
     o_nodes = {a: add(Node(player=O, edges=tuple(
         Edge(b, terms[(a, b)], seen_by=frozenset({O}))
@@ -504,14 +506,18 @@ def _pennies_converted():
     return convert_basic(g)
 
 
-# the +-variants approach the fully mixed pennies equilibrium more slowly
-# than plain CFR because the regret floor keeps strategies near-pure longer
-@pytest.mark.parametrize("algo,iters", [("cfr", 2000), ("cfr+", 60_000),
-                                        ("lcfr+", 60_000)])
+# heads pays 2: both sides play heads with probability 2/5 and the value is
+# 1/5, while the uniform start is 0.5 exploitable.  Iterations are 1.5-2.5x
+# the first count measured to meet both bounds (40k, 250 and 60): plain
+# CFR's average closes the gap at ~1/sqrt(T), the +-variants far faster
+@pytest.mark.parametrize("algo,iters", [("cfr", 60_000), ("cfr+", 500),
+                                        ("lcfr+", 150)])
 def test_cfr_converges_on_matching_pennies(algo, iters):
-    cg = _pennies_converted()
+    cg = _pennies_converted((2, 1))
+    start, _ = solve_cfr(cg, algo, iterations=0)
+    assert exploitability(cg, start) > 1e-2
     profile, _ = solve_cfr(cg, algo, iterations=iters)
-    assert expected_value(cg, profile) == pytest.approx(0.0, abs=1e-2)
+    assert expected_value(cg, profile) == pytest.approx(0.2, abs=1e-2)
     assert exploitability(cg, profile) <= 1e-2
 
 
