@@ -22,6 +22,7 @@ from pathlib import Path
 from . import io_json
 from .census import census
 from .convert import (
+    _prepare,
     apply_safe_imperfect_recall,
     check_payoff_equivalence,
     convert_basic,
@@ -34,6 +35,7 @@ from .errors import (
     GameError,
     GameTooLarge,
     InvalidParameter,
+    NotPublicTurnTaking,
     OriginMismatch,
     SchemaError,
 )
@@ -136,12 +138,17 @@ _CONVERTERS = {"basic": convert_basic, "pruned": convert_pruned,
 
 
 def _turn_taking(game):
-    """``game`` made public turn-taking, with a warning if that changed it."""
-    fixed = make_public_turn_taking(game)
-    if fixed is not game:
+    """``game``, made public turn-taking with a warning if the converters'
+    check rejects it as not so; other rejections are the command's to raise."""
+    try:
+        _prepare(game)
+    except NotPublicTurnTaking:
         print(f"warning: {game.name} is not public-turn-taking; "
               "applying the turn-taking transform", file=sys.stderr)
-    return fixed
+        return make_public_turn_taking(game)
+    except GameError:
+        pass
+    return game
 
 
 def cmd_convert(args) -> int:
@@ -213,8 +220,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _turn_taking(_load(args.input, converted=False))
+    game = _load(args.input, converted=False)
     cg = _load(args.converted, converted=True)
+    if cg.source_digest != game_digest(game):  # converted after a transform?
+        game = _turn_taking(game)
     if cg.source_digest != game_digest(game):
         raise OriginMismatch(f"{args.converted} does not derive from "
                              f"{args.input}: source digest mismatch")
@@ -283,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="exact TMECor value by double oracle")
     o.add_argument("input")
-    o.add_argument("--tol", type=float, default=1e-9)
+    o.add_argument("--tol", type=float, default=1e-9,
+                   help="certification tolerance (default 1e-9); any "
+                        "value under 1e-7 certifies to 1e-7")
     o.add_argument("--max-entries", type=int, default=DEFAULT_MATRIX_LIMIT,
                    help="bound on the oracle's boolean reach array, "
                         "enumerated joint team plans x value-carrying "

@@ -31,17 +31,17 @@ terminal's utility is ``Σ w·u / Σ w``.  With fold off every belief is one
 state of weight 1.  A ``Fraction`` is made only for a value new to its table.
 
 Every call emits its subtree as one contiguous post-order id range ending at
-the returned id.  So the builder builds each distinct pair once and answers
-a repeat with a copy of that range, its ids shifted (a terminal, cheaper to
-emit than to copy, is emitted); within one coordinator node, a prescription
-that gives each belief state the action an earlier one gave (and, under
-prune, keeps the same infosets compatible) is one copy of that earlier
-range.  The copies are exact because the builder is a pure function of its
-inputs.  A one-state belief (all, with fold off) resolves a prescription by
-one edge of probability 1, with no grouping.  The source table is kept in
-the game's record for every mode; a terminal belief, an ``active`` tuple
-and the supports after a step are tabled per conversion, and freed with
-the memo on return.  The cyclic collector is paused while it runs.
+the returned id.  The builder's one reuse rule: it builds each distinct pair
+once and answers a repeat with a copy of that range, its ids shifted (a
+terminal, cheaper to emit than to copy, is emitted).  The copies are exact
+because the builder is a pure function of its inputs.  A prescription that
+repeats an earlier one's plays at the belief states repeats the pairs of
+all its resolve node's children, so only that node is emitted anew.  A
+one-state belief (all, with fold off) resolves a prescription by one edge
+of probability 1, with no grouping.  The source table is kept in the
+game's record for every mode; a terminal belief, an ``active`` tuple and
+the supports after a step are tabled per conversion, and freed with the
+memo on return.  The cyclic collector is paused while it runs.
 
 The tree is kept as int columns (:class:`ConvertedTree`): per node its
 player, utility and edge end, per edge its label, child, probability and
@@ -70,7 +70,6 @@ from dataclasses import InitVar, dataclass, field, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -263,7 +262,7 @@ class _Walk:
     1]]``, and ``edges`` their edges, node by node in action order.  Per
     observer bit, ``seq[bit]`` gives every node id the id of the label
     sequence that observer saw on the way (-1: unreached); sequence 0 is
-    empty, and ``steps[bit]`` holds the others' codes ``parent *
+    empty, and ``steps[bit]`` holds the others' steps ``parent *
     len(labels) + label`` in id order (new ones at each depth ascending)."""
 
     order: np.ndarray
@@ -276,10 +275,10 @@ class _Walk:
     def keys(self, bit: int) -> Callable[[list[int]], list[tuple[str, ...]]]:
         """A function from sequence ids of observer ``bit`` to their label
         tuples, made for them and their prefixes; it holds the steps only."""
-        codes, labels = self.steps[bit], self.labels
+        mine, labels = self.steps[bit], self.labels
 
         def keys(seqs: list[int]) -> list[tuple[str, ...]]:
-            steps, table = codes.tolist(), {0: ()}
+            steps, table = mine.tolist(), {0: ()}
             for s in seqs:  # its prefixes not yet made, then itself
                 path = [s]
                 while path[-1] not in table:
@@ -482,7 +481,7 @@ class ConvertedTree:
         n_labels = len(self.labels)
         seq = {bit: np.full(len(self.player), -1, dtype=np.int64)
                for bit in (COORD_SEEN, OPP_SEEN)}
-        # per observer: its new codes per depth, every code's id, and the
+        # per observer: its new steps per depth, every step's id, and the
         # first id made at the previous depth
         steps, index = {bit: [] for bit in seq}, {bit: {} for bit in seq}
         fresh = dict.fromkeys(seq, 0)
@@ -499,18 +498,18 @@ class ConvertedTree:
             for bit, s in seq.items():
                 kid_seq = s[at]
                 seen = (self.seen[e] & bit) != 0
-                codes, inv = np.unique(
+                found, inv = np.unique(
                     kid_seq[seen] * n_labels + self.label[e[seen]],
                     return_inverse=True)
-                ids, got = index[bit], np.zeros(codes.size, np.int64)
-                # a code of a parent made at the previous depth is new
-                old = codes < fresh[bit] * n_labels
-                got[old] = [ids.get(c, 0) for c in codes[old].tolist()]
+                ids, got = index[bit], np.zeros(found.size, np.int64)
+                # a step from a parent made at the previous depth is new
+                old = found < fresh[bit] * n_labels
+                got[old] = [ids.get(c, 0) for c in found[old].tolist()]
                 new = got == 0
                 fresh[bit] = len(ids) + 1
                 got[new] = fresh[bit] + np.arange(np.count_nonzero(new))
-                ids.update(zip(codes[new].tolist(), got[new].tolist()))
-                steps[bit].append(codes[new])
+                ids.update(zip(found[new].tolist(), got[new].tolist()))
+                steps[bit].append(found[new])
                 kid_seq[seen] = got[inv]
                 s[kids] = kid_seq
             edges.append(e)
@@ -595,15 +594,16 @@ def _reduced(pairs) -> Belief:
     return tuple(pairs) if d == 1 else tuple((s, w // d) for s, w in pairs)
 
 
-def _split(items, total: int) -> list[tuple]:
+def _split(items: list) -> list[tuple]:
     """Group successor ``(key, child, weight, seen bits)`` items by key, in
     first-seen order, as ``(key, numerator, denominator, child belief, seen
-    bits)``: the group's weight over ``total``, reduced, and the seen bits
-    of its last item.  A one-state group's belief has weight 1; a larger one
-    keeps its weights, over their gcd, or gets weight 1 on every state when
-    its mass is 0."""
+    bits)``: the group's weight over the items' total, reduced, and the seen
+    bits of its last item.  A one-state group's belief has weight 1; a
+    larger one keeps its weights, over their gcd, or gets weight 1 on every
+    state when its mass is 0."""
     groups: dict = {}
     last_seen: dict = {}
+    total = sum(x[2] for x in items)
     for key, child, w, seen in items:
         groups.setdefault(key, []).append((child, w))
         last_seen[key] = seen
@@ -658,18 +658,18 @@ class _Prepared:
 
 
 def _prepare(game: VEFG) -> _Prepared:
-    """The record of ``game``, once ``game`` with team perfect recall passes
-    the checks for perfect recall and public turn-taking; kept in
-    ``vars(game)``, so a game that fails raises on every call."""
+    """The record of ``game``, kept in ``vars(game)`` once ``game`` with team
+    perfect recall is public turn-taking (checked first, as the transform
+    may repair it) and has perfect recall; a game that fails raises anew."""
     rec = vars(game).get("_prepared")
     if rec is not None:
         return rec
     g = team_perfect_recall_refinement(game)
-    groups = check_perfect_recall(g)
     if not is_public_turn_taking(g):
         raise NotPublicTurnTaking(
             f"game {game.name!r} is not public turn-taking; apply "
             "make_public_turn_taking first")
+    groups = check_perfect_recall(g)
     refs, actions, of = [], [], {}
     for p in sorted(groups, key=PlayerRole.sort_key):
         for key, members in sorted(groups[p].items()):
@@ -684,21 +684,18 @@ def _prepare(game: VEFG) -> _Prepared:
 
 class _Prescriptions:
     """The prescriptions over one ``active`` tuple, in edge order: their
-    ``G[...]`` labels and per active position a code of the ``plays``
-    entry: the action prescribed there and the infosets whose states stay
-    compatible after it (under prune those prescribed it, else all).
-    ``edges`` holds the coordinator edges' ids once emitted."""
+    ``G[...]`` labels and per active position its play, the action prescribed
+    there and the infosets whose states stay compatible after it (under prune
+    those prescribed it, else all); ``edges``: their ids, once emitted."""
 
     def __init__(self, active, iset_actions, prune: bool) -> None:
-        self.names, self.codes, self.edges = [], [], None
-        code: dict = {}
+        self.names, self.plays, self.edges = [], [], None
         for combo in itertools.product(*(iset_actions[i] for i in active)):
             self.names.append("G[" + ",".join(
                 f"{i}={a}" for i, a in zip(active, combo)) + "]")
-            self.codes.append([code.setdefault(play, len(code)) for play in (
-                (a, tuple(i for i, x in zip(active, combo) if x == a)
-                 if prune else active) for a in combo)])
-        self.plays: list[tuple[str, tuple[int, ...]]] = list(code)
+            self.plays.append([(a, tuple(i for i, x in zip(active, combo)
+                                         if x == a) if prune else active)
+                               for a in combo])
 
 
 def _convert(game: VEFG, mode: str) -> ConvertedGame:
@@ -756,10 +753,9 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
             utility_of[belief] = uid
         return uid
 
-    # Invariant: ``expand`` is a pure function of ``(belief, support)`` and
-    # emits its subtree as one contiguous post-order id range ``[lo, root]``
-    # ending at the id it returns.  So ``build`` expands each key once and
-    # answers a repeat with a copy of that range, child ids shifted.
+    # The one reuse rule: ``expand`` is a pure function of ``(belief,
+    # support)`` and emits its subtree as one post-order id range ``[lo,
+    # root]``, so ``build`` answers a repeat with a shifted copy of it.
     spans: dict[tuple, tuple[int, int]] = {}
 
     def build(belief: Belief, support: tuple[int, ...]) -> int:
@@ -788,8 +784,7 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
                 return build(_reduced([(c, w) for _, c, w, _ in items]),
                              next_support(support, None))
             # explicit chance: branch by label with belief-marginal probs
-            groups = [grp for grp in _split(items, sum(x[2] for x in items))
-                      if grp[1]]
+            groups = [grp for grp in _split(items) if grp[1]]
             children = [build(nb, next_support(
                 support, a if seen & COORD_SEEN else None))
                 for a, _, _, nb, seen in groups]
@@ -811,51 +806,36 @@ def _convert(game: VEFG, mode: str) -> ConvertedGame:
         # prescription, each resolved by a chance node over the distinct
         # actions it prescribes to the belief states
         active = tuple(sorted({iset_of[s] for s in support}))
-        pre = prescriptions.get(active)
-        if pre is None:
-            pre = prescriptions[active] = _Prescriptions(
-                active, iset_actions, prune)
+        pre = prescriptions.get(active) or prescriptions.setdefault(
+            active, _Prescriptions(active, iset_actions, prune))
         states = [(src[s], w, active.index(iset_of[s])) for s, w in belief]
-        # a prescription's resolve subtree is fixed by the play codes at
-        # the belief states' positions: a repeat is copied whole
-        key_of = itemgetter(*(p for _, _, p in states))
-        total = sum(w for _, w in belief)
-        done: dict = {}  # key -> id range of its resolve subtree
         resolves = []
-        for codes in pre.codes:
-            key = key_of(codes)
-            span = done.get(key)
-            if span is not None:
-                resolves.append(b.copy(*span))
-                continue
-            lo = len(b.player)
+        for plays in pre.plays:
             if len(states) == 1:  # one edge, of probability 1
                 r, _, p = states[0]
-                play = pre.plays[codes[p]]
+                play = plays[p]
                 k = r.index[play[0]]
                 child = build(((r.children[k], 1),),
                               next_support(support, play))
-                resolve = b.emit(CHANCE, None, [labels.id(play[0])], [child],
-                                 [probs.ratio(1, 1)],
-                                 bytes((COORD_SEEN | r.seen[k] & OPP_SEEN,)))
-            else:
-                plays = []
-                for r, w, p in states:
-                    k = r.index[pre.plays[codes[p]][0]]
-                    plays.append((codes[p], r.children[k], w, r.seen[k]))
-                plays = _split(plays, total)
-                # in declaration order of the acting infoset's action list
-                plays.sort(key=lambda play: node.index.get(
-                    pre.plays[play[0]][0], len(node.index)))
-                children = [build(nb, next_support(support, pre.plays[x]))
-                            for x, _, _, nb, _ in plays]
-                resolve = b.emit(
-                    CHANCE, None,
-                    [labels.id(pre.plays[x][0]) for x, *_ in plays], children,
-                    [probs.ratio(q, t) for _, q, t, _, _ in plays],
-                    bytes(COORD_SEEN | seen & OPP_SEEN for *_, seen in plays))
-            done[key] = (lo, resolve)
-            resolves.append(resolve)
+                resolves.append(b.emit(
+                    CHANCE, None, [labels.id(play[0])], [child],
+                    [probs.ratio(1, 1)],
+                    bytes((COORD_SEEN | r.seen[k] & OPP_SEEN,))))
+                continue
+            groups = []
+            for r, w, p in states:
+                k = r.index[plays[p][0]]
+                groups.append((plays[p], r.children[k], w, r.seen[k]))
+            groups = _split(groups)
+            # in declaration order of the acting infoset's action list
+            groups.sort(key=lambda grp: node.index.get(grp[0][0],
+                                                       len(node.index)))
+            children = [build(nb, next_support(support, play))
+                        for play, _, _, nb, _ in groups]
+            resolves.append(b.emit(
+                CHANCE, None, [labels.id(play[0]) for play, *_ in groups],
+                children, [probs.ratio(q, t) for _, q, t, _, _ in groups],
+                bytes(COORD_SEEN | seen & OPP_SEEN for *_, seen in groups)))
         if pre.edges is None:
             pre.edges = ([labels.id(name) for name in pre.names],
                          [probs.id(None)] * len(pre.names),

@@ -53,9 +53,6 @@ class ImperfectRecallInput(GameError):
     pass
 
 
-ImperfectRecallPlayer = ImperfectRecallInput
-
-
 class ExclusionDataMissing(InvalidParameter):
     pass
 

@@ -219,8 +219,8 @@ def matrix_game_solve(matrix, tol: float = 1e-9):
 
     Returns ``(row_strategy, col_strategy, value)`` as numpy arrays and a
     float.  The column player is solved as the row player of ``-U^T``; the
-    best pure-response gap of both players is certified ``<= tol``, and an
-    LP failure or a larger gap raises :class:`SolverFailure`.
+    best pure-response gap of both players is certified ``<= max(tol,
+    1e-7)``, and an LP failure or a larger gap raises :class:`SolverFailure`.
     """
     u = np.asarray(matrix, dtype=float)
     if u.ndim != 2 or u.size == 0:
@@ -252,19 +252,21 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
     """Team-maxmin-with-correlation value of an original team game, by an
     exact double oracle (McMahan, Gordon & Blum, ICML 2003) in sequence form.
 
-    A restricted matrix game of joint team plans vs. opponent plans is grown
-    by alternating exact best responses until neither side can gain more
-    than ``tol``.  One walk gives each player's sequence form (plans are
-    boolean vectors over its sequences) and each value-carrying terminal's
-    chance-weighted utility and sequences.  The team member with the most
-    reduced plans is best-responded by a dynamic program over its sequences;
-    the joint plans of the others are enumerated once, as a boolean (joint
-    plans x terminals) reach array, and chunks of its rows are answered by
-    one numpy pass each, with no float array over ``2**20`` entries.  The
-    opponent's best response is the same dynamic program.  Teams of any
-    size are solved.  When that reach array would exceed ``max_entries``
-    entries, :class:`GameTooLarge` is raised.  ``tol`` must be finite and
-    positive and ``max_entries`` at least 1 (:class:`InvalidParameter`).
+    A restricted matrix game of joint team plans vs. opponent plans is
+    grown by alternating exact best responses until neither side can gain
+    more than ``max(tol, 1e-7)``: a ``tol`` under 1e-7, the default 1e-9
+    among them, certifies to 1e-7 and gives the result of ``tol=1e-7``.  One
+    walk gives each player's sequence form (plans are boolean vectors over
+    its sequences) and each value-carrying terminal's chance-weighted
+    utility and sequences.  The team member with the most reduced plans is
+    best-responded by a dynamic program over its sequences; the joint plans
+    of the others are enumerated once, as a boolean (joint plans x
+    terminals) reach array, and chunks of its rows are answered by one numpy
+    pass each, with no float array over ``2**20`` entries.  The opponent's
+    best response is the same dynamic program.  Teams of any size are
+    solved.  When that reach array would exceed ``max_entries`` entries,
+    :class:`GameTooLarge` is raised.  ``tol`` must be finite and positive
+    and ``max_entries`` at least 1 (:class:`InvalidParameter`).
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise InvalidParameter(f"tol must be finite and > 0, got {tol}")

@@ -181,6 +181,30 @@ def test_verify_origin_mismatch_exits_6(tmp_path, conv_path, capsys):
     assert "digest" in err
 
 
+def test_convert_and_verify_check_turn_taking_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # the CLI decides on the transform from the converters' own check, so a
+    # public turn-taking game is walked once per command
+    from pubcoord import convert, model
+    calls, check = [], model.is_public_turn_taking
+
+    def counted(game):
+        calls.append(game.name)
+        return check(game)
+
+    monkeypatch.setattr(convert, "is_public_turn_taking", counted)
+    monkeypatch.setattr(model, "is_public_turn_taking", counted)
+    g, c = tmp_path / "kuhn3.json", tmp_path / "kuhn3-pruned.json"
+    assert run(capsys, "gen", "kuhn", "--ranks", "3", "--out", str(g))[0] == 0
+    for argv in (("convert", str(g), "--mode", "pruned", "--out", str(c)),
+                 ("verify", str(g), str(c), "--samples", "5")):
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "warning" not in err
+        assert len(calls) == 1, argv[0]
+
+
 def test_verify_zero_samples_warns(toy_path, conv_path, capsys):
     code, _, err = run(capsys, "verify", toy_path, conv_path,
                        "--samples", "0")
@@ -434,6 +458,7 @@ def test_convert_actor_hidden_from_coordinator_exits_0(tmp_path, optimize):
         code, out, err = run_subprocess("verify", g, c, "--json",
                                         optimize=optimize)
         assert code == 0, err
+        assert "applying the turn-taking transform" in err
         assert "Traceback" not in err
         assert json.loads(out)["max_abs_diff"] == 0
 

@@ -56,6 +56,9 @@ def test_own_sequence_collision_exits_4(tmp_path, capsys, monkeypatch):
         assert run(capsys, "convert", g, "--mode", "folded", "--out", c)[0] == 0
     code, _, err = run(capsys, "verify", g, c, "--samples", "5")
     assert code == 4 and "perfect recall violated" in err
+    # a file converted from another game is an origin mismatch first
+    code, _, err = run(capsys, "verify", g, MINI_CONVERTED)
+    assert code == 6 and "digest mismatch" in err
 
 
 @pytest.mark.parametrize("iterations,log_every", [(20, 0), (20, 7), (0, 5)])

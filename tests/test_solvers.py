@@ -20,7 +20,6 @@ from pubcoord.errors import (
     EmptyMatrix,
     GameTooLarge,
     ImperfectRecallInput,
-    ImperfectRecallPlayer,
     IncompleteProfile,
     InvalidIterationCount,
     InvalidParameter,
@@ -125,14 +124,13 @@ def test_imperfect_recall_player_rejected():
         Edge("y", 4, seen_by=frozenset({T1, O}))))
     g = VEFG("forgetful", ALL, (term0, term1, mid, root, term2), 3)
     validate_game(g)
-    with pytest.raises(ImperfectRecallPlayer):
+    with pytest.raises(ImperfectRecallInput):
         reduced_normal_form_plans(g, T0)
 
 
 def test_own_sequence_collision_is_rejected_by_the_oracle():
     # the converters' perfect-recall rule, with the same error type
     g = own_sequence_collision_game()
-    assert ImperfectRecallPlayer is ImperfectRecallInput
     with pytest.raises(ImperfectRecallInput):
         tmecor_bruteforce(g)
     with pytest.raises(ImperfectRecallInput):
@@ -378,6 +376,16 @@ def test_tmecor_rejects_bad_arguments_before_any_lp(monkeypatch, kwargs):
     monkeypatch.setattr(solvers, "linprog", no_lp)
     with pytest.raises(InvalidParameter):
         tmecor_bruteforce(mini_team_game(1), **kwargs)
+
+
+def test_tmecor_tolerance_floor():
+    # the oracle certifies to max(tol, 1e-7), so the default tol=1e-9 is
+    # the same computation as tol=1e-7
+    g = gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0))
+    fine, floor = (tmecor_bruteforce(g, tol=t) for t in (1e-9, 1e-7))
+    assert fine.value == floor.value
+    assert fine.team_support == floor.team_support
+    assert fine.opponent_support == floor.opponent_support
 
 
 def test_tmecor_guard_rejects_leduc():
