@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
 )
 from .games import PokerSpec, ToySpec, gen_kuhn3, gen_leduc3, gen_toy
-from .model import gc_paused, make_public_turn_taking
+from .model import _pad_turns, gc_paused
 from .solvers import (
     DEFAULT_MATRIX_LIMIT,
     count_reduced_plans,
@@ -145,7 +145,7 @@ def _turn_taking(game):
     except NotPublicTurnTaking:
         print(f"warning: {game.name} is not public-turn-taking; "
               "applying the turn-taking transform", file=sys.stderr)
-        return make_public_turn_taking(game)
+        return _pad_turns(game)  # no second check: the refined game failed
     except GameError:
         pass
     return game

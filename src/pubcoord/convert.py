@@ -80,6 +80,7 @@ from .errors import (
     ExclusionDataMissing,
     IllegalActionInPlan,
     IllegalPrescription,
+    ImperfectRecallInput,
     IncompleteProfile,
     InvalidIterationCount,
     NotPublicTurnTaking,
@@ -887,7 +888,8 @@ class _Partition:
     entry, infoset ``i`` owns the slots ``offset[i] .. offset[i + 1] - 1``,
     and infosets go in order of their first node, ``nodes[first[i]]``.  Made
     on first read: ``keys`` (``key`` of a list of entries), ``actions``, and
-    ``mismatch``, a node offering other actions than its infoset's first."""
+    ``mismatch``, a node offering other actions than its infoset's first;
+    one offering another number of them is rejected at once."""
 
     tree: ConvertedTree
     nodes: np.ndarray
@@ -911,6 +913,8 @@ class _Partition:
         self.groups = [self.offset[:-1][per_iset == n][:, None] + np.arange(n)
                        for n in np.flatnonzero(np.bincount(per_iset)).tolist()]
         self._make_keys = lambda e=sets[self.first]: key(e.tolist())
+        if np.any(per_iset[self.of_node] != count):  # slots would spill over
+            self.agree()
 
     @cached_property
     def keys(self) -> list[tuple]:
@@ -933,7 +937,7 @@ class _Partition:
         differ = (tree.label[tree.edges_of(nodes[same], count)]
                   != tree.label[tree.edges_of(reps[same], count)])
         bad[np.repeat(same, count[nodes[same]])[differ]] = True
-        i = int(np.argmax(bad))
+        i = int(np.argmax(bad)) if bad.size else 0
         return "" if not bad.any() else (
             f"action mismatch within infoset {self.keys[self.of_node[i]]!r}: "
             f"{self.actions[self.of_node[i]]} vs {tree.actions(nodes[i])}")
@@ -960,11 +964,39 @@ class _Partition:
 
 
 @dataclass
+class _Treeplex:
+    """One side's sequence form (von Stengel, GEB 1996): sequence 0 is empty
+    and sequence ``1 + k`` is ``pr`` slot ``k``, of infoset ``iset`` after
+    sequence ``parent``; level ``l``, ``cut[l] .. cut[l + 1] - 1``, follows
+    earlier levels only.  Per slot: its profile ``slot`` and the nodes of
+    its infoset ``live`` (of chance reach > 0); ``term``: the sequence of
+    each value-carrying terminal (:attr:`_Compiled.value`)."""
+
+    parent: np.ndarray
+    cut: list[int]
+    slot: np.ndarray
+    iset: np.ndarray
+    live: np.ndarray
+    term: np.ndarray
+
+    def plan(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per sequence: the realization weight of ``sigma`` (a probability
+        per profile slot), built top-down, and ``sigma``, 1 at sequence 0."""
+        s = np.ones(len(self.parent))
+        s[1:] = sigma[self.slot]
+        x = s.copy()
+        for a, b in zip(self.cut, self.cut[1:]):
+            x[a:b] *= x[self.parent[a:b]]
+        return x, s
+
+
+@dataclass
 class _Side:
     nodes: np.ndarray      # the side's decision nodes, ascending
     edges: np.ndarray      # the edges leaving them, ascending
     profile: _Partition    # strategy-lookup keys (merged under safe IR)
     pr: _Partition         # perfect-recall (visibility-derived) keys
+    form: Optional[_Treeplex] = None  # made by the compile, not the census
 
 
 @dataclass
@@ -984,6 +1016,8 @@ class _Compiled:
     levels: list[tuple[int, int]]
     sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
     steps: list = field(init=False, repr=False)
+    # per value-carrying terminal: chance reach x utility (_sequence_form)
+    value: np.ndarray = field(init=False)
     # rho's index and radix matrices, made by coordinator_choices
     rho: Optional[tuple] = field(default=None, repr=False)
 
@@ -992,16 +1026,6 @@ class _Compiled:
         return {name: dict(zip(s.profile.keys, s.profile.actions))
                 for name, s in self.sides.items()}
 
-    def weights(self, profile: dict, names) -> np.ndarray:
-        """Per edge: the chance probability, the strategy ``profile`` gives
-        the sides ``names`` at their decisions, and 1 at the others."""
-        w = self.prob.copy()
-        for name in names:
-            part = self.sides[name].profile
-            w[self.sides[name].edges] = part.lookup(profile, name)[
-                part.edge_slot]
-        return w
-
     def __post_init__(self) -> None:
         # per depth d: its id range, the next depth's, and the parent of
         # each node at depth d + 1 as an offset into depth d
@@ -1009,31 +1033,16 @@ class _Compiled:
                       for (p0, p1), (a, b) in zip(self.levels,
                                                   self.levels[1:])]
 
-    def reach(self, w: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
-        """Per node down to depth ``depth`` (default: every node): the
-        product of the edge weights ``w`` from the root, in ``w``'s dtype.
-        Each row of a 2-D ``w`` gives one row of reaches."""
-        end = self.levels[-1 if depth is None else depth][1]
-        reach = np.empty(w.shape[:-1] + (end,), dtype=w.dtype)
+    def reach(self, w: np.ndarray, op=np.multiply) -> np.ndarray:
+        """Per node: the ``op`` (product) of the edge weights ``w`` from the
+        root, 1 there, in ``w``'s dtype.  Each row of a 2-D ``w`` gives one
+        row of reaches."""
+        reach = np.empty(w.shape[:-1] + (len(self.order),), dtype=w.dtype)
         reach[..., 0] = 1
-        for p0, p1, a, b, up in self.steps[:depth]:
-            reach[..., a:b] = (reach[..., p0:p1].take(up, axis=-1)
-                               * w[..., a - 1:b - 1])
+        for p0, p1, a, b, up in self.steps:
+            reach[..., a:b] = op(reach[..., p0:p1].take(up, axis=-1),
+                                 w[..., a - 1:b - 1])
         return reach
-
-    def backup(self, w: np.ndarray, val: np.ndarray,
-               decide: Optional[Callable[[int], None]] = None,
-               top: int = 0) -> np.ndarray:
-        """Bottom-up, in place: each internal node down from depth ``top``
-        gets the ``w``-weighted sum of its children's values, added in
-        action order; after each depth ``decide(depth)`` may overwrite that
-        depth's values."""
-        for d in range(len(self.steps) - 1, top - 1, -1):
-            p0, p1, a, b, up = self.steps[d]
-            val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
-            if decide is not None:
-                decide(d)
-        return val
 
 
 def _sides(cg: ConvertedGame, walk: _Walk) -> dict[str, _Side]:
@@ -1085,7 +1094,7 @@ def _compile(cg: ConvertedGame) -> _Compiled:
         tree.utility[order]]
     prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
                     dtype=float)[tree.prob[walk.edges]]
-    c = vars(cg)["_compiled"] = _Compiled(
+    c = _Compiled(
         order=order, edge=walk.edges,
         utility=np.where(tree.played_by(None)[order], utility, 0.0),
         first=np.cumsum(count) - count,
@@ -1094,14 +1103,61 @@ def _compile(cg: ConvertedGame) -> _Compiled:
                       1.0),
         levels=list(zip(walk.bounds, walk.bounds[1:])),
         sides=_sides(cg, walk))
+    _sequence_form(c)
+    vars(cg)["_compiled"] = c
     return c
+
+
+def _sequence_form(c: _Compiled) -> None:
+    """Store ``c.value`` and each side's :class:`_Treeplex`.  Slots grow with
+    depth, so a node's own sequence is the largest own slot on its path.  A
+    perfect-recall infoset's nodes must share it, and its slots lie in one
+    profile slot each (else :class:`ImperfectRecallInput`).  A level is a
+    run of depths whose infosets follow only sequences before the run."""
+    sides, depth = list(c.sides.items()), [a for a, _ in c.levels]
+    mark = np.zeros((len(sides), len(c.parent)), dtype=np.int32)
+    for k, (_, side) in enumerate(sides):
+        mark[k, side.edges] = 2 + side.pr.edge_slot
+    own = c.reach(mark, np.maximum) - 1  # per node: 0, or 1 + own slot
+    chance = c.reach(c.prob)
+    value = chance * c.utility
+    term = np.flatnonzero(value)
+    c.value = value[term]
+    for k, (name, side) in enumerate(sides):
+        pr, mine = side.pr, own[k, side.nodes]
+        after = mine[pr.first]  # per infoset: the sequence it follows
+        of_slot = np.repeat(np.arange(len(after)), np.diff(pr.offset))
+        slot = np.zeros(pr.offset[-1], dtype=np.int64)
+        slot[pr.edge_slot] = side.profile.edge_slot
+        bad = np.flatnonzero(mine != after[pr.of_node])
+        split = np.flatnonzero(slot[pr.edge_slot] != side.profile.edge_slot)
+        if bad.size or split.size:
+            i = (pr.of_node[bad[0]] if bad.size
+                 else of_slot[pr.edge_slot[split[0]]])
+            raise ImperfectRecallInput(f"{name!r} infoset {pr.keys[i]!r} " + (
+                "is reached after several own sequences" if bad.size
+                else "spans several profile infosets"))
+        starts = np.flatnonzero(np.diff(np.searchsorted(
+            depth, side.nodes[pr.first], "right"), prepend=0))
+        cut = [0]
+        for i, top in zip(starts.tolist(), np.maximum.reduceat(
+                after, starts).tolist() if starts.size else []):
+            if top > pr.offset[cut[-1]]:
+                cut.append(i)
+        side.form = _Treeplex(
+            parent=np.append(0, after[of_slot]), slot=slot, iset=of_slot,
+            cut=[1 + pr.offset[i] for i in cut + [len(after)]],
+            live=np.bincount(pr.of_node, chance[side.nodes] > 0,
+                             len(after))[of_slot], term=own[k, term])
 
 
 def compile_converted(cg: ConvertedGame) -> _Compiled:
     """Flatten a converted game for CFR and evaluation (see
     :class:`_Compiled`), once: the form is kept on ``cg``, as
     ``functools.cached_property`` would, since a ``ConvertedGame`` is
-    immutable and nothing writes into the form's arrays.  Its sides
+    immutable and nothing writes into the form's arrays.  It holds the
+    game's sequence form, which needs perfect recall of the ``pr``
+    partitions (see :func:`_sequence_form`).  Its sides
     (:func:`_sides`) are the one infoset numbering of a converted game; an
     infoset's nodes must agree on their actions."""
     c = _compile(cg)

@@ -374,8 +374,12 @@ def make_public_turn_taking(game: VEFG) -> VEFG:
     terminal sharing its team view with a non-terminal of its level, waits
     behind a "noop" edge seen only by that player.  Returns the input
     unchanged when the property already holds."""
-    if is_public_turn_taking(game):
-        return game
+    return game if is_public_turn_taking(game) else _pad_turns(game)
+
+
+def _pad_turns(game: VEFG) -> VEFG:
+    """:func:`make_public_turn_taking` of a game known not to be public
+    turn-taking."""
     cycle, team = game.players + (CHANCE,), frozenset(game.team_players())
     nodes, depth, level, number = [], 0, [(game.root, None)], {}
     while level:  # per node of a level: its source node and team view

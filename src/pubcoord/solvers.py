@@ -21,9 +21,11 @@ Provides:
   imperfect-recall keys are expanded onto it.
 
 CFR and the evaluation utilities run as passes over the compiled form of
-the converted game: flat breadth-first arrays and both sides' infosets,
-built by :func:`pubcoord.convert.compile_converted` (imported here) on the
-first call for a converted game and kept on it.
+the converted game, built by :func:`pubcoord.convert.compile_converted`
+(imported here) on the first call for a converted game and kept on it:
+CFR and expected values over its sequence form (each side's treeplex and
+the value-carrying terminals), best responses over its flat breadth-first
+tree arrays.
 """
 from __future__ import annotations
 
@@ -420,39 +422,32 @@ def _traversal(c: _Compiled, me: str) -> Callable:
     regret and strategy-sum arrays, given both sides' strategies per slot,
     which stay fixed for the traversal.
 
-    A top-down level pass computes two reaches at once, that of chance and
-    the other side and ``me``'s own, and a bottom-up pass every node's value
-    under the full profile; two ``np.bincount`` calls then add each of
-    ``me``'s decision edges' counterfactual regret and average-strategy
-    weight to its slot.  Below a zero-probability chance edge ``me``'s own
-    reach is 0, as a depth-first CFR never enters it.  The increments are
-    those of such a walk up to summation order, exact to 1e-12 relative
-    per traversal."""
-    side = c.sides[me]
-    if len(side.nodes) == 0:
-        return lambda regrets, strat, other_sigma, my_sigma: None
+    Over the sequence form (:class:`~pubcoord.convert._Treeplex`): the
+    other side's realization plan weights the terminals, one bincount puts
+    them on ``me``'s sequences, and a bottom-up pass over ``me``'s levels
+    gives their counterfactual values.  A regret is a value less its
+    infoset's mean, 0 within 1e-12 of the value: a tie up to rounding,
+    whose sign regret matching would follow.  Strategy sums add node count
+    x own realization x strategy, counting no node below a zero-probability
+    chance edge, as a depth-first CFR never enters one.  The increments are
+    such a walk's to 1e-12 relative per traversal."""
+    f, n = c.sides[me].form, c.sides[me].profile.offset[-1]
     other = c.sides.get("o" if me == "coord" else "coord")
-    utility = (1.0 if me == "coord" else -1.0) * c.utility
-    mine, slot, n = side.edges, side.profile.edge_slot, side.profile.offset[-1]
-    par, child = c.parent[mine], mine + 1
-    # reaches are needed down to ``me``'s deepest decisions, values up to
-    # its shallowest
-    top, bottom = (np.searchsorted([a for a, _ in c.levels],
-                                   side.nodes[[0, -1]], "right") - 1).tolist()
-    # row 0: chance and the other side; row 1: ``me`` alone
-    w = np.stack([c.prob, (c.prob != 0).astype(float)])
+    value = (1.0 if me == "coord" else -1.0) * c.value
+    levels = list(zip(f.cut, f.cut[1:]))[::-1]
 
     def run(regrets, strat, other_sigma, my_sigma) -> None:
-        if other is not None:
-            w[0, other.edges] = other_sigma[other.profile.edge_slot]
-        sigma = my_sigma[slot]
-        w[1, mine] = sigma
-        reach_other, reach_me = c.reach(w, bottom)
-        full = w[0].copy()
-        full[mine] = sigma
-        v = c.backup(full, utility.copy(), top=top)
-        regrets += np.bincount(slot, reach_other[par] * (v[child] - v[par]), n)
-        strat += np.bincount(slot, reach_me[par] * sigma, n)
+        w = value if other is None else value * other.form.plan(
+            other_sigma)[0][other.form.term]
+        v = np.bincount(f.term, w, len(f.parent))
+        x, s = f.plan(my_sigma)
+        for a, b in levels:  # deepest first: a level's values are final
+            v[:a] += np.bincount(f.parent[a:b], s[a:b] * v[a:b], a)
+        v, s = v[1:], s[1:]
+        gain = v - np.bincount(f.iset, s * v)[f.iset]
+        gain[np.abs(gain) <= 1e-12 * np.abs(v)] = 0.0
+        regrets += np.bincount(f.slot, gain, n)
+        strat += np.bincount(f.slot, f.live * x[f.parent[1:]] * s, n)
 
     return run
 
@@ -494,18 +489,18 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 
     Each traversal regret-matches every infoset once, before it starts, so
     all nodes of an infoset (several beliefs, or merged safe-IR keys) act
-    alike within it, and runs as numpy passes over the compiled tree (see
-    :func:`_traversal`).  Zero reach of the other side prunes nothing: the
-    traverser's average strategy keeps accumulating with its own reach.
+    alike within it, and runs as numpy passes over the sequence form of the
+    compiled game (see :func:`_traversal`).  Zero reach of the other side
+    prunes nothing: the traverser's average strategy keeps accumulating
+    with its own reach.  ``iterations`` and ``log_every`` must be ints
+    >= 0, not bools (:class:`InvalidIterationCount`).
     """
     if algo not in ("cfr", "cfr+", "lcfr+"):
         raise InvalidIterationCount(f"unknown algorithm {algo!r}")
-    if iterations < 0:
-        raise InvalidIterationCount(f"iterations must be >= 0, "
-                                    f"got {iterations}")
-    if log_every < 0:
-        raise InvalidIterationCount(f"log_every must be >= 0, "
-                                    f"got {log_every}")
+    for name, k in (("iterations", iterations), ("log_every", log_every)):
+        if type(k) is bool or not isinstance(k, int) or k < 0:
+            raise InvalidIterationCount(f"{name} must be an int >= 0, "
+                                        f"got {k!r}")
     c = compile_converted(cg)
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     regrets = [np.zeros(p.offset[-1]) for p in parts]
@@ -535,10 +530,14 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 
 
 def expected_value(cg: ConvertedGame, profile: Profile) -> float:
-    """Team expected utility of a behavioral profile, one bottom-up pass."""
+    """Team expected utility of a behavioral profile: one product over the
+    value-carrying terminals of both sides' realization plans."""
     c = compile_converted(cg)
-    w = c.weights(profile, c.sides)
-    return float(c.backup(w, c.utility.copy())[0])
+    w = c.value.copy()
+    for name, side in c.sides.items():
+        w *= side.form.plan(side.profile.lookup(profile, name))[0][
+            side.form.term]
+    return float(w.sum())
 
 
 def best_response(cg: ConvertedGame, profile: Profile, responder: str):
@@ -549,12 +548,20 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     information partition; the fixed side's strategy is looked up by its
     profile key, so merged imperfect-recall profiles are supported.  Each
     infoset is decided at the depth of its nodes, which in a converted
-    (public turn-taking) game is one depth.
+    (public turn-taking) game is one depth.  ``responder`` must be one of
+    the two names (:class:`InvalidParameter`).
     """
+    if responder not in ("coord", "o"):
+        raise InvalidParameter(f"responder must be 'coord' or 'o', got "
+                               f"{responder!r}")
     c = compile_converted(cg)
     if responder == "o" and "o" not in c.sides:
         raise IncompleteProfile("game has no opponent to respond with")
-    w = c.weights(profile, [s for s in c.sides if s != responder])
+    w = c.prob.copy()  # the other side's strategy at its edges, 1 at ours
+    for name, fixed in c.sides.items():
+        if name != responder:
+            w[fixed.edges] = fixed.profile.lookup(profile, name)[
+                fixed.profile.edge_slot]
     cf = c.reach(w)
     side = c.sides[responder]
     part = side.pr
@@ -566,11 +573,12 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     count = np.diff(part.offset)
     best = np.zeros(len(part.first), dtype=np.int64)
     val = (1.0 if responder == "coord" else -1.0) * c.utility
-
-    def decide(d: int) -> None:
+    for d in range(len(c.steps) - 1, -1, -1):  # back up, then decide ours
+        p0, p1, a, b, up = c.steps[d]
+        val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
         e0, e1 = edge_cut[d], edge_cut[d + 1]
         if e0 == e1:
-            return
+            continue
         i0, i1 = iset_cut[d], iset_cut[d + 1]
         s0, s1 = part.offset[i0], part.offset[i1]
         totals = np.bincount(part.edge_slot[e0:e1] - s0, cf[par[e0:e1]]
@@ -583,8 +591,6 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
         nodes = side.nodes[node_cut[d]:node_cut[d + 1]]
         val[nodes] = val[c.first[nodes] + 1 + best[
             part.of_node[node_cut[d]:node_cut[d + 1]]]]
-
-    c.backup(w, val, decide)
     return float(val[0]), {key: acts[b] for key, acts, b in zip(
         part.keys, part.actions, best.tolist())}
 

@@ -21,6 +21,7 @@ from pubcoord import (
     convert_folded,
     convert_pruned,
     gen_kuhn3,
+    gen_leduc3,
     gen_toy,
 )
 from pubcoord import solvers
@@ -135,6 +136,19 @@ def test_one_iteration_matches_reference(name, make, iters, algo):
                                 ref_regrets[s]) <= 1e-12
         assert _increment_error(part, before[1][k], strat[k],
                                 ref_strat[s]) <= 1e-12
+
+
+@pytest.mark.parametrize("name,make,iters", [
+    ("leduc 2x1 pos 0 folded + safe IR",
+     lambda: apply_safe_imperfect_recall(convert_folded(gen_leduc3(
+         PokerSpec("leduc", 2, 1, adversary_position=0)))), 7)])
+def test_one_iteration_matches_reference_on_a_deeper_treeplex(name, make,
+                                                               iters):
+    """Leduc's treeplexes have 6 and 4 levels, Kuhn-3's at most 4."""
+    cg = make()
+    forms = [side.form for side in solvers.compile_converted(cg).sides.values()]
+    assert [len(f.cut) - 1 for f in forms] == [6, 4]
+    test_one_iteration_matches_reference(name, lambda: cg, iters, "lcfr+")
 
 
 def _zero_chance_game():

@@ -184,7 +184,9 @@ def test_verify_origin_mismatch_exits_6(tmp_path, conv_path, capsys):
 def test_convert_and_verify_check_turn_taking_once(tmp_path, capsys,
                                                   monkeypatch):
     # the CLI decides on the transform from the converters' own check, so a
-    # public turn-taking game is walked once per command
+    # public turn-taking game is walked once per command, and one the
+    # transform repairs twice: before the transform and after it
+    from conftest import hidden_actor_game
     from pubcoord import convert, model
     calls, check = [], model.is_public_turn_taking
 
@@ -196,13 +198,17 @@ def test_convert_and_verify_check_turn_taking_once(tmp_path, capsys,
     monkeypatch.setattr(model, "is_public_turn_taking", counted)
     g, c = tmp_path / "kuhn3.json", tmp_path / "kuhn3-pruned.json"
     assert run(capsys, "gen", "kuhn", "--ranks", "3", "--out", str(g))[0] == 0
-    for argv in (("convert", str(g), "--mode", "pruned", "--out", str(c)),
-                 ("verify", str(g), str(c), "--samples", "5")):
-        calls.clear()
-        code, _, err = run(capsys, *argv)
-        assert code == 0, err
-        assert "warning" not in err
-        assert len(calls) == 1, argv[0]
+    hidden = tmp_path / "hidden.json"
+    io_json.save_game(hidden_actor_game(), str(hidden))
+    for game, walks in ((g, 1), (hidden, 2)):
+        for argv in (("convert", str(game), "--mode", "pruned", "--out",
+                      str(c)),
+                     ("verify", str(game), str(c), "--samples", "5")):
+            calls.clear()
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            assert ("warning" in err) == (walks == 2)
+            assert len(calls) == walks, argv[0]
 
 
 def test_verify_zero_samples_warns(toy_path, conv_path, capsys):

@@ -738,6 +738,129 @@ def test_cfr_rejects_negative_log_interval():
         solve_cfr(_pennies_converted(), "cfr", 10, log_every=-2)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"iterations": 2.5}, {"iterations": True}, {"iterations": False},
+    {"iterations": np.float64(3)}, {"log_every": 1.5}, {"log_every": True},
+    {"iterations": "3"}], ids=repr)
+def test_cfr_rejects_counts_that_are_not_ints(kwargs):
+    with pytest.raises(InvalidIterationCount):
+        solve_cfr(_pennies_converted(), "cfr+", **{"iterations": 3, **kwargs})
+
+
+def test_best_response_rejects_an_unknown_responder():
+    cg = _pennies_converted()
+    with pytest.raises(InvalidParameter, match="coordinator"):
+        best_response(cg, _uniform_profile(cg), "coordinator")
+
+
+def test_a_tie_of_real_arithmetic_gives_zero_regrets():
+    # action a is worth 0.1 + 0.2 through chance and b is worth 0.3: equal,
+    # though 0.1 + 0.2 != 0.3 in floats.  Without the tie rule a regret is a
+    # rounding error off 0, and a positive one makes CFR+ play it alone next
+    from dataclasses import replace
+    from pubcoord.model import COORDINATOR
+    seen = frozenset({COORDINATOR})
+    terms = [Node(utility=Fraction(u)) for u in ("0.2", "0.4", "0.3")]
+    nodes = (*terms,
+             Node(player=CHANCE, edges=(Edge("h", 0, Fraction(1, 2), seen),
+                                        Edge("t", 1, Fraction(1, 2), seen))),
+             Node(player=CHANCE, edges=(Edge("d", 2, Fraction(1), seen),)),
+             Node(player=COORDINATOR, edges=(Edge("a", 3, seen_by=seen),
+                                             Edge("b", 4, seen_by=seen))))
+    g = VEFG("tie", (COORDINATOR,), nodes, 5)
+    validate_game(g)
+    cg = replace(_pennies_converted(), tree=ConvertedTree.from_game(g))
+    c = compile_converted(cg)
+    assert 0.5 * 0.2 + 0.5 * 0.4 != 0.3
+    regrets, strat = np.zeros(2), np.zeros(2)
+    solvers._traversal(c, "coord")(regrets, strat, None, np.full(2, 0.5))
+    assert regrets.tolist() == [0.0, 0.0]
+    assert strat.tolist() == [0.5, 0.5]
+
+
+def test_an_opponent_that_never_acts_is_solved():
+    # the opponent's side has no infoset, no sequence but the empty one,
+    # and one level with none
+    from dataclasses import replace
+    from pubcoord.model import COORDINATOR
+    seen = frozenset({COORDINATOR})
+    g = VEFG("idle opponent", (COORDINATOR, OPPONENT), (
+        Node(utility=Fraction(1)), Node(utility=Fraction(-1)),
+        Node(player=COORDINATOR, edges=(Edge("a", 0, seen_by=seen),
+                                        Edge("b", 1, seen_by=seen)))), 2)
+    validate_game(g)
+    cg = replace(_pennies_converted(), tree=ConvertedTree.from_game(g))
+    assert compile_converted(cg).sides["o"].form.cut == [1, 1]
+    profile, _ = solve_cfr(cg, "cfr+", 10)
+    # uniform at iteration 1, then "a" alone
+    assert profile == {"coord": {(): {"a": 0.95, "b": 0.05}}, "o": {}}
+    assert exploitability(cg, profile) == pytest.approx(1 - 0.9)
+
+
+def _coordinator_only(tree_nodes, root, supports):
+    """A converted game of the coordinator alone, with one two-action team
+    infoset prescribed at every coordinator node; ``supports`` per
+    coordinator node in id order, safe IR applied when they differ."""
+    from dataclasses import replace
+    from pubcoord.model import COORDINATOR
+    g = VEFG("recall", (COORDINATOR,), tuple(tree_nodes), root)
+    validate_game(g)
+    coord = [i for i, n in enumerate(tree_nodes) if n.player == COORDINATOR]
+    per_node = dict(zip(coord, supports))
+    return replace(
+        _pennies_converted(), mode="folded",
+        safe_ir_applied=len(set(supports)) > 1, iset_refs=((T0, ("k",)),),
+        iset_actions=(("a", "b"),), tree=ConvertedTree.from_game(g),
+        active=tuple((0,) if i in per_node else None
+                     for i in range(len(tree_nodes))),
+        supports=tuple(per_node.get(i) for i in range(len(tree_nodes))))
+
+
+def _recall_breaking_games():
+    """Two converted games whose perfect-recall partition breaks the
+    sequence form: (1) the coordinator does not see its own move x / y, so
+    its infoset ("c",) is reached after two own sequences; (2) under safe
+    IR, the two nodes of its infoset () carry different supports."""
+    from pubcoord.model import COORDINATOR
+    seen, hidden = frozenset({COORDINATOR}), frozenset()
+    leaves = [Node(utility=Fraction(u)) for u in (1, -1, 2, 0)]
+    resolve = [Node(player=CHANCE, edges=(Edge("d", k, Fraction(1), seen),))
+               for k in range(4)]                                     # 4-7
+
+    def decide(k):
+        return Node(player=COORDINATOR, edges=(
+            Edge("l", k, seen_by=seen), Edge("r", k + 1, seen_by=seen)))
+
+    own = [*leaves, *resolve, decide(4), decide(6),                   # 8, 9
+           Node(player=CHANCE, edges=(Edge("c", 8, Fraction(1), seen),)),
+           Node(player=CHANCE, edges=(Edge("c", 9, Fraction(1), seen),)),
+           Node(player=COORDINATOR, edges=(Edge("x", 10, seen_by=hidden),
+                                           Edge("y", 11, seen_by=hidden)))]
+    merged = [*leaves, *resolve, decide(4), decide(6),
+              Node(player=CHANCE, edges=(
+                  Edge("p", 8, Fraction(1, 2), hidden),
+                  Edge("q", 9, Fraction(1, 2), hidden)))]
+    return [(_coordinator_only(own, 12, [(0,)] * 3),
+             "reached after several own sequences"),
+            (_coordinator_only(merged, 10, [(0,), (1,)]),
+             "spans several profile infosets")]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_compile_rejects_a_partition_the_sequence_form_cannot_use(
+        case, tmp_path, capsys):
+    from pubcoord import io_json
+    from pubcoord.cli import main
+    cg, says = _recall_breaking_games()[case]
+    for _ in range(2):  # a failed compile keeps no form
+        with pytest.raises(ImperfectRecallInput, match=says):
+            compile_converted(cg)
+    path = tmp_path / "bad.json"
+    io_json.save_converted(cg, str(path))
+    assert main(["solve", str(path), "--iterations", "1"]) == 4
+    assert says in capsys.readouterr().err
+
+
 def test_expected_value_pure_profile_hits_reached_terminal():
     cg = _pennies_converted()
     prof = {"coord": {}, "o": {}}
