@@ -87,6 +87,7 @@ from .errors import (
     ProbabilityNotNormalized,
     SchemaError,
     UnknownPlayer,
+    check_int,
 )
 from .model import (
     _CHUNK_ENTRIES,
@@ -1417,9 +1418,9 @@ def check_payoff_equivalence(game: VEFG, cg: ConvertedGame, samples: int,
                              seed: int = 0) -> dict:
     """Sample pure profiles and compare their exact expected utilities in the
     original game, by :func:`exact_expected_value`, and in the converted
-    game, by :func:`converted_values`."""
-    if samples < 0:
-        raise InvalidIterationCount(f"samples must be >= 0, got {samples}")
+    game, by :func:`converted_values`.  ``samples`` must be an int >= 0, not
+    a bool (:class:`InvalidIterationCount`)."""
+    check_int("samples", samples, InvalidIterationCount)
     rec = _prepare(game)
     actions, of = rec.actions, rec.of
     rng = random.Random(seed)

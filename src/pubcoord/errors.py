@@ -1,4 +1,5 @@
-"""Exception hierarchy for game construction, conversion and solving."""
+"""Exception hierarchy for game construction, conversion and solving, and
+the one check of int arguments."""
 
 
 class GameError(Exception):
@@ -7,6 +8,13 @@ class GameError(Exception):
 
 class InvalidParameter(GameError):
     """An argument outside the range its function documents."""
+
+
+def check_int(name: str, k, error: type = InvalidParameter,
+              least: int = 0) -> None:
+    """Raise ``error`` unless ``k`` is an int >= ``least``, not a bool."""
+    if type(k) is bool or not isinstance(k, int) or k < least:
+        raise error(f"{name} must be an int >= {least}, got {k!r}")
 
 
 # -- game construction / validation -------------------------------------------

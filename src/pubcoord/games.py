@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SpecOutOfBounds
+from .errors import SpecOutOfBounds, check_int
 from .model import (
     CHANCE,
     Edge,
@@ -58,9 +58,9 @@ def _toy_size(spec: ToySpec) -> int:
 
 def gen_toy(spec: ToySpec) -> VEFG:
     c, a, h = spec.chance_outcomes, spec.actions, spec.depth
-    if c < 1 or a < 2 or h < 1:
-        raise SpecOutOfBounds(
-            f"toy spec needs C>=1, A>=2, H>=1; got C={c}, A={a}, H={h}")
+    for name, k, least in (("chance_outcomes", c, 1), ("actions", a, 2),
+                           ("depth", h, 1)):
+        check_int(name, k, SpecOutOfBounds, least)
     # A**H nodes alone exceed the limit: no exact count, whose integers
     # would grow with H
     if (h * math.log2(a) > math.log2(_NODE_LIMIT)
@@ -136,11 +136,18 @@ def _poker_roles(adv_pos: int) -> list[PlayerRole]:
     return [OPPONENT if pos == adv_pos else next(team) for pos in range(3)]
 
 
+def _check_poker(spec: PokerSpec, variant: str, ranks: int) -> None:
+    """``variant``, at least ``ranks`` ranks and one raise, all ints."""
+    if spec.variant != variant:
+        raise SpecOutOfBounds(
+            f"variant must be {variant!r}, got {spec.variant!r}")
+    for name, least in (("ranks", ranks), ("raises", 1),
+                        ("adversary_position", 0)):
+        check_int(name, getattr(spec, name), SpecOutOfBounds, least)
+
+
 def gen_kuhn3(spec: PokerSpec) -> VEFG:
-    if spec.variant != "kuhn":
-        raise SpecOutOfBounds(f"variant must be 'kuhn', got {spec.variant!r}")
-    if spec.ranks < 3:
-        raise SpecOutOfBounds("3-player Kuhn needs at least 3 ranks")
+    _check_poker(spec, "kuhn", 3)  # one card per player
     if spec.raises != 1:
         raise SpecOutOfBounds("Kuhn allows exactly one raise")
     r = spec.ranks
@@ -153,10 +160,7 @@ def gen_kuhn3(spec: PokerSpec) -> VEFG:
 
 
 def gen_leduc3(spec: PokerSpec) -> VEFG:
-    if spec.variant != "leduc":
-        raise SpecOutOfBounds(f"variant must be 'leduc', got {spec.variant!r}")
-    if spec.ranks < 2:
-        raise SpecOutOfBounds("Leduc needs at least 2 ranks")
+    _check_poker(spec, "leduc", 2)
     if spec.raises not in (1, 2):
         raise SpecOutOfBounds("Leduc raises must be 1 or 2")
     if spec.ranks > 5:
@@ -182,52 +186,35 @@ def _gen_poker(spec: PokerSpec) -> VEFG:
     def showdown(cards, board, contrib, folded) -> int:
         alive = [p for p in range(3) if p not in folded]
         pot = sum(contrib)
-        if len(alive) == 1:
-            winners = alive
-        elif leduc:
-            paired = [p for p in alive if cards[p] == board]
-            if paired:
-                winners = paired
-            else:
-                best = max(cards[p] for p in alive)
-                winners = [p for p in alive if cards[p] == best]
-        else:
-            best = max(cards[p] for p in alive)
-            winners = [p for p in alive if cards[p] == best]
+        # a card pairing the board wins (a Kuhn board is None and pairs
+        # none), else the highest card; a lone player wins either way
+        best = max(cards[p] for p in alive)
+        winners = ([p for p in alive if cards[p] == board]
+                   or [p for p in alive if cards[p] == best])
         # the team's chips won minus paid, over the number of winners k
         k = len(winners)
         return emit(Node(utility=Fraction(sum(
             pot * (p in winners) - k * contrib[p] for p in range(3)
             if roles[p].kind == "team"), k)))
 
-    def next_phase(cards, deck, board, contrib, folded, rnd) -> int:
-        alive = [p for p in range(3) if p not in folded]
-        if len(alive) == 1 or rnd + 1 >= n_rounds:
-            if leduc and board is None and len(alive) > 1:
-                # still need the board card before showdown
-                return board_chance(cards, deck, contrib, folded, rnd,
-                                    terminal_after=True)
-            return showdown(cards, board, contrib, folded)
-        return board_chance(cards, deck, contrib, folded, rnd,
-                            terminal_after=False)
-
-    def board_chance(cards, deck, contrib, folded, rnd,
-                     terminal_after) -> int:
+    def draws(deck):
+        """Each rank left in ``deck``: the rank, its probability and the
+        deck without it."""
         total = sum(deck)
-        edges = []
         for r in range(spec.ranks):
-            if deck[r] == 0:
-                continue
-            ndeck = list(deck)
-            ndeck[r] -= 1
-            if terminal_after:
-                child = showdown(cards, r, contrib, folded)
-            else:
-                child = betting_round(cards, tuple(ndeck), r, contrib,
-                                      folded, rnd + 1)
-            edges.append(Edge(f"b{r}", child, Fraction(deck[r], total),
-                              all_players))
-        return emit(Node(player=CHANCE, edges=tuple(edges)))
+            if deck[r]:
+                yield (r, Fraction(deck[r], total),
+                       deck[:r] + (deck[r] - 1,) + deck[r + 1:])
+
+    def next_phase(cards, deck, board, contrib, folded, rnd) -> int:
+        """Showdown after the last round, else the board card (Leduc deals
+        it between its two rounds) and the next round."""
+        if rnd + 1 >= n_rounds:
+            return showdown(cards, board, contrib, folded)
+        return emit(Node(player=CHANCE, edges=tuple(
+            Edge(f"b{r}", betting_round(cards, rest, r, contrib, folded,
+                                        rnd + 1), prob, all_players)
+            for r, prob, rest in draws(deck))))
 
     def betting_round(cards, deck, board, contrib, folded, rnd) -> int:
         order = [p for p in range(3) if p not in folded]
@@ -263,11 +250,9 @@ def _gen_poker(spec: PokerSpec) -> VEFG:
                             npending, raises_left - 1)
             else:  # fold
                 nfolded = folded | {p}
-                alive = [q for q in range(3) if q not in nfolded]
                 npending = tuple(q for q in pending[1:] if q not in nfolded)
-                if len(alive) == 1:
-                    child = next_phase(cards, deck, board, contrib, nfolded,
-                                       n_rounds - 1)
+                if len(nfolded) == 2:  # one player left
+                    child = showdown(cards, board, contrib, nfolded)
                 else:
                     child = act(cards, deck, board, contrib, nfolded, rnd,
                                 npending, raises_left)
@@ -276,19 +261,12 @@ def _gen_poker(spec: PokerSpec) -> VEFG:
 
     def deal(pos, cards, deck) -> int:
         if pos == 3:
-            contrib = (ante,) * 3
-            return betting_round(cards, deck, None, contrib, frozenset(), 0)
-        total = sum(deck)
-        edges = []
-        for r in range(spec.ranks):
-            if deck[r] == 0:
-                continue
-            ndeck = list(deck)
-            ndeck[r] -= 1
-            child = deal(pos + 1, cards + (r,), tuple(ndeck))
-            edges.append(Edge(f"r{r}", child, Fraction(deck[r], total),
-                              frozenset((roles[pos],))))
-        return emit(Node(player=CHANCE, edges=tuple(edges)))
+            return betting_round(cards, deck, None, (ante,) * 3,
+                                 frozenset(), 0)
+        return emit(Node(player=CHANCE, edges=tuple(
+            Edge(f"r{r}", deal(pos + 1, cards + (r,), rest), prob,
+                 frozenset((roles[pos],)))
+            for r, prob, rest in draws(deck))))
 
     root = deal(0, (), (copies,) * spec.ranks)
     game = VEFG(

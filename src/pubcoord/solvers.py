@@ -5,8 +5,8 @@ Provides:
 - ``reduced_normal_form_plans`` / ``count_reduced_plans`` — a player's
   reduced plans (actions assigned only at infosets reachable given the
   plan's own earlier choices), enumerated or counted over its sequences.
-- ``matrix_game_solve`` — zero-sum matrix game solving by linear programming
-  with a certified pure-response gap.
+- ``matrix_game_solve`` — zero-sum matrix game solving by one linear
+  program and its duals, with a certified pure-response gap.
 - ``tmecor_bruteforce`` — team-maxmin-with-correlation oracle: an exact
   double oracle over joint team plans, for teams of any size, in sequence
   form.  One walk gives every player's sequences; a plan is a boolean vector
@@ -30,6 +30,7 @@ tree arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -44,6 +45,7 @@ from .errors import (
     InvalidIterationCount,
     InvalidParameter,
     SolverFailure,
+    check_int,
 )
 from .model import (
     _CHUNK_ENTRIES,
@@ -198,10 +200,35 @@ def count_reduced_plans(game: VEFG, player: PlayerRole) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _maximin(u: np.ndarray) -> np.ndarray:
-    """The row player's maximin strategy of ``u`` by one LP, max v s.t.
-    x^T U >= v, sum x = 1, x >= 0, on ``u`` shifted to positive values for
-    numerical stability."""
+def _check_tol(tol) -> None:
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0 < tol < math.inf):  # NaN fails too
+        raise InvalidParameter(f"tol must be a finite real > 0, got {tol!r}")
+
+
+def matrix_game_solve(matrix, tol: float = 1e-9):
+    """Solve a zero-sum matrix game (row player maximizes).
+
+    Returns ``(row_strategy, col_strategy, value)`` as numpy arrays and a
+    float.  One LP gives both: the row player's maximin LP, max v s.t.
+    x^T U >= v, sum x = 1, x >= 0, on ``U`` shifted to positive values for
+    numerical stability, and the duals of its column constraints, which are
+    the column player's minimax strategy.  The best pure-response gap of
+    both players is certified ``<= max(tol, 1e-7)``, and an LP failure or a
+    larger gap raises :class:`SolverFailure`.  Entries and ``tol`` must be
+    finite reals, ``tol`` > 0 (:class:`InvalidParameter`).
+    """
+    try:
+        raw = np.asarray(matrix)
+        u = raw.astype(float) if raw.dtype.kind in "biufO" else None
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        u = None
+    if u is None or not np.isfinite(u).all():
+        raise InvalidParameter("matrix entries must be finite real numbers")
+    if u.ndim != 2 or u.size == 0:
+        raise EmptyMatrix(f"matrix with shape {u.shape} is not a non-empty "
+                          f"2-D array")
+    _check_tol(tol)
     n, m = u.shape
     us = u - float(u.min()) + 1.0
     c = np.zeros(n + 1)
@@ -213,25 +240,13 @@ def _maximin(u: np.ndarray) -> np.ndarray:
     if not res.success:
         raise SolverFailure(f"LP failed: {res.message}")
     x = np.maximum(res.x[:n], 0.0)
-    return x / x.sum()
-
-
-def matrix_game_solve(matrix, tol: float = 1e-9):
-    """Solve a zero-sum matrix game (row player maximizes).
-
-    Returns ``(row_strategy, col_strategy, value)`` as numpy arrays and a
-    float.  The column player is solved as the row player of ``-U^T``; the
-    best pure-response gap of both players is certified ``<= max(tol,
-    1e-7)``, and an LP failure or a larger gap raises :class:`SolverFailure`.
-    """
-    u = np.asarray(matrix, dtype=float)
-    if u.ndim != 2 or u.size == 0:
-        raise EmptyMatrix(f"matrix with shape {u.shape} has no entries")
-    x, y = _maximin(u), _maximin(-u.T)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    x, y = x / x.sum(), y / y.sum()
     value = float(x @ u @ y)
     row_gap = float(np.max(u @ y)) - value
     col_gap = value - float(np.min(x @ u))
-    if row_gap > max(tol, 1e-7) or col_gap > max(tol, 1e-7):
+    # written so that a NaN gap fails too
+    if not (row_gap <= max(tol, 1e-7) and col_gap <= max(tol, 1e-7)):
         raise SolverFailure(
             f"uncertified solution: gaps {row_gap}, {col_gap}")
     return x, y, value
@@ -267,13 +282,11 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
     pass each, with no float array over ``2**20`` entries.  The opponent's
     best response is the same dynamic program.  Teams of any size are
     solved.  When that reach array would exceed ``max_entries`` entries,
-    :class:`GameTooLarge` is raised.  ``tol`` must be finite and positive
-    and ``max_entries`` at least 1 (:class:`InvalidParameter`).
+    :class:`GameTooLarge` is raised.  ``tol`` must be a finite real > 0 and
+    ``max_entries`` an int >= 1, not a bool (:class:`InvalidParameter`).
     """
-    if not 0 < tol < math.inf:  # NaN fails too
-        raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
-    if max_entries < 1:
-        raise InvalidParameter(f"max_entries must be >= 1, got {max_entries}")
+    _check_tol(tol)
+    check_int("max_entries", max_entries, least=1)
     return _tmecor_double_oracle(game, tol, max_entries)
 
 
@@ -498,9 +511,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     if algo not in ("cfr", "cfr+", "lcfr+"):
         raise InvalidIterationCount(f"unknown algorithm {algo!r}")
     for name, k in (("iterations", iterations), ("log_every", log_every)):
-        if type(k) is bool or not isinstance(k, int) or k < 0:
-            raise InvalidIterationCount(f"{name} must be an int >= 0, "
-                                        f"got {k!r}")
+        check_int(name, k, InvalidIterationCount)
     c = compile_converted(cg)
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     regrets = [np.zeros(p.offset[-1]) for p in parts]

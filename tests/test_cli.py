@@ -15,6 +15,11 @@ from pubcoord import io_json
 from pubcoord.cli import main
 from pubcoord.errors import SchemaError
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 
 # mini_team_game(1) of tests/conftest.py and its folded + safe-IR
 # conversion, as committed files
@@ -249,14 +254,17 @@ def test_folded_pipeline_on_inexact_float_chance_row(tmp_path, capsys):
 # malformed inputs and the exit-code contract
 # ---------------------------------------------------------------------------
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout's package."""
-    env = dict(os.environ)
+def _python(*args, env=(), **run_kw):
+    """Run a fresh interpreter that imports this checkout's package, with
+    ``env`` added to the environment and ``run_kw`` passed to
+    ``subprocess.run``."""
+    env = dict(os.environ, **dict(env))
     src = str(Path(pubcoord.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=300,
+                          **run_kw)
 
 
 def run_subprocess(*argv, optimize=False):
@@ -298,6 +306,7 @@ GAME_CORRUPTIONS = {
     "huge-rational-utility":
         lambda d: _first_terminal(d).update(team_utility=HUGE_RATIONAL),
     "prob-outside-0-1": _row_outside_0_1,
+    "label-not-a-string": lambda d: _first_edge(d).update(label=5),
 }
 
 def _edges_of(d, v):
@@ -400,6 +409,15 @@ COLUMNAR_CORRUPTIONS = {
     "coordinator-edge-to-opponent": _coordinator_edge_to_opponent,
     "unknown-format": lambda d: d.update(format=3),
     "missing-format": lambda d: d.pop("format"),
+    "unknown-mode": lambda d: d["origin"].update(mode="fast"),
+    "digest-not-a-string": lambda d: d["origin"].update(source_digest=5),
+    "iset-refs-without-actions": lambda d: d["origin"]["iset_actions"].pop(),
+    "labels-table-repeats": lambda d: d["labels"].append(d["labels"][0]),
+    "active-fanout-too-large":
+        lambda d: d["origin"]["active"][0].append(3),
+    "two-opponents": lambda d: d.update(players=["o", "o"]),
+    "team-and-coordinator": lambda d: d.update(players=["coord", "t0", "o"]),
+    "team-index-gap": lambda d: d.update(players=["t1", "o"]),
 }
 
 
@@ -446,6 +464,29 @@ def test_malformed_columnar_file_exits_4(tmp_path, capsys, corruption):
         code, _, err = run(capsys, *argv)
         assert code == 4, (argv[0], err)
         assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_running_out_of_memory_exits_5(tmp_path):
+    # a 400 MB address-space limit in the child only: generating Leduc 3x2
+    # (85,915 nodes) fits in it, converting the game does not
+    limit = 400 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    def cli(*argv):
+        proc = _python("-m", "pubcoord.cli", *argv, preexec_fn=cap,
+                       env={"OPENBLAS_NUM_THREADS": "1"})
+        return proc.returncode, proc.stderr
+
+    g, c = tmp_path / "leduc.json", tmp_path / "c.json"
+    code, err = cli("gen", "leduc", "--ranks", "3", "--raises", "2",
+                    "--out", g)
+    assert code == 0, err
+    code, err = cli("convert", g, "--mode", "basic", "--out", c)
+    assert code == 5, err
+    assert err == "error: out of memory; the game is too large\n"
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -52,6 +52,7 @@ from pubcoord.errors import (
     InvalidIterationCount,
     NotATeamGame,
     NotPublicTurnTaking,
+    SchemaError,
 )
 from pubcoord.model import (
     CHANCE,
@@ -579,6 +580,14 @@ def test_payoff_equivalence_rejects_negative_samples(mini):
         check_payoff_equivalence(mini, cg, samples=-3)
 
 
+@pytest.mark.parametrize("samples", [True, False, 1.5, "3", np.float64(3)],
+                         ids=repr)
+def test_payoff_equivalence_rejects_samples_that_are_not_ints(mini, samples):
+    cg = convert_folded(mini)
+    with pytest.raises(InvalidIterationCount):
+        check_payoff_equivalence(mini, cg, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # columns and the view built on first use
 # ---------------------------------------------------------------------------
@@ -700,6 +709,12 @@ def test_converted_values_reject_an_action_index_out_of_range(mini):
                 [rows[0], rows[1] + rows[2][:3]]):
         with pytest.raises(IllegalActionInPlan):
             list(converted_values(mini, cg, [rows[0]] + bad))
+
+
+def test_converted_values_reject_another_games_team_infosets(mini):
+    cg = convert_folded(gen_toy(ToySpec(2, 2, 1)))
+    with pytest.raises(SchemaError, match="team infosets"):
+        list(converted_values(mini, cg, []))
 
 
 def test_a_given_game_becomes_the_tree_and_its_view(mini):

@@ -68,6 +68,21 @@ def test_toy_guards():
         gen_toy(ToySpec(10, 10, 10))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_toy(ToySpec(2, 2, 2.5)), lambda: gen_toy(ToySpec(2.0, 2, 1)),
+    lambda: gen_toy(ToySpec(2, "2", 1)), lambda: gen_toy(ToySpec(2, 2, True)),
+    lambda: gen_kuhn3(PokerSpec("kuhn", 3.0)),
+    lambda: gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=1.0)),
+    lambda: gen_leduc3(PokerSpec("leduc", 2, raises="1")),
+    lambda: gen_leduc3(PokerSpec("leduc", True))],
+    ids=["toy-depth-2.5", "toy-C-2.0", "toy-A-str", "toy-H-bool",
+         "kuhn-ranks-3.0", "kuhn-position-1.0", "leduc-raises-str",
+         "leduc-ranks-bool"])
+def test_spec_counts_that_are_not_ints_are_rejected(make):
+    with pytest.raises(SpecOutOfBounds):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # poker, common
 # ---------------------------------------------------------------------------

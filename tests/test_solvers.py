@@ -19,12 +19,15 @@ from pubcoord.errors import (
     ActionMismatchWithinInfoset,
     EmptyMatrix,
     GameTooLarge,
+    IllegalActionInPlan,
+    IllegalPrescription,
     ImperfectRecallInput,
     IncompleteProfile,
     InvalidIterationCount,
     InvalidParameter,
     NotPublicTurnTaking,
     SolverFailure,
+    UnknownPlayer,
 )
 from pubcoord.model import (
     CHANCE,
@@ -190,6 +193,74 @@ def test_matrix_value_between_maximin_bounds():
         assert maximin - 1e-9 <= v <= minimax + 1e-9
 
 
+def test_matrix_game_solves_one_lp(monkeypatch):
+    # the column strategy comes from the duals of the row player's LP
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    real = solvers.linprog
+    monkeypatch.setattr(solvers, "linprog", counting)
+    for m in ([[1, -1], [-1, 1]], [[3, 0], [1, 2]], [[2.0]]):
+        before = len(calls)
+        matrix_game_solve(m)
+        assert len(calls) - before == 1
+
+
+def _column_lp_value(u: np.ndarray) -> float:
+    """The column player's minimax value of ``u`` by its own LP: min w
+    s.t. U y <= w, sum y = 1, y >= 0."""
+    from scipy.optimize import linprog
+    n, m = u.shape
+    res = linprog(np.append(np.zeros(m), 1.0),
+                  A_ub=np.hstack([u, -np.ones((n, 1))]), b_ub=np.zeros(n),
+                  A_eq=np.append(np.ones(m), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _random_matrices():
+    rng = np.random.default_rng(2025)
+    for _ in range(40):
+        n, m = rng.integers(1, 31), rng.integers(1, 41)
+        u = rng.uniform(-5, 5, (n, m))
+        if rng.random() < 0.5:  # integer payoffs: many ties
+            u = np.round(u)
+        # duplicate rows and columns
+        u = u[rng.integers(0, n, n + rng.integers(0, 4))]
+        yield u[:, rng.integers(0, m, m + rng.integers(0, 4))][:30, :40]
+    yield np.full((7, 9), 3.25)
+    yield np.full((30, 40), -1.0)
+
+
+@pytest.mark.parametrize("u", list(_random_matrices()),
+                         ids=lambda u: "x".join(map(str, u.shape)))
+def test_matrix_value_equals_the_column_lp(u):
+    x, y, v = matrix_game_solve(u)
+    assert v == pytest.approx(_column_lp_value(u), abs=1e-9)
+    assert x.sum() == pytest.approx(1.0) and y.sum() == pytest.approx(1.0)
+    assert (x >= 0).all() and (y >= 0).all()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"matrix": [[float("nan"), 1], [0, 1]]},
+    {"matrix": [[float("inf"), 1], [0, 1]]},
+    {"matrix": [[1, 2], [3]]}, {"matrix": [["a"]]}, {"matrix": [["1"]]},
+    {"matrix": [[1j]]}, {"tol": float("nan")}, {"tol": -1}, {"tol": 0},
+    {"tol": float("inf")}, {"tol": "x"}, {"tol": True}], ids=repr)
+def test_matrix_game_rejects_entries_and_tol_that_are_not_finite_reals(
+        monkeypatch, kwargs):
+    def no_lp(*args, **kw):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(solvers, "linprog", no_lp)
+    with pytest.raises(InvalidParameter):
+        matrix_game_solve(**{"matrix": [[1, -1], [-1, 1]], **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # TMECor oracle
 # ---------------------------------------------------------------------------
@@ -312,9 +383,11 @@ def test_tmecor_three_member_team_matches_lcfr_plus(seed, iterations):
 
 def test_uncertified_lp_solution_raises(monkeypatch):
     from types import SimpleNamespace
-    # a pure "solution" to matching pennies leaves a best-response gap of 2
+    # a pure "solution" to matching pennies, rows and (by the duals of the
+    # column constraints) columns, leaves a best-response gap of 2
     monkeypatch.setattr(solvers, "linprog", lambda c, **kw: SimpleNamespace(
-        success=True, x=np.eye(len(c))[0], message=""))
+        success=True, x=np.eye(len(c))[0], message="",
+        ineqlin=SimpleNamespace(marginals=-np.eye(len(kw["b_ub"]))[0])))
     with pytest.raises(SolverFailure, match="uncertified"):
         matrix_game_solve([[1, -1], [-1, 1]])
 
@@ -368,7 +441,8 @@ def test_tmecor_team_only_game_maximizes():
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
-    {"max_entries": 0}])
+    {"tol": "x"}, {"max_entries": 0}, {"max_entries": float("nan")},
+    {"max_entries": 1.5}, {"max_entries": "5"}, {"max_entries": True}])
 def test_tmecor_rejects_bad_arguments_before_any_lp(monkeypatch, kwargs):
     def no_lp(*args, **kw):
         raise AssertionError("an LP ran")
@@ -674,6 +748,31 @@ def test_compile_rejects_action_mismatch_within_infoset():
         compile_converted(bad)
 
 
+def test_compile_rejects_an_infoset_whose_nodes_differ_in_action_count():
+    # one of the opponent's two indistinguishable nodes gets a third action:
+    # its slots would spill into the next infoset's, so the partition
+    # rejects it as it is made
+    from dataclasses import replace
+    cg = _pennies_converted()
+    nodes = list(cg.game.nodes)
+    nid = next(i for i, n in enumerate(nodes) if n.player == OPPONENT)
+    extra = replace(nodes[nid].edges[0], label="x", child=len(nodes))
+    nodes[nid] = replace(nodes[nid], edges=nodes[nid].edges + (extra,))
+    nodes.append(Node(utility=Fraction(0)))
+    bad = replace(cg, tree=ConvertedTree.from_game(
+        replace(cg.game, nodes=tuple(nodes))))
+    with pytest.raises(ActionMismatchWithinInfoset):
+        compile_converted(bad)
+
+
+def test_compile_rejects_a_team_member_decision(mini):
+    # a source game's tree given as a converted game: team members act
+    from dataclasses import replace
+    cg = replace(convert_folded(mini), tree=ConvertedTree.from_game(mini))
+    with pytest.raises(UnknownPlayer, match="belongs to"):
+        compile_converted(cg)
+
+
 def test_compile_rejects_infoset_spanning_depths():
     from dataclasses import replace
     from pubcoord.census import census
@@ -751,6 +850,12 @@ def test_best_response_rejects_an_unknown_responder():
     cg = _pennies_converted()
     with pytest.raises(InvalidParameter, match="coordinator"):
         best_response(cg, _uniform_profile(cg), "coordinator")
+
+
+def test_best_response_of_an_absent_opponent_raises():
+    cg = convert_folded(gen_toy(ToySpec(2, 2, 1, payoff_seed=1)))
+    with pytest.raises(IncompleteProfile, match="no opponent"):
+        best_response(cg, _uniform_profile(cg), "o")
 
 
 def test_a_tie_of_real_arithmetic_gives_zero_regrets():
@@ -844,6 +949,33 @@ def _recall_breaking_games():
              "reached after several own sequences"),
             (_coordinator_only(merged, 10, [(0,), (1,)]),
              "spans several profile infosets")]
+
+
+def test_team_plan_map_rejects_illegal_actions_and_split_prescriptions():
+    # the coordinator cannot tell its two nodes apart, but they prescribe
+    # for the team infosets j and k: a plan playing a at j and b at k
+    # prescribes l at one and r at the other
+    from dataclasses import replace
+    from pubcoord import map_team_to_coordinator
+    from pubcoord.model import COORDINATOR
+    seen, hidden = frozenset({COORDINATOR}), frozenset()
+    nodes = [Node(utility=Fraction(u)) for u in (1, -1, 2, 0)]
+    nodes += [Node(player=COORDINATOR, edges=(
+        Edge("l", k, seen_by=seen), Edge("r", k + 1, seen_by=seen)))
+        for k in (0, 2)]                                              # 4, 5
+    nodes.append(Node(player=CHANCE, edges=(
+        Edge("p", 4, Fraction(1, 2), hidden),
+        Edge("q", 5, Fraction(1, 2), hidden))))
+    j, k = (T0, ("j",)), (T0, ("k",))
+    cg = replace(_coordinator_only(nodes, 6, [(0,), (0,)]),
+                 iset_refs=(j, k), iset_actions=(("a", "b"),) * 2,
+                 active=(None,) * 4 + ((0,), (1,), None))
+    assert set(map_team_to_coordinator(cg, {j: "b", k: "b"}).values()) == {
+        "r"}
+    with pytest.raises(IllegalActionInPlan, match="illegal"):
+        map_team_to_coordinator(cg, {j: "z"})
+    with pytest.raises(IllegalPrescription, match="inconsistent"):
+        map_team_to_coordinator(cg, {j: "a", k: "b"})
 
 
 @pytest.mark.parametrize("case", [0, 1])
