@@ -1010,10 +1010,8 @@ class _Compiled:
 
     order: np.ndarray      # per node: its tree node id
     edge: np.ndarray       # per edge: its tree edge id
-    utility: np.ndarray    # per node; 0 off terminals
     first: np.ndarray      # per node: its first edge
     parent: np.ndarray     # per edge
-    prob: np.ndarray       # per edge: chance probability, 1 on decisions
     levels: list[tuple[int, int]]
     sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
     steps: list = field(init=False, repr=False)
@@ -1095,22 +1093,22 @@ def _compile(cg: ConvertedGame) -> _Compiled:
         tree.utility[order]]
     prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
                     dtype=float)[tree.prob[walk.edges]]
+    chance = np.repeat(tree.played_by(CHANCE)[order], count)
     c = _Compiled(
-        order=order, edge=walk.edges,
-        utility=np.where(tree.played_by(None)[order], utility, 0.0),
-        first=np.cumsum(count) - count,
+        order=order, edge=walk.edges, first=np.cumsum(count) - count,
         parent=np.repeat(np.arange(len(order)), count),
-        prob=np.where(np.repeat(tree.played_by(CHANCE)[order], count), prob,
-                      1.0),
         levels=list(zip(walk.bounds, walk.bounds[1:])),
         sides=_sides(cg, walk))
-    _sequence_form(c)
+    _sequence_form(c, c.reach(np.where(chance, prob, 1.0)),
+                   np.where(tree.played_by(None)[order], utility, 0.0))
     vars(cg)["_compiled"] = c
     return c
 
 
-def _sequence_form(c: _Compiled) -> None:
-    """Store ``c.value`` and each side's :class:`_Treeplex`.  Slots grow with
+def _sequence_form(c: _Compiled, chance: np.ndarray,
+                   utility: np.ndarray) -> None:
+    """Store ``c.value`` and each side's :class:`_Treeplex`, given each
+    node's chance reach and utility (0 off terminals).  Slots grow with
     depth, so a node's own sequence is the largest own slot on its path.  A
     perfect-recall infoset's nodes must share it, and its slots lie in one
     profile slot each (else :class:`ImperfectRecallInput`).  A level is a
@@ -1120,8 +1118,7 @@ def _sequence_form(c: _Compiled) -> None:
     for k, (_, side) in enumerate(sides):
         mark[k, side.edges] = 2 + side.pr.edge_slot
     own = c.reach(mark, np.maximum) - 1  # per node: 0, or 1 + own slot
-    chance = c.reach(c.prob)
-    value = chance * c.utility
+    value = chance * utility
     term = np.flatnonzero(value)
     c.value = value[term]
     for k, (name, side) in enumerate(sides):

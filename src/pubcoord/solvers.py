@@ -20,12 +20,10 @@ Provides:
   (visibility-derived) information partition; profiles defined on merged
   imperfect-recall keys are expanded onto it.
 
-CFR and the evaluation utilities run as passes over the compiled form of
-the converted game, built by :func:`pubcoord.convert.compile_converted`
-(imported here) on the first call for a converted game and kept on it:
-CFR and expected values over its sequence form (each side's treeplex and
-the value-carrying terminals), best responses over its flat breadth-first
-tree arrays.
+CFR and the evaluation utilities run as passes over the sequence form of
+the converted game (each side's treeplex and the value-carrying
+terminals), compiled by :func:`pubcoord.convert.compile_converted`
+(imported here) on the first call for a converted game and kept on it.
 """
 from __future__ import annotations
 
@@ -445,13 +443,12 @@ def _traversal(c: _Compiled, me: str) -> Callable:
     chance edge, as a depth-first CFR never enters one.  The increments are
     such a walk's to 1e-12 relative per traversal."""
     f, n = c.sides[me].form, c.sides[me].profile.offset[-1]
-    other = c.sides.get("o" if me == "coord" else "coord")
-    value = (1.0 if me == "coord" else -1.0) * c.value
+    other = "o" if me == "coord" else "coord"
+    sign = 1.0 if me == "coord" else -1.0
     levels = list(zip(f.cut, f.cut[1:]))[::-1]
 
     def run(regrets, strat, other_sigma, my_sigma) -> None:
-        w = value if other is None else value * other.form.plan(
-            other_sigma)[0][other.form.term]
+        w = sign * _weights(c, {other: other_sigma})
         v = np.bincount(f.term, w, len(f.parent))
         x, s = f.plan(my_sigma)
         for a, b in levels:  # deepest first: a level's values are final
@@ -518,21 +515,23 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     strat = [np.zeros(p.offset[-1]) for p in parts]
     walks = [_traversal(c, name) for name in c.sides]
 
-    def average_profile() -> Profile:
-        return {name: p.as_profile(_normalize(p, x))
+    def average() -> dict:
+        return {name: _normalize(p, x)
                 for name, p, x in zip(c.sides, parts, strat)}
 
     log = ConvergenceLog()
     for t in range(1, iterations + 1):
         _iterate(c, walks, algo, t, regrets, strat)
         if log_every and (t % log_every == 0 or t == iterations):
-            prof = average_profile()
-            v = expected_value(cg, prof)
-            e = exploitability(cg, prof)
+            sigma = average()
+            v = float(_weights(c, sigma).sum())
+            e = _best_response(c, "coord", sigma)[0] + (
+                _best_response(c, "o", sigma)[0] if "o" in sigma else -v)
             log.rows.append((t, v, e))
             if log_hook is not None:
                 log_hook(t, v, e)
-    return average_profile(), log
+    return {name: c.sides[name].profile.as_profile(x)
+            for name, x in average().items()}, log
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +539,46 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
 # ---------------------------------------------------------------------------
 
 
+def _weights(c: _Compiled, sigma: dict, skip: str = "") -> np.ndarray:
+    """Per value-carrying terminal: its team value times the realization
+    weight of the strategy in ``sigma`` (name -> a probability per profile
+    slot) of each side of the game but ``skip``."""
+    w = c.value
+    for name, side in c.sides.items():
+        if name in sigma and name != skip:
+            w = w * side.form.plan(sigma[name])[0][side.form.term]
+    return w
+
+
+def _best_response(c: _Compiled, responder: str, sigma: dict):
+    """:func:`best_response` to the other side's strategy in ``sigma``: its
+    value, and per perfect-recall infoset the index of its choice.
+
+    The weighted terminals go onto the responder's sequences by one
+    bincount; deepest level first, each infoset's best slot value is added
+    to the sequence it follows by a bincount, as a fancy-index ``+=`` drops
+    repeated parents.  A choice is the first slot within 1e-12 x the
+    largest terminal weight (a rounding scale) of the infoset's best."""
+    f, starts = c.sides[responder].form, c.sides[responder].pr.offset[:-1]
+    head = 1 + starts  # per infoset: the sequence of its first action
+    w = _weights(c, sigma, responder)
+    v = np.bincount(f.term, w if responder == "coord" else -w, len(f.parent))
+    top = np.empty(len(head))  # per infoset: its best slot value
+    for a, b in list(zip(f.cut, f.cut[1:]))[::-1]:
+        i, j = np.searchsorted(head, (a, b))
+        top[i:j] = np.maximum.reduceat(v[a:b], head[i:j] - a)
+        v[:a] += np.bincount(f.parent[head[i:j]], top[i:j], a)
+    near = np.flatnonzero(
+        v[1:] >= top[f.iset] - 1e-12 * np.abs(w).max(initial=0.0))
+    return float(v[0]), near[np.diff(f.iset[near], prepend=-1) > 0] - starts
+
+
 def expected_value(cg: ConvertedGame, profile: Profile) -> float:
     """Team expected utility of a behavioral profile: one product over the
     value-carrying terminals of both sides' realization plans."""
     c = compile_converted(cg)
-    w = c.value.copy()
-    for name, side in c.sides.items():
-        w *= side.form.plan(side.profile.lookup(profile, name))[0][
-            side.form.term]
-    return float(w.sum())
+    return float(_weights(c, {name: side.profile.lookup(profile, name)
+                              for name, side in c.sides.items()}).sum())
 
 
 def best_response(cg: ConvertedGame, profile: Profile, responder: str):
@@ -556,54 +586,26 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     "o") against the other side's behavior in ``profile``.
 
     The responder is optimized over the perfect-recall (visibility-derived)
-    information partition; the fixed side's strategy is looked up by its
-    profile key, so merged imperfect-recall profiles are supported.  Each
-    infoset is decided at the depth of its nodes, which in a converted
-    (public turn-taking) game is one depth.  ``responder`` must be one of
-    the two names (:class:`InvalidParameter`).
+    information partition, by one bottom-up pass over its treeplex; the
+    fixed side's strategy is looked up by its profile key, so merged
+    imperfect-recall profiles are supported.  The value is the maximum.  An
+    infoset's choice is its first action whose counterfactual value is
+    within 1e-12 x the largest weight of a terminal of the best, so that
+    rounding does not decide a tie.  ``responder`` must be one of the
+    two names (:class:`InvalidParameter`).
     """
     if responder not in ("coord", "o"):
         raise InvalidParameter(f"responder must be 'coord' or 'o', got "
                                f"{responder!r}")
     c = compile_converted(cg)
-    if responder == "o" and "o" not in c.sides:
+    if responder not in c.sides:
         raise IncompleteProfile("game has no opponent to respond with")
-    w = c.prob.copy()  # the other side's strategy at its edges, 1 at ours
-    for name, fixed in c.sides.items():
-        if name != responder:
-            w[fixed.edges] = fixed.profile.lookup(profile, name)[
-                fixed.profile.edge_slot]
-    cf = c.reach(w)
-    side = c.sides[responder]
-    part = side.pr
-    par = c.parent[side.edges]
-    starts = [a for a, _ in c.levels] + [len(c.utility)]
-    edge_cut = np.searchsorted(par, starts)
-    node_cut = np.searchsorted(side.nodes, starts)
-    iset_cut = np.searchsorted(side.nodes[part.first], starts)
-    count = np.diff(part.offset)
-    best = np.zeros(len(part.first), dtype=np.int64)
-    val = (1.0 if responder == "coord" else -1.0) * c.utility
-    for d in range(len(c.steps) - 1, -1, -1):  # back up, then decide ours
-        p0, p1, a, b, up = c.steps[d]
-        val[p0:p1] += np.bincount(up, w[a - 1:b - 1] * val[a:b], p1 - p0)
-        e0, e1 = edge_cut[d], edge_cut[d + 1]
-        if e0 == e1:
-            continue
-        i0, i1 = iset_cut[d], iset_cut[d + 1]
-        s0, s1 = part.offset[i0], part.offset[i1]
-        totals = np.bincount(part.edge_slot[e0:e1] - s0, cf[par[e0:e1]]
-                             * val[side.edges[e0:e1] + 1], s1 - s0)
-        # first best action per infoset, rows padded with -inf
-        cols = np.arange(count[i0:i1].max())
-        mat = part.offset[i0:i1, None] - s0 + cols
-        mat[cols >= count[i0:i1, None]] = s1 - s0
-        best[i0:i1] = np.append(totals, -np.inf)[mat].argmax(axis=1)
-        nodes = side.nodes[node_cut[d]:node_cut[d + 1]]
-        val[nodes] = val[c.first[nodes] + 1 + best[
-            part.of_node[node_cut[d]:node_cut[d + 1]]]]
-    return float(val[0]), {key: acts[b] for key, acts, b in zip(
-        part.keys, part.actions, best.tolist())}
+    value, pick = _best_response(c, responder, {
+        name: side.profile.lookup(profile, name)
+        for name, side in c.sides.items() if name != responder})
+    part = c.sides[responder].pr
+    return value, {key: acts[k] for key, acts, k in zip(
+        part.keys, part.actions, pick.tolist())}
 
 
 def exploitability(cg: ConvertedGame, profile: Profile) -> float:

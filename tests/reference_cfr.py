@@ -256,6 +256,10 @@ def best_response(c: Compiled, profile, responder: str):
     for nid, key in c.pr_key[responder].items():
         resp_isets.setdefault(key, []).append(nid)
     value = np.zeros(len(c.kind))
+    # 1e-12 x the largest weight of a terminal: the scale of the rounding
+    # of any sum of them, also of one that nearly cancels
+    tol = 1e-12 * max([abs(cf[n] * c.utility[n]) for n in order
+                       if c.kind[n] == _TERMINAL], default=0.0)
     choice: dict[tuple, str] = {}
     iset_of_depth: dict[int, list[tuple]] = {}
     for key, nids in resp_isets.items():
@@ -276,12 +280,15 @@ def best_response(c: Compiled, profile, responder: str):
         for key in iset_of_depth.get(d, ()):
             nids = resp_isets[key]
             acts = c.labels[nids[0]]
-            best_i, best_v = 0, -np.inf
-            for i in range(len(acts)):
-                av = sum(cf[n] * value[c.edges[n][i]] for n in nids)
-                if av > best_v:
-                    best_i, best_v = i, av
-            choice[key] = acts[best_i]
+            totals = [sum(cf[n] * value[c.edges[n][i]] for n in nids)
+                      for i in range(len(acts))]
+            # the value follows the first exact best action; the choice is
+            # the first action within ``tol`` of it, so that a tie up to
+            # rounding does not depend on the order of the sums
+            best_i = int(np.argmax(totals))
+            best_v = totals[best_i]
+            choice[key] = next(a for a, t in zip(acts, totals)
+                               if t >= best_v - tol)
             for n in nids:
                 value[n] = value[c.edges[n][best_i]]
     return float(value[c.root]), choice

@@ -198,6 +198,11 @@ def test_zero_probability_chance_edge_adds_nothing():
                        rtol=1e-12, atol=0)
 
 
+def _leduc(pos):
+    return apply_safe_imperfect_recall(convert_folded(gen_leduc3(
+        PokerSpec("leduc", 2, 1, adversary_position=pos))))
+
+
 def _uniform(c):
     return {side: {key: {a: 1 / len(acts) for a in acts}
                    for key, acts in table.items()}
@@ -210,6 +215,12 @@ def _uniform(c):
     ("kuhn3 pos 2 folded + safe IR", lambda: _kuhn(2)),
     ("toy pruned + safe IR, no opponent", lambda: apply_safe_imperfect_recall(
         convert_pruned(gen_toy(ToySpec(2, 3, 2, payoff_seed=12))))),
+    ("leduc 2x1 pos 0 folded + safe IR", lambda: _leduc(0)),
+    # 2,720 coordinator infosets, where 1-ulp ties among choices occur
+    ("leduc 2x1 pos 2 folded + safe IR", lambda: _leduc(2)),
+    # the coordinator's infoset ("b",) lies below a zero-probability
+    # chance edge only: every action is worth 0, and the first is chosen
+    ("zero-probability chance edge", _zero_chance_game),
 ])
 def test_evaluation_matches_reference(name, make):
     cg = make()
@@ -224,6 +235,30 @@ def test_evaluation_matches_reference(name, make):
             assert choice == want_choice
         assert solvers.exploitability(cg, profile) == \
             pytest.approx(ref.exploitability(rc, profile), abs=1e-12)
+
+
+@pytest.mark.parametrize("name,make", [
+    ("kuhn3 pos 0 folded", lambda: convert_folded(
+        gen_kuhn3(PokerSpec("kuhn", 3, adversary_position=0)))),
+    ("mini folded", lambda: convert_folded(mini_team_game(3))),
+    ("toy pruned", lambda: convert_pruned(
+        gen_toy(ToySpec(2, 3, 2, payoff_seed=12, both_private=True)))),
+])
+def test_best_response_is_worth_its_value(name, make):
+    """Without a reference: the returned pure strategy, played against the
+    fixed side, earns the best-response value.  Without safe IR the
+    perfect-recall keys are the profile keys, so the choices are a
+    profile."""
+    cg = make()
+    c = solvers.compile_converted(cg)
+    for profile in (_uniform(c), solvers.solve_cfr(cg, "cfr+", 10)[0]):
+        for responder in c.sides:
+            value, choice = solvers.best_response(cg, profile, responder)
+            pure = {key: {a: float(a == choice[key]) for a in acts}
+                    for key, acts in c.iset_actions[responder].items()}
+            ev = solvers.expected_value(cg, {**profile, responder: pure})
+            assert (ev if responder == "coord" else -ev) == \
+                pytest.approx(value, abs=1e-9)
 
 
 def test_vectorised_regret_matching_is_bit_identical():
