@@ -966,29 +966,108 @@ class _Partition:
 
 @dataclass
 class _Treeplex:
-    """One side's sequence form (von Stengel, GEB 1996): sequence 0 is empty
-    and sequence ``1 + k`` is ``pr`` slot ``k``, of infoset ``iset`` after
-    sequence ``parent``; level ``l``, ``cut[l] .. cut[l + 1] - 1``, follows
-    earlier levels only.  Per slot: its profile ``slot`` and the nodes of
-    its infoset ``live`` (of chance reach > 0); ``term``: the sequence of
-    each value-carrying terminal (:attr:`_Compiled.value`)."""
+    """One player's sequence form (von Stengel, GEB 1996), made from its
+    infosets' ``after`` (the sequence each follows), ``width`` (number of
+    actions) and nondecreasing ``depth``.  Sequence 0 is empty; infoset
+    ``i`` owns the sequences ``head[i] .. head[i + 1] - 1``, and sequence
+    ``1 + k`` is slot ``k``, of infoset ``iset`` after sequence ``parent``.
+    Level ``l``, ``cut[l] .. cut[l + 1] - 1``, is a run of depths whose
+    infosets follow only sequences before it.  ``term``: the sequence of
+    each value-carrying terminal.  A converted game's side has per slot its
+    profile ``slot`` and the nodes of its infoset ``live`` (of chance reach
+    > 0); a team game's player its infosets' ``keys`` and slot ``labels``.
+    A pure plan is a boolean per sequence, true at the ones it plays."""
 
-    parent: np.ndarray
-    cut: list[int]
-    slot: np.ndarray
-    iset: np.ndarray
-    live: np.ndarray
+    after: InitVar[np.ndarray]
+    width: InitVar[np.ndarray]
+    depth: InitVar[np.ndarray]
     term: np.ndarray
+    slot: Optional[np.ndarray] = None
+    live: Optional[np.ndarray] = None
+    keys: list = field(default_factory=list)
+    labels: tuple = ()
+    parent: np.ndarray = field(init=False)
+    head: np.ndarray = field(init=False)
+    iset: np.ndarray = field(init=False)
+    cut: list[int] = field(init=False)
+
+    def __post_init__(self, after, width, depth) -> None:
+        after = np.asarray(after, dtype=np.int64)
+        offset = np.concatenate(([0], np.cumsum(width, dtype=np.int64)))
+        self.head = 1 + offset
+        self.iset = np.repeat(np.arange(len(after)), width)
+        self.parent = np.append(0, after[self.iset])
+        starts = np.flatnonzero(np.diff(depth, prepend=-1))
+        cut = [0]
+        for i, top in zip(starts.tolist(), np.maximum.reduceat(
+                after, starts).tolist() if starts.size else []):
+            if top > offset[cut[-1]]:
+                cut.append(i)
+        self.cut = (1 + offset[cut + [len(after)]]).tolist()
 
     def plan(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per sequence: the realization weight of ``sigma`` (a probability
-        per profile slot), built top-down, and ``sigma``, 1 at sequence 0."""
-        s = np.ones(len(self.parent))
-        s[1:] = sigma[self.slot]
+        per slot), built top-down, and ``sigma``, 1 at sequence 0."""
+        s = np.append(1.0, sigma)
         x = s.copy()
         for a, b in zip(self.cut, self.cut[1:]):
             x[a:b] *= x[self.parent[a:b]]
         return x, s
+
+    def best(self, gain: np.ndarray, weight: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Best response to each row of ``gain`` (rows x sequences: what
+        each sequence collects), overwriting it: deepest level first, each
+        infoset's best action value is added to the sequence it follows, by
+        one bincount over row-offset indices.  Returns per row its value,
+        the maximum, and per row and infoset the index of its choice: the
+        first action within 1e-12 x ``weight`` (the largest terminal
+        weight, a rounding scale) of the best."""
+        gain = gain.astype(float, copy=False)  # ints from an empty bincount
+        rows, head = len(gain), self.head
+        top = np.empty((rows, len(head) - 1))  # per infoset: its best action
+        for a, b in list(zip(self.cut, self.cut[1:]))[::-1]:
+            i, j = np.searchsorted(head, (a, b))
+            top[:, i:j] = np.maximum.reduceat(gain[:, a:b], head[i:j] - a, 1)
+            up = np.arange(0, rows * a, a)[:, None] + self.parent[head[i:j]]
+            gain[:, :a] += np.bincount(up.ravel(), top[:, i:j].ravel(),
+                                       rows * a).reshape(rows, a)
+        r, s = np.nonzero(gain[:, 1:] >= top[:, self.iset] - 1e-12 * weight)
+        s = s[np.diff(r * len(head) + self.iset[s], prepend=-1) > 0]
+        return gain[:, 0], (1 + s - head[self.iset[s]]).reshape(rows, -1)
+
+    def reduced(self, choice: np.ndarray) -> np.ndarray:
+        """The pure plan of ``choice``, an action index per infoset: the
+        chosen sequences whose infosets it reaches."""
+        sigma = np.zeros(len(self.iset))
+        sigma[self.head[:-1] - 1 + choice] = 1.0
+        return self.plan(sigma)[0] > 0
+
+    def count(self) -> int:
+        """Number of reduced plans: bottom-up, per sequence a product over
+        the infosets after it of a sum over their actions."""
+        n, parent, head = [1] * len(self.parent), self.parent, self.head
+        for h, e in reversed(list(zip(head.tolist(), head[1:].tolist()))):
+            n[parent[h]] *= sum(n[h:e])
+        return n[0]
+
+    def plans(self) -> np.ndarray:
+        """Every reduced plan, one row each: :meth:`count`'s pass with each
+        product a cartesian product of partial plans."""
+        size, parent, head = len(self.parent), self.parent, self.head
+        below = [np.zeros((1, size), dtype=bool)] * size
+        for h, e in reversed(list(zip(head.tolist(), head[1:].tolist()))):
+            alt = np.concatenate([below[s] | (np.arange(size) == s)
+                                  for s in range(h, e)])
+            below[parent[h]] = (below[parent[h]][:, None] | alt[None]
+                                ).reshape(-1, size)
+        below[0][:, 0] = True
+        return below[0]
+
+    def as_dict(self, plan: np.ndarray) -> dict:
+        """``plan`` as a map infoset key -> action."""
+        on = np.flatnonzero(plan[1:]).tolist()
+        return {self.keys[self.iset[s]]: self.labels[s] for s in on}
 
 
 @dataclass
@@ -1111,8 +1190,7 @@ def _sequence_form(c: _Compiled, chance: np.ndarray,
     node's chance reach and utility (0 off terminals).  Slots grow with
     depth, so a node's own sequence is the largest own slot on its path.  A
     perfect-recall infoset's nodes must share it, and its slots lie in one
-    profile slot each (else :class:`ImperfectRecallInput`).  A level is a
-    run of depths whose infosets follow only sequences before the run."""
+    profile slot each (else :class:`ImperfectRecallInput`)."""
     sides, depth = list(c.sides.items()), [a for a, _ in c.levels]
     mark = np.zeros((len(sides), len(c.parent)), dtype=np.int32)
     for k, (_, side) in enumerate(sides):
@@ -1124,29 +1202,21 @@ def _sequence_form(c: _Compiled, chance: np.ndarray,
     for k, (name, side) in enumerate(sides):
         pr, mine = side.pr, own[k, side.nodes]
         after = mine[pr.first]  # per infoset: the sequence it follows
-        of_slot = np.repeat(np.arange(len(after)), np.diff(pr.offset))
         slot = np.zeros(pr.offset[-1], dtype=np.int64)
         slot[pr.edge_slot] = side.profile.edge_slot
+        form = side.form = _Treeplex(
+            after, np.diff(pr.offset), np.searchsorted(
+                depth, side.nodes[pr.first], "right"), own[k, term], slot)
         bad = np.flatnonzero(mine != after[pr.of_node])
         split = np.flatnonzero(slot[pr.edge_slot] != side.profile.edge_slot)
         if bad.size or split.size:
             i = (pr.of_node[bad[0]] if bad.size
-                 else of_slot[pr.edge_slot[split[0]]])
+                 else form.iset[pr.edge_slot[split[0]]])
             raise ImperfectRecallInput(f"{name!r} infoset {pr.keys[i]!r} " + (
                 "is reached after several own sequences" if bad.size
                 else "spans several profile infosets"))
-        starts = np.flatnonzero(np.diff(np.searchsorted(
-            depth, side.nodes[pr.first], "right"), prepend=0))
-        cut = [0]
-        for i, top in zip(starts.tolist(), np.maximum.reduceat(
-                after, starts).tolist() if starts.size else []):
-            if top > pr.offset[cut[-1]]:
-                cut.append(i)
-        side.form = _Treeplex(
-            parent=np.append(0, after[of_slot]), slot=slot, iset=of_slot,
-            cut=[1 + pr.offset[i] for i in cut + [len(after)]],
-            live=np.bincount(pr.of_node, chance[side.nodes] > 0,
-                             len(after))[of_slot], term=own[k, term])
+        form.live = np.bincount(pr.of_node, chance[side.nodes] > 0,
+                                len(after))[form.iset]
 
 
 def compile_converted(cg: ConvertedGame) -> _Compiled:

@@ -230,7 +230,12 @@ def _group(game: VEFG, observers: frozenset[PlayerRole],
     way, members ascending; with ``actor``, only that player's decision
     nodes, and ``own`` is filled with each one's own sequence: the length
     of the key at the actor's last decision on the way and the action
-    taken there, ``None`` before its first."""
+    taken there, ``None`` before its first.  An observer that is not in
+    ``game.players`` raises :class:`UnknownPlayer`."""
+    stray = observers.difference(game.players)
+    if stray:
+        raise UnknownPlayer(f"{min(map(repr, stray))} is not a player of "
+                            f"{game.name!r}")
     nodes, groups = game.nodes, {}
     stack = [(game.root, (), None)]
     pop, push = stack.pop, stack.append

@@ -8,11 +8,9 @@ Provides:
 - ``matrix_game_solve`` — zero-sum matrix game solving by one linear
   program and its duals, with a certified pure-response gap.
 - ``tmecor_bruteforce`` — team-maxmin-with-correlation oracle: an exact
-  double oracle over joint team plans, for teams of any size, in sequence
-  form.  One walk gives every player's sequences; a plan is a boolean vector
-  over them, and both sides' best responses are one vectorised dynamic
-  program.  ``max_entries`` bounds its one large array, the boolean reach of
-  the enumerated joint team plans x the value-carrying terminals.
+  double oracle over joint team plans, for teams of any size.
+  ``max_entries`` bounds its one large array, the boolean reach of the
+  enumerated joint team plans x the value-carrying terminals.
 - ``solve_cfr`` — CFR / CFR+ / Linear CFR+ on a converted two-player
   zero-sum game, with a convergence log.
 - ``best_response`` / ``exploitability`` / ``expected_value`` — evaluation
@@ -20,10 +18,11 @@ Provides:
   (visibility-derived) information partition; profiles defined on merged
   imperfect-recall keys are expanded onto it.
 
-CFR and the evaluation utilities run as passes over the sequence form of
-the converted game (each side's treeplex and the value-carrying
-terminals), compiled by :func:`pubcoord.convert.compile_converted`
-(imported here) on the first call for a converted game and kept on it.
+All of them work on one sequence form, :class:`pubcoord.convert._Treeplex`:
+a converted game's sides, compiled by
+:func:`pubcoord.convert.compile_converted` on the first call and kept on
+the game, or a team game's players, from one walk (:func:`_sequence_form`).
+Every best response is :meth:`~pubcoord.convert._Treeplex.best`.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convert import ConvertedGame, _Compiled, _Partition, compile_converted
+from .convert import ConvertedGame, _Compiled, _Treeplex, compile_converted
 from .errors import (
     EmptyMatrix,
     GameTooLarge,
@@ -72,87 +71,23 @@ def linprog(*args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SeqForest:
-    """One player's infoset forest in sequence form (von Stengel, GEB 1996).
-
-    Sequence 0 is the empty sequence.  Infosets are numbered parents first:
-    infoset ``i`` is reached right after the player's own sequence
-    ``parent[i]`` and owns the action sequences ``first[i] .. first[i] +
-    len(actions[i]) - 1``.  A reduced plan is a boolean vector over the
-    sequences, true at the ones it plays."""
-
-    keys: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    parent: list = field(default_factory=list)
-    first: list = field(default_factory=list)
-    size: int = 1
-
-    def count(self) -> int:
-        """Number of reduced plans: a product over the infosets reached after
-        each sequence of a sum over their actions, bottom-up."""
-        n = [1] * self.size
-        for i in reversed(range(len(self.keys))):
-            f = self.first[i]
-            n[self.parent[i]] *= sum(n[f:f + len(self.actions[i])])
-        return n[0]
-
-    def plans(self) -> np.ndarray:
-        """Every reduced plan, one row each: :meth:`count`'s pass with each
-        product a cartesian product of partial plans."""
-        below = [np.zeros((1, self.size), dtype=bool)] * self.size
-        for i in reversed(range(len(self.keys))):
-            f, p = self.first[i], self.parent[i]
-            alt = np.concatenate([below[s] | (np.arange(self.size) == s)
-                                  for s in range(f, f + len(self.actions[i]))])
-            below[p] = (below[p][:, None] | alt[None]).reshape(-1, self.size)
-        below[0][:, 0] = True
-        return below[0]
-
-    def as_dict(self, plan: np.ndarray) -> dict:
-        """``plan`` as a map infoset key -> action."""
-        played = plan.tolist()
-        return {key: a for key, acts, f in zip(self.keys, self.actions,
-                                                self.first)
-                for k, a in enumerate(acts) if played[f + k]}
-
-    def best(self, gain: np.ndarray) -> tuple[int, float, np.ndarray]:
-        """Best response to each row of ``gain`` (rows x sequences: the
-        payoff collected by playing each sequence), by one dynamic program
-        over the infosets in reverse, in place.  Returns the best row, its
-        value and its plan; ties go to the first best action and row."""
-        choice = np.empty((len(self.keys), len(gain)), dtype=np.int64)
-        for i in reversed(range(len(self.keys))):
-            f = self.first[i]
-            block = gain[:, f:f + len(self.actions[i])]
-            choice[i] = block.argmax(axis=1)
-            gain[:, self.parent[i]] += block.max(axis=1)
-        r = int(gain[:, 0].argmax())
-        plan = np.zeros(self.size, dtype=bool)
-        plan[0] = True
-        for i, (p, f) in enumerate(zip(self.parent, self.first)):
-            if plan[p]:
-                plan[f + choice[i, r]] = True
-        return r, float(gain[r, 0]), plan
-
-
 def _sequence_form(game: VEFG, players: list):
-    """One walk of ``game``: a :class:`_SeqForest` per listed player (empty
-    for ``None``), its infosets numbered in walk order, and per
-    value-carrying terminal, in depth-first order, its chance-weighted
-    utility and each player's sequence id (an array of players x
-    terminals).  The listed players must have perfect recall; the infosets
-    are the groups :func:`~pubcoord.model.check_perfect_recall` checked."""
+    """One breadth-first walk of ``game``: per listed player its treeplex
+    (empty for ``None``), infosets numbered in walk order, and per
+    value-carrying terminal its chance-weighted utility.  The players must
+    have perfect recall; the infosets are the groups
+    :func:`~pubcoord.model.check_perfect_recall` checked."""
     index = {p: k for k, p in enumerate(players) if p is not None}
-    forests = [_SeqForest() for _ in players]
     groups = check_perfect_recall(game, list(index))
     key_of = [{nid: key for key, members in groups.get(p, {}).items()
                for nid in members} for p in players]
-    ids: list[dict] = [{} for _ in players]  # infoset key -> number
+    # per player, infoset key -> (sequence it follows, first sequence,
+    # depth, actions), in walk order
+    found: list[dict] = [{} for _ in players]
+    size = [1] * len(players)
     wu, seqs = [], []
-    stack = [(game.root, Fraction(1), (0,) * len(players))]
-    while stack:
-        nid, reach, seq = stack.pop()
+    queue = [(game.root, Fraction(1), (0,) * len(players), 0)]
+    for nid, reach, seq, depth in queue:  # read as it grows: breadth-first
         node = game.nodes[nid]
         if node.is_terminal:
             w = float(reach) * float(node.utility)
@@ -162,22 +97,25 @@ def _sequence_form(game: VEFG, players: list):
             continue
         k = index.get(node.player)
         if k is not None:
-            f, key = forests[k], key_of[k][nid]
-            i = ids[k].setdefault(key, len(f.keys))
-            if i == len(f.keys):
-                f.keys.append(key)
-                f.actions.append(tuple(e.label for e in node.edges))
-                f.parent.append(seq[k])
-                f.first.append(f.size)
-                f.size += len(node.edges)
-        for a in range(len(node.edges) - 1, -1, -1):
-            e = node.edges[a]
-            stack.append((
+            key = key_of[k][nid]
+            if key not in found[k]:
+                found[k][key] = (seq[k], size[k], depth,
+                                 tuple(e.label for e in node.edges))
+                size[k] += len(node.edges)
+            first = found[k][key][1]
+        for a, e in enumerate(node.edges):
+            queue.append((
                 e.child, reach * Fraction(e.prob) if node.is_chance else reach,
-                seq if k is None else seq[:k] + (f.first[i] + a,)
-                + seq[k + 1:]))
-    return (forests, np.array(wu),
-            np.array(seqs, dtype=np.int64).reshape(-1, len(players)).T)
+                seq if k is None else seq[:k] + (first + a,) + seq[k + 1:],
+                depth + 1))
+    term = np.array(seqs, dtype=np.int64).reshape(-1, len(players)).T
+    forms = []
+    for k, sets in enumerate(found):
+        after, _, depth, actions = zip(*sets.values()) if sets else [()] * 4
+        forms.append(_Treeplex(
+            after, list(map(len, actions)), depth, term[k], keys=list(sets),
+            labels=[a for acts in actions for a in acts]))
+    return forms, np.array(wu)
 
 
 def reduced_normal_form_plans(game: VEFG, player: PlayerRole) -> list[dict]:
@@ -273,13 +211,14 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
     among them, certifies to 1e-7 and gives the result of ``tol=1e-7``.  One
     walk gives each player's sequence form (plans are boolean vectors over
     its sequences) and each value-carrying terminal's chance-weighted
-    utility and sequences.  The team member with the most reduced plans is
-    best-responded by a dynamic program over its sequences; the joint plans
-    of the others are enumerated once, as a boolean (joint plans x
-    terminals) reach array, and chunks of its rows are answered by one numpy
-    pass each, with no float array over ``2**20`` entries.  The opponent's
-    best response is the same dynamic program.  Teams of any size are
-    solved.  When that reach array would exceed ``max_entries`` entries,
+    utility.  The team member with the most reduced plans is best-responded
+    by the treeplex pass (:meth:`~pubcoord.convert._Treeplex.best`, whose
+    choice is the first action within 1e-12 x the largest terminal weight
+    of the best); the joint plans of the others are enumerated once, as a
+    boolean (joint plans x terminals) reach array, and chunks of its rows
+    go through the pass together, with no float array over ``2**20``
+    entries.  The opponent is best-responded by the same pass.  When that
+    reach array would exceed ``max_entries`` entries,
     :class:`GameTooLarge` is raised.  ``tol`` must be a finite real > 0 and
     ``max_entries`` an int >= 1, not a bool (:class:`InvalidParameter`).
     """
@@ -291,22 +230,21 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
 def _tmecor_double_oracle(game: VEFG, tol: float, max_entries: int):
     """The double oracle of :func:`tmecor_bruteforce`."""
     team = sorted(game.team_players(), key=lambda r: r.sort_key())
-    forests, wu, seq = _sequence_form(game, [*team, game.opponent()])
-    # with no opponent its forest is empty: one plan, playing sequence 0
-    *members, opp = forests
+    # with no team or no opponent, that side is an empty form: one plan,
+    # playing sequence 0
+    forms, wu = _sequence_form(game, [*(team or [None]), game.opponent()])
+    *members, opp = forms
     counts = [f.count() for f in members]
     # the member with the most plans, the later one on a tie, is decided by
-    # the dynamic program and the others' joint plans are enumerated; with
-    # no team the DP member is an empty forest
-    dp = max(range(len(team)), key=lambda k: (counts[k], k), default=None)
-    big, big_seq = ((members[dp], seq[dp]) if team
-                    else (_SeqForest(), np.zeros(len(wu), dtype=np.int64)))
-    # terminals sorted by the DP member's sequence, so that a terminal
+    # its best-response pass and the others' joint plans are enumerated
+    dp = max(range(len(members)), key=lambda k: (counts[k], k))
+    big = members[dp]
+    # terminals sorted by the pass member's sequence, so that a terminal
     # gain reduces onto its sequences by contiguous runs
-    order = np.argsort(big_seq, kind="stable")
-    wu, seq, big_seq = wu[order], seq[:, order], big_seq[order]
-    cols, starts = np.unique(big_seq, return_index=True)
-    rest = [k for k in range(len(team)) if k != dp]
+    order = np.argsort(big.term, kind="stable")
+    wu, seq = wu[order], [f.term[order] for f in forms]
+    cols, starts = np.unique(seq[dp], return_index=True)
+    rest = [k for k in range(len(members)) if k != dp]
     n_rest = math.prod(counts[k] for k in rest)
     if n_rest * max(1, len(wu)) > max_entries:
         raise GameTooLarge(
@@ -320,53 +258,50 @@ def _tmecor_double_oracle(game: VEFG, tol: float, max_entries: int):
     for k, plans in zip(rest, rest_plans):
         reach = (reach[:, None] & plans[:, seq[k]][None]).reshape(
             len(reach) * len(plans), len(wu))
-    step = max(1, _CHUNK_ENTRIES // max(1, len(wu), big.size))
+    step = max(1, _CHUNK_ENTRIES // max(1, len(wu), len(big.parent)))
 
-    # a joint plan is (row of ``reach``, the DP member's plan)
+    # a joint plan is (row of ``reach``, the pass member's plan)
     def team_best(oppw):
         """Exact joint-team best response to the opponent mixture's reach
         ``oppw`` of each terminal; returns (value, joint plan).  The rows of
         ``reach`` go through in chunks, so that no float array exceeds
         ``_CHUNK_ENTRIES`` entries; the first best row wins a tie."""
-        w = wu * oppw
-        best = None
+        w, best = wu * oppw, None
         for i in range(0, len(reach), step):
-            gain = np.zeros((len(reach[i:i + step]), big.size))
-            if len(cols):
-                gain[:, cols] = np.add.reduceat(reach[i:i + step] * w,
-                                                starts, axis=1)
-            r, v, plan = big.best(gain)
-            if best is None or v > best[0]:
-                best = v, (i + r, plan)
-        return best
+            gain = np.zeros((len(reach[i:i + step]), len(big.parent)))
+            gain[:, cols] = np.add.reduceat(reach[i:i + step] * w, starts, 1)
+            value, choice = big.best(gain, np.abs(w).max(initial=0.0))
+            r = int(value.argmax())
+            if best is None or value[r] > best[0]:
+                best = value[r], i + r, choice[r]
+        return float(best[0]), (best[1], big.reduced(best[2]))
 
     def opp_best(teamw):
         """Exact opponent best response to the team mixture's reach
         ``teamw`` of each terminal; returns (team value, opponent plan)."""
-        gain = np.bincount(seq[-1], -wu * teamw, opp.size)[None]
-        _, v, plan = opp.best(gain)
-        return -v, plan
+        w = -wu * teamw
+        value, choice = opp.best(np.bincount(seq[-1], w, len(opp.parent))[
+            None], np.abs(w).max(initial=0.0))
+        return -float(value[0]), opp.reduced(choice[0])
 
     def as_support(joint):
         r, plan = joint
         idx = np.unravel_index(r, [counts[k] for k in rest])
         out = {k: members[k].as_dict(plans[i])
                for k, plans, i in zip(rest, rest_plans, idx)}
-        if team:
-            out[dp] = big.as_dict(plan)
+        out[dp] = big.as_dict(plan)
         return [out[k] for k in range(len(team))]
 
     def key(joint):
         return joint[0], joint[1].tobytes()
 
-    _, _, first_opp = opp.best(np.zeros((1, opp.size)))
-    opps = [first_opp]
-    joints = [team_best(first_opp[seq[-1]])[1]]
+    opps = [opp_best(np.zeros(len(wu)))[1]]  # all ties: first actions
+    joints = [team_best(opps[0][seq[-1]])[1]]
     eps = max(tol, 1e-7)
     for _ in range(10_000):
         # each restricted plan's terminal reach; the matrix entries are
         # the chance-weighted utilities of the terminals both let through
-        team_reach = np.array([reach[r] & plan[big_seq] for r, plan in joints])
+        team_reach = np.array([reach[r] & plan[seq[dp]] for r, plan in joints])
         opp_reach = np.array([plan[seq[-1]] for plan in opps])
         u = (team_reach * wu) @ opp_reach.T
         x, y, v = matrix_game_solve(u, tol)
@@ -420,10 +355,10 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _normalize(part: _Partition, flat: np.ndarray) -> np.ndarray:
-    """:func:`_normalize_rows` of every infoset's slots of ``part``."""
+def _normalize(groups: list, flat: np.ndarray) -> np.ndarray:
+    """:func:`_normalize_rows` of each infoset's slots, by partition groups."""
     out = np.empty_like(flat)
-    for slots in part.groups:
+    for slots in groups:
         out[slots] = _normalize_rows(flat[slots])
     return out
 
@@ -449,8 +384,8 @@ def _traversal(c: _Compiled, me: str) -> Callable:
 
     def run(regrets, strat, other_sigma, my_sigma) -> None:
         w = sign * _weights(c, {other: other_sigma})
-        v = np.bincount(f.term, w, len(f.parent))
-        x, s = f.plan(my_sigma)
+        v = np.bincount(f.term, w, len(f.parent)).astype(float, copy=False)
+        x, s = f.plan(my_sigma[f.slot])
         for a, b in levels:  # deepest first: a level's values are final
             v[:a] += np.bincount(f.parent[a:b], s[a:b] * v[a:b], a)
         v, s = v[1:], s[1:]
@@ -470,14 +405,14 @@ def _iterate(c: _Compiled, walks: list, algo: str, t: int,
     parts = [side.profile for side in c.sides.values()]  # coord, then o
     # both sides' regret-matched strategies (None: no opponent); ``cfr``
     # keeps those of the start of the iteration for both traversals
-    sigma = [_normalize(p, np.maximum(r, 0.0))
+    sigma = [_normalize(p.groups, np.maximum(r, 0.0))
              for p, r in zip(parts, regrets)] + [None]
     for k, run in enumerate(walks):
         run(regrets[k], strat[k], sigma[1 - k], sigma[k])
         if algo != "cfr":
             np.maximum(regrets[k], 0.0, out=regrets[k])
             if k + 1 < len(walks):
-                sigma[k] = _normalize(parts[k], regrets[k])
+                sigma[k] = _normalize(parts[k].groups, regrets[k])
     if algo == "lcfr+":
         w = t / (t + 1.0)
         for x in regrets:
@@ -516,7 +451,7 @@ def solve_cfr(cg: ConvertedGame, algo: str = "lcfr+",
     walks = [_traversal(c, name) for name in c.sides]
 
     def average() -> dict:
-        return {name: _normalize(p, x)
+        return {name: _normalize(p.groups, x)
                 for name, p, x in zip(c.sides, parts, strat)}
 
     log = ConvergenceLog()
@@ -546,31 +481,20 @@ def _weights(c: _Compiled, sigma: dict, skip: str = "") -> np.ndarray:
     w = c.value
     for name, side in c.sides.items():
         if name in sigma and name != skip:
-            w = w * side.form.plan(sigma[name])[0][side.form.term]
+            f = side.form
+            w = w * f.plan(sigma[name][f.slot])[0][f.term]
     return w
 
 
 def _best_response(c: _Compiled, responder: str, sigma: dict):
     """:func:`best_response` to the other side's strategy in ``sigma``: its
-    value, and per perfect-recall infoset the index of its choice.
-
-    The weighted terminals go onto the responder's sequences by one
-    bincount; deepest level first, each infoset's best slot value is added
-    to the sequence it follows by a bincount, as a fancy-index ``+=`` drops
-    repeated parents.  A choice is the first slot within 1e-12 x the
-    largest terminal weight (a rounding scale) of the infoset's best."""
-    f, starts = c.sides[responder].form, c.sides[responder].pr.offset[:-1]
-    head = 1 + starts  # per infoset: the sequence of its first action
-    w = _weights(c, sigma, responder)
-    v = np.bincount(f.term, w if responder == "coord" else -w, len(f.parent))
-    top = np.empty(len(head))  # per infoset: its best slot value
-    for a, b in list(zip(f.cut, f.cut[1:]))[::-1]:
-        i, j = np.searchsorted(head, (a, b))
-        top[i:j] = np.maximum.reduceat(v[a:b], head[i:j] - a)
-        v[:a] += np.bincount(f.parent[head[i:j]], top[i:j], a)
-    near = np.flatnonzero(
-        v[1:] >= top[f.iset] - 1e-12 * np.abs(w).max(initial=0.0))
-    return float(v[0]), near[np.diff(f.iset[near], prepend=-1) > 0] - starts
+    value, and per perfect-recall infoset the index of its choice, by
+    :meth:`~pubcoord.convert._Treeplex.best` of the weighted terminals."""
+    f, w = c.sides[responder].form, _weights(c, sigma, responder)
+    value, choice = f.best(np.bincount(f.term, w if responder == "coord"
+                                       else -w, len(f.parent))[None],
+                           np.abs(w).max(initial=0.0))
+    return float(value[0]), choice[0]
 
 
 def expected_value(cg: ConvertedGame, profile: Profile) -> float:
@@ -588,11 +512,10 @@ def best_response(cg: ConvertedGame, profile: Profile, responder: str):
     The responder is optimized over the perfect-recall (visibility-derived)
     information partition, by one bottom-up pass over its treeplex; the
     fixed side's strategy is looked up by its profile key, so merged
-    imperfect-recall profiles are supported.  The value is the maximum.  An
-    infoset's choice is its first action whose counterfactual value is
-    within 1e-12 x the largest weight of a terminal of the best, so that
-    rounding does not decide a tie.  ``responder`` must be one of the
-    two names (:class:`InvalidParameter`).
+    imperfect-recall profiles are supported.  The value is the maximum; an
+    infoset's choice is its first action within 1e-12 x the largest
+    terminal weight of the best, so that rounding does not decide a tie.
+    ``responder`` must be one of the two names (:class:`InvalidParameter`).
     """
     if responder not in ("coord", "o"):
         raise InvalidParameter(f"responder must be 'coord' or 'o', got "

@@ -127,6 +127,21 @@ def test_solve_outputs(conv_path, tmp_path, capsys):
             assert sum(dist.values()) == pytest.approx(1.0)
 
 
+def test_pipeline_on_the_default_toy_whose_payoffs_are_zero(tmp_path,
+                                                             capsys):
+    # without --payoff-seed every utility is 0, so no terminal carries a
+    # value: the chain the CI's installed-package step runs
+    g, c = str(tmp_path / "t.json"), str(tmp_path / "t-folded.json")
+    for argv in (("gen", "toy", "--chance", "2", "--actions", "2",
+                  "--depth", "2", "--out", g),
+                 ("convert", g, "--mode", "folded", "--safe-ir", "--out", c),
+                 ("solve", c, "--iterations", "50"), ("verify", g, c),
+                 ("oracle", g, "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert json.loads(out)["tmecor_value"] == "0"
+
+
 def test_solve_rejects_original_game(toy_path, tmp_path, capsys):
     code, _, err = run(capsys, "solve", toy_path)
     assert code == 4

@@ -205,6 +205,19 @@ def test_public_states_of_the_team(mini):
     assert public_states(mini, {T0, T1}) == want
 
 
+@pytest.mark.parametrize("player", ["t0", CHANCE, team_member(5)],
+                         ids=["string", "chance", "absent-member"])
+def test_a_player_not_in_the_game_is_rejected(mini, player):
+    from pubcoord.solvers import count_reduced_plans, reduced_normal_form_plans
+    for call in (infosets, seen_sequences, count_reduced_plans,
+                 reduced_normal_form_plans,
+                 lambda g, p: validate_perfect_recall(g, [p]),
+                 lambda g, p: check_perfect_recall(g, [T0, p]),
+                 lambda g, p: public_states(g, [T0, p])):
+        with pytest.raises(UnknownPlayer):
+            call(mini, player)
+
+
 def test_seen_sequences_prefix_monotone(mini):
     seqs = seen_sequences(mini, T0)
     for nid, node in enumerate(mini.nodes):

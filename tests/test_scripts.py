@@ -1,6 +1,7 @@
 """Smoke tests of ``scripts/``: each runs as a user runs it and exits 0."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +46,13 @@ def test_kuhn_convergence_writes_one_csv_per_position(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"kuhn_pos{p}_lcfr+.csv" for p in (0, 1, 2)]
     assert out.count("pos ") == 3
+
+
+def test_oracle_sweep_prints_one_line_per_named_game():
+    out = run_script("oracle_sweep.py", "mini-s0-c2", "kuhn3-pos0")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["game"] for r in rows] == ["mini-s0-c2", "kuhn3-pos0"]
+    assert [r["plans"] for r in rows] == [[4, 16, 4], [1000, 4096, 729]]
+    assert abs(rows[0]["value"] - 1.5) <= 1e-9
+    assert abs(rows[1]["value"]) <= 1e-9
+    assert all(r["seconds"] >= 0 for r in rows)

@@ -883,6 +883,63 @@ def test_a_tie_of_real_arithmetic_gives_zero_regrets():
     assert strat.tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("game", [
+    pytest.param(lambda: gen_kuhn3(PokerSpec("kuhn", 3)), id="kuhn0"),
+    *(pytest.param(lambda s=s: mini_team_game(s), id=f"mini-{s}")
+      for s in range(3)),
+    pytest.param(lambda: team3_game(7, t2_sees_team=False), id="team3-7"),
+    pytest.param(_opponent_only_game, id="opponent-only"),
+])
+def test_treeplex_best_response_is_the_best_reduced_plan(game):
+    """The shared pass against enumeration: per random gain row, its value
+    is the most any reduced plan collects, and its choices make a reduced
+    plan that collects it.  Small integer gains make ties common."""
+    g, rng = game(), np.random.default_rng(0)
+    for p in g.players:
+        f = solvers._sequence_form(g, [p])[0][0]
+        plans = f.plans()
+        named = {tuple(sorted(d.items()))
+                 for d in reduced_normal_form_plans(g, p)}
+        assert len(plans) == len(named) == count_reduced_plans(g, p)
+        for gain in (rng.integers(-2, 3, (20, len(f.parent))).astype(float),
+                     rng.normal(size=(20, len(f.parent)))):
+            want = (gain @ plans.T).max(axis=1)
+            value, choice = f.best(gain.copy(), np.abs(gain).max())
+            assert np.abs(value - want).max() <= 1e-12
+            for row, pick in zip(gain, choice):
+                plan = f.reduced(pick)
+                assert (plans == plan).all(axis=1).any()
+                assert tuple(sorted(f.as_dict(plan).items())) in named
+                assert abs(row @ plan - (row @ plans.T).max()) <= 1e-12
+
+
+def test_treeplex_of_a_player_without_decisions_and_of_one_level():
+    g = _opponent_only_game()
+    # t0 is listed but never acts: one plan, the empty one
+    idle = VEFG("idle t0", (T0, O), g.nodes, g.root)
+    assert count_reduced_plans(idle, T0) == 1
+    assert reduced_normal_form_plans(idle, T0) == [{}]
+    f = solvers._sequence_form(idle, [T0])[0][0]
+    assert f.cut == [1, 1]
+    value, choice = f.best(np.array([[2.5]]), 1.0)
+    assert value.tolist() == [2.5] and choice.shape == (1, 0)
+    # both of o's infosets follow the empty sequence: one level
+    assert solvers._sequence_form(g, [O])[0][0].cut == [1, 5]
+
+
+def test_a_game_whose_every_utility_is_zero_is_solved():
+    # no value-carrying terminal: every terminal weight array is empty
+    from dataclasses import replace
+    g = gen_kuhn3(PokerSpec("kuhn", 3))
+    g = replace(g, nodes=tuple(replace(n, utility=0) if n.is_terminal
+                               else n for n in g.nodes))
+    assert tmecor_bruteforce(g).value == 0.0
+    cg = convert_folded(g)
+    profile, log = solve_cfr(cg, "lcfr+", 3, log_every=1)
+    assert [row[1:] for row in log.rows] == [(0.0, 0.0)] * 3
+    assert exploitability(cg, profile) == 0.0
+
+
 def test_an_opponent_that_never_acts_is_solved():
     # the opponent's side has no infoset, no sequence but the empty one,
     # and one level with none
