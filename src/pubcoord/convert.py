@@ -48,9 +48,9 @@ player, utility and edge end, per edge its label, child, probability and
 who observes it, values numbered in small tables.  No ``Node`` or ``Edge``
 is made.  One side builder numbers both sides' infosets from a walk with
 arrays only, and makes key tuples when read; :func:`compile_converted`
-keeps them for the infoset keys, the strategy maps, the payoff check, the
-census and :mod:`pubcoord.solvers`.  The ``game`` property, the tree as a
-:class:`~pubcoord.model.VEFG`, is built only when a caller reads it.
+keeps them and the sequence form for the strategy maps, the payoff check,
+the census and :mod:`pubcoord.solvers`.  The ``game`` property, the tree
+as a :class:`~pubcoord.model.VEFG`, is built only when a caller reads it.
 
 ``apply_safe_imperfect_recall`` additionally merges coordinator infosets by
 forgetting prescription components that addressed already-excluded states.
@@ -70,6 +70,7 @@ from dataclasses import InitVar, dataclass, field, replace as dc_replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -478,15 +479,16 @@ class ConvertedTree:
         """One level-synchronous pass from the root (see :class:`_Walk`).
         Per depth and observer, each distinct (parent's sequence, label)
         code seen keeps the id it got at an earlier depth or gets a new one,
-        numbered in arrays; unseen edges pass their parent's sequence on."""
+        numbered in arrays; unseen edges pass their parent's sequence on,
+        and a depth with no edge the observer sees numbers nothing."""
         count = self.count()
         n_labels = len(self.labels)
         seq = {bit: np.full(len(self.player), -1, dtype=np.int64)
                for bit in (COORD_SEEN, OPP_SEEN)}
         # per observer: its new steps per depth, every step's id, and the
         # first id made at the previous depth
-        steps, index = {bit: [] for bit in seq}, {bit: {} for bit in seq}
-        fresh = dict.fromkeys(seq, 0)
+        steps = {bit: [np.zeros(0, np.int64)] for bit in seq}
+        index, fresh = {bit: {} for bit in seq}, dict.fromkeys(seq, 0)
         level = np.array([self.root], dtype=np.int64)
         for s in seq.values():
             s[level] = 0
@@ -498,21 +500,23 @@ class ConvertedTree:
             kids = self.child[e]
             at = np.repeat(level, count[level])
             for bit, s in seq.items():
-                kid_seq = s[at]
+                kid_seq, ids = s[at], index[bit]
                 seen = (self.seen[e] & bit) != 0
-                found, inv = np.unique(
-                    kid_seq[seen] * n_labels + self.label[e[seen]],
-                    return_inverse=True)
-                ids, got = index[bit], np.zeros(found.size, np.int64)
-                # a step from a parent made at the previous depth is new
-                old = found < fresh[bit] * n_labels
-                got[old] = [ids.get(c, 0) for c in found[old].tolist()]
-                new = got == 0
-                fresh[bit] = len(ids) + 1
-                got[new] = fresh[bit] + np.arange(np.count_nonzero(new))
-                ids.update(zip(found[new].tolist(), got[new].tolist()))
-                steps[bit].append(found[new])
-                kid_seq[seen] = got[inv]
+                made = len(ids) + 1  # the first id made at this depth
+                if seen.any():
+                    found, inv = np.unique(
+                        kid_seq[seen] * n_labels + self.label[e[seen]],
+                        return_inverse=True)
+                    got = np.zeros(found.size, np.int64)
+                    # a step from a parent made at the previous depth is new
+                    old = found < fresh[bit] * n_labels
+                    got[old] = [ids.get(c, 0) for c in found[old].tolist()]
+                    new = got == 0
+                    got[new] = made + np.arange(np.count_nonzero(new))
+                    ids.update(zip(found[new].tolist(), got[new].tolist()))
+                    steps[bit].append(found[new])
+                    kid_seq[seen] = got[inv]
+                fresh[bit] = made
                 s[kids] = kid_seq
             edges.append(e)
             level = kids.astype(np.int64)
@@ -1037,11 +1041,14 @@ class _Treeplex:
         return gain[:, 0], (1 + s - head[self.iset[s]]).reshape(rows, -1)
 
     def reduced(self, choice: np.ndarray) -> np.ndarray:
-        """The pure plan of ``choice``, an action index per infoset: the
-        chosen sequences whose infosets it reaches."""
-        sigma = np.zeros(len(self.iset))
-        sigma[self.head[:-1] - 1 + choice] = 1.0
-        return self.plan(sigma)[0] > 0
+        """Per row of ``choice`` (an action index per infoset), its pure
+        plan, made top-down: the chosen sequences whose infosets it reaches."""
+        plan = np.zeros(choice.shape[:-1] + self.parent.shape, dtype=bool)
+        plan[..., 0] = True
+        np.put_along_axis(plan, self.head[:-1] + choice, True, -1)
+        for a, b in zip(self.cut, self.cut[1:]):
+            plan[..., a:b] &= plan[..., self.parent[a:b]]
+        return plan
 
     def count(self) -> int:
         """Number of reduced plans: bottom-up, per sequence a product over
@@ -1072,8 +1079,6 @@ class _Treeplex:
 
 @dataclass
 class _Side:
-    nodes: np.ndarray      # the side's decision nodes, ascending
-    edges: np.ndarray      # the edges leaving them, ascending
     profile: _Partition    # strategy-lookup keys (merged under safe IR)
     pr: _Partition         # perfect-recall (visibility-derived) keys
     form: Optional[_Treeplex] = None  # made by the compile, not the census
@@ -1081,21 +1086,16 @@ class _Side:
 
 @dataclass
 class _Compiled:
-    """A converted game as flat arrays.  Nodes are numbered breadth-first:
-    depth ``d`` holds the ids ``levels[d][0] .. levels[d][1] - 1``, each
-    node's edges are consecutive and in action order, and the child of edge
-    ``e`` is node ``e + 1``.  Node ``p`` is the tree's node ``order[p]``
-    and edge ``e`` its edge ``edge[e]``, which lead to the value tables."""
+    """A converted game as its sequence form (von Stengel, GEB 1996): per
+    side its partitions and :class:`_Treeplex`; per value-carrying terminal,
+    in breadth-first order, ``value``, its chance reach times its utility
+    in floats, and ``weight``, the same product exactly, as Python ints
+    over the common denominator ``den``."""
 
-    order: np.ndarray      # per node: its tree node id
-    edge: np.ndarray       # per edge: its tree edge id
-    first: np.ndarray      # per node: its first edge
-    parent: np.ndarray     # per edge
-    levels: list[tuple[int, int]]
     sides: dict[str, _Side]  # "coord", and "o" if the game has an opponent
-    steps: list = field(init=False, repr=False)
-    # per value-carrying terminal: chance reach x utility (_sequence_form)
-    value: np.ndarray = field(init=False)
+    value: np.ndarray
+    weight: np.ndarray     # dtype object
+    den: int
     # rho's index and radix matrices, made by coordinator_choices
     rho: Optional[tuple] = field(default=None, repr=False)
 
@@ -1104,37 +1104,19 @@ class _Compiled:
         return {name: dict(zip(s.profile.keys, s.profile.actions))
                 for name, s in self.sides.items()}
 
-    def __post_init__(self) -> None:
-        # per depth d: its id range, the next depth's, and the parent of
-        # each node at depth d + 1 as an offset into depth d
-        self.steps = [(p0, p1, a, b, self.parent[a - 1:b - 1] - p0)
-                      for (p0, p1), (a, b) in zip(self.levels,
-                                                  self.levels[1:])]
-
-    def reach(self, w: np.ndarray, op=np.multiply) -> np.ndarray:
-        """Per node: the ``op`` (product) of the edge weights ``w`` from the
-        root, 1 there, in ``w``'s dtype.  Each row of a 2-D ``w`` gives one
-        row of reaches."""
-        reach = np.empty(w.shape[:-1] + (len(self.order),), dtype=w.dtype)
-        reach[..., 0] = 1
-        for p0, p1, a, b, up in self.steps:
-            reach[..., a:b] = op(reach[..., p0:p1].take(up, axis=-1),
-                                 w[..., a - 1:b - 1])
-        return reach
-
 
 def _sides(cg: ConvertedGame, walk: _Walk) -> dict[str, _Side]:
     """The sides of ``cg`` from a breadth-first ``walk`` of its tree: per
     side, infosets by the label sequence it saw, the coordinator's profile
-    ones by compatible-state set under safe IR; each at one depth."""
+    ones by compatible-state set under safe IR; each at one depth.  A
+    side's nodes are in walk order."""
     tree, order = cg.tree, walk.order
-    count = tree.count()[order].astype(np.int64)
-    first = np.cumsum(count) - count
+    count = tree.count().astype(np.int64)
     sides: dict[str, _Side] = {}
     both = (("coord", COORDINATOR, COORD_SEEN), ("o", OPPONENT, OPP_SEEN))
     for name, player, bit in both[:1 + (OPPONENT in tree.players)]:
-        side_nodes = np.flatnonzero(tree.played_by(player)[order])
-        nodes, counts = order[side_nodes], count[side_nodes]
+        at = np.flatnonzero(tree.played_by(player)[order])
+        nodes, counts = order[at], count[order[at]]
         profile = pr = _Partition(tree, nodes, counts, walk.seq[bit][nodes],
                                   walk.keys(bit))
         if cg.safe_ir_applied and name == "coord":
@@ -1143,23 +1125,34 @@ def _sides(cg: ConvertedGame, walk: _Walk) -> dict[str, _Side]:
                                for v in nodes.tolist()], dtype=np.int64)
             profile = _Partition(tree, nodes, counts, merged, lambda ks: [
                 ("sir",) + s for s in map(list(index).__getitem__, ks)])
-        depth = np.searchsorted(walk.bounds, side_nodes, "right")
+        depth = np.searchsorted(walk.bounds, at, "right")
         if np.any(depth != depth[pr.first][pr.of_node]):
             raise NotPublicTurnTaking(
                 f"an infoset of {name!r} has nodes at several depths")
-        sides[name] = _Side(nodes=side_nodes, profile=profile, pr=pr,
-                            edges=_ranges(first[side_nodes], counts))
+        sides[name] = _Side(profile=profile, pr=pr)
     return sides
 
 
+def _terms(values) -> list[tuple]:
+    """Per value (``None``: 1), its numerator, denominator and float."""
+    return [(*x.as_integer_ratio(), float(x)) for x in map(
+        Fraction, (1 if x is None else x for x in values))]
+
+
 def _compile(cg: ConvertedGame) -> _Compiled:
-    """:func:`compile_converted` but for its infosets' action check."""
+    """:func:`compile_converted` but for its infosets' action check.
+
+    One breadth-first walk orders the nodes; a pass down it gives each node
+    its chance-path product and, per side, the largest own slot on its
+    path.  Slots grow with depth, so that slot is the node's own sequence.
+    A perfect-recall infoset's nodes must share it, and its slots lie in
+    one profile slot each (else :class:`ImperfectRecallInput`)."""
     c = vars(cg).get("_compiled")
     if c is not None:
         return c
     tree = cg.tree
     walk = tree.walk()
-    order = walk.order        # breadth-first id -> game node id
+    order = walk.order  # breadth-first position -> node id
     role = tree.player[order]
     odd = np.array([r not in (None, CHANCE, COORDINATOR, OPPONENT)
                     for r in tree.roles])[role]
@@ -1167,46 +1160,52 @@ def _compile(cg: ConvertedGame) -> _Compiled:
         i = int(np.argmax(odd))
         raise UnknownPlayer(f"node {order[i]} of a converted game belongs "
                             f"to {tree.roles[role[i]]!r}")
-    count = tree.count()[order].astype(np.int64)
-    utility = np.array([float(u) for u in tree.utilities])[
-        tree.utility[order]]
-    prob = np.array([1.0 if p is None else float(p) for p in tree.probs],
-                    dtype=float)[tree.prob[walk.edges]]
-    chance = np.repeat(tree.played_by(CHANCE)[order], count)
-    c = _Compiled(
-        order=order, edge=walk.edges, first=np.cumsum(count) - count,
-        parent=np.repeat(np.arange(len(order)), count),
-        levels=list(zip(walk.bounds, walk.bounds[1:])),
-        sides=_sides(cg, walk))
-    _sequence_form(c, c.reach(np.where(chance, prob, 1.0)),
-                   np.where(tree.played_by(None)[order], utility, 0.0))
-    vars(cg)["_compiled"] = c
-    return c
-
-
-def _sequence_form(c: _Compiled, chance: np.ndarray,
-                   utility: np.ndarray) -> None:
-    """Store ``c.value`` and each side's :class:`_Treeplex`, given each
-    node's chance reach and utility (0 off terminals).  Slots grow with
-    depth, so a node's own sequence is the largest own slot on its path.  A
-    perfect-recall infoset's nodes must share it, and its slots lie in one
-    profile slot each (else :class:`ImperfectRecallInput`)."""
-    sides, depth = list(c.sides.items()), [a for a, _ in c.levels]
-    mark = np.zeros((len(sides), len(c.parent)), dtype=np.int32)
-    for k, (_, side) in enumerate(sides):
-        mark[k, side.edges] = 2 + side.pr.edge_slot
-    own = c.reach(mark, np.maximum) - 1  # per node: 0, or 1 + own slot
-    value = chance * utility
-    term = np.flatnonzero(value)
-    c.value = value[term]
-    for k, (name, side) in enumerate(sides):
-        pr, mine = side.pr, own[k, side.nodes]
+    sides, count = _sides(cg, walk), tree.count()
+    pos = np.empty_like(order)  # per node: its walk position
+    pos[order] = np.arange(len(order))
+    # per edge in walk order: its node's position, and per side 1 + its own
+    # slot (0: none)
+    up = np.repeat(np.arange(len(order)), count[order])
+    mark = np.zeros((len(sides), len(tree.child)), dtype=np.int32)
+    for k, side in enumerate(sides.values()):
+        mark[k, tree.edges_of(side.pr.nodes, count)] = 1 + side.pr.edge_slot
+    mark = mark[:, walk.edges]
+    # per position, a depth at a time from its parent: per side its own
+    # sequence, and its column in ``paths``, one per distinct (parent's
+    # column, probability) at a depth, which holds the chance-path product
+    # as a numerator, a denominator and a float multiplied in path order
+    own = np.zeros((len(sides), len(order)), dtype=np.int32)
+    pid = np.zeros(len(order), dtype=np.int64)
+    paths, probs = _terms([1]), _terms(tree.probs)
+    for a, b in zip(walk.bounds[1:], walk.bounds[2:]):
+        e = slice(a - 1, b - 1)  # the walk's edges into order[a:b]
+        own[:, a:b] = np.maximum(own[:, up[e]], mark[:, e])
+        found, inv = np.unique(pid[up[e]] * len(probs) + tree.prob[
+            walk.edges[e]], return_inverse=True)
+        pid[a:b] = len(paths) + inv
+        paths += [tuple(map(mul, paths[c // len(probs)],
+                            probs[c % len(probs)])) for c in found.tolist()]
+    paths = np.array(paths, dtype=object).T
+    reached = paths[2].astype(float)[pid] > 0
+    # the value-carrying terminals in walk order, valued once per distinct
+    # (path, utility) pair
+    at = np.flatnonzero(tree.played_by(None)[order])
+    utility = np.array(_terms(tree.utilities), dtype=object).T
+    found, inv = np.unique(pid[at] * utility.shape[1] + tree.utility[
+        order[at]], return_inverse=True)
+    num, den, value = paths[:, found // utility.shape[1]] * utility[
+        :, found % utility.shape[1]]
+    carry = (num != 0)[inv]
+    at, inv, common = at[carry], inv[carry], lcm(*set(den.tolist()))
+    for k, (name, side) in enumerate(sides.items()):
+        pr, mine = side.pr, own[k, pos[side.pr.nodes]]
         after = mine[pr.first]  # per infoset: the sequence it follows
         slot = np.zeros(pr.offset[-1], dtype=np.int64)
         slot[pr.edge_slot] = side.profile.edge_slot
         form = side.form = _Treeplex(
             after, np.diff(pr.offset), np.searchsorted(
-                depth, side.nodes[pr.first], "right"), own[k, term], slot)
+                walk.bounds, pos[pr.nodes[pr.first]], "right"),
+            own[k, at], slot)
         bad = np.flatnonzero(mine != after[pr.of_node])
         split = np.flatnonzero(slot[pr.edge_slot] != side.profile.edge_slot)
         if bad.size or split.size:
@@ -1215,19 +1214,22 @@ def _sequence_form(c: _Compiled, chance: np.ndarray,
             raise ImperfectRecallInput(f"{name!r} infoset {pr.keys[i]!r} " + (
                 "is reached after several own sequences" if bad.size
                 else "spans several profile infosets"))
-        form.live = np.bincount(pr.of_node, chance[side.nodes] > 0,
+        form.live = np.bincount(pr.of_node, reached[pos[pr.nodes]],
                                 len(after))[form.iset]
+    c = vars(cg)["_compiled"] = _Compiled(
+        sides, value.astype(float)[inv], (num * (common // den))[inv],
+        common)
+    return c
 
 
 def compile_converted(cg: ConvertedGame) -> _Compiled:
-    """Flatten a converted game for CFR and evaluation (see
-    :class:`_Compiled`), once: the form is kept on ``cg``, as
-    ``functools.cached_property`` would, since a ``ConvertedGame`` is
-    immutable and nothing writes into the form's arrays.  It holds the
-    game's sequence form, which needs perfect recall of the ``pr``
-    partitions (see :func:`_sequence_form`).  Its sides
-    (:func:`_sides`) are the one infoset numbering of a converted game; an
-    infoset's nodes must agree on their actions."""
+    """The sequence form of a converted game (see :class:`_Compiled`),
+    made once: it is kept on ``cg``, as ``functools.cached_property``
+    would, since a ``ConvertedGame`` is immutable and nothing writes into
+    the form's arrays.  It needs perfect recall of the ``pr`` partitions
+    (see :func:`_compile`).  Its sides (:func:`_sides`) are the one
+    infoset numbering of a converted game; an infoset's nodes must agree on
+    their actions."""
     c = _compile(cg)
     for side in c.sides.values():
         side.profile.agree()
@@ -1240,12 +1242,10 @@ def coordinator_node_keys(cg: ConvertedGame) -> dict[int, tuple]:
     the profile partition of :func:`compile_converted`: under safe
     imperfect recall the merged key, ``"sir"`` followed by
     ``supports[nid]``, else the visibility-derived observation sequence."""
-    c = compile_converted(cg)
-    side = c.sides["coord"]
-    nodes, keys = c.order[side.nodes], side.profile.keys
-    by_id = np.argsort(nodes)
-    return {v: keys[i] for v, i in zip(nodes[by_id].tolist(),
-                                       side.profile.of_node[by_id].tolist())}
+    part = compile_converted(cg).sides["coord"].profile
+    keys, by_id = part.keys, np.argsort(part.nodes)
+    return {v: keys[i] for v, i in zip(part.nodes[by_id].tolist(),
+                                       part.of_node[by_id].tolist())}
 
 
 def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
@@ -1274,18 +1274,19 @@ def apply_safe_imperfect_recall(cg: ConvertedGame) -> ConvertedGame:
 # ---------------------------------------------------------------------------
 
 
-def coordinator_choices(cg: ConvertedGame, digits: np.ndarray) -> np.ndarray:
-    """rho at node level: per row of ``digits`` (an action index per team
-    infoset), the index of the prescription edge each coordinator node
-    takes, in the order of ``compile_converted(cg).sides["coord"].nodes``.
-
-    The edges follow ``itertools.product`` over the active infosets' action
-    lists, so the index is the mixed-radix number whose digits are the
-    plan's action indices at the node's own active infosets, read by
-    Horner's rule over their positions."""
+def coordinator_choices(cg: ConvertedGame, digits: np.ndarray,
+                        part: _Partition) -> np.ndarray:
+    """rho: per row of ``digits`` (an action index per team infoset), the
+    prescription edge taken at each infoset of ``part``, a coordinator
+    partition of ``compile_converted(cg)``.  A node's edges follow
+    ``itertools.product`` over its active infosets' action lists, so its
+    index is the mixed-radix number of the plan's action indices there,
+    read by Horner's rule.  An infoset's nodes must agree on it, as they
+    do unless their ``active`` tuples differ (else
+    :class:`IllegalPrescription`: no coordinator strategy plays the row)."""
     c = _compile(cg)
     if c.rho is None:  # once per converted game
-        active = [cg.active[v] for v in c.order[c.sides["coord"].nodes]]
+        active = [cg.active[v] for v in part.nodes.tolist()]
         width = max(map(len, active), default=0)
         # per node its active infosets, padded in front by -1: radix 1, digit 0
         isets = np.array([(-1,) * (width - len(a)) + a for a in active],
@@ -1293,11 +1294,17 @@ def coordinator_choices(cg: ConvertedGame, digits: np.ndarray) -> np.ndarray:
         radix = np.array([len(a) for a in cg.iset_actions] + [1])
         c.rho = isets, radix[isets]
     isets, radix = c.rho
-    digits = np.hstack([digits, np.zeros((len(digits), 1), np.int64)])
+    padded = np.hstack([digits, np.zeros((len(digits), 1), np.int64)])
     choice = np.zeros((len(digits), len(isets)), dtype=np.int64)
     for j in range(isets.shape[1]):
-        choice = choice * radix[:, j] + digits[:, isets[:, j]]
-    return choice
+        choice = choice * radix[:, j] + padded[:, isets[:, j]]
+    split = choice != choice[:, part.first][:, part.of_node]
+    if split.any():
+        r, v = divmod(int(np.argmax(split)), split.shape[1])
+        raise IllegalPrescription(
+            f"inconsistent prescriptions within coordinator infoset "
+            f"{part.keys[part.of_node[v]]!r} under plan {digits[r].tolist()}")
+    return choice[:, part.first]
 
 
 def map_team_to_coordinator(cg: ConvertedGame, joint_plan
@@ -1316,17 +1323,11 @@ def map_team_to_coordinator(cg: ConvertedGame, joint_plan
             raise IllegalActionInPlan(
                 f"action {a!r} illegal at infoset {ref}; legal: {acts}")
         digits.append(0 if a is None else acts.index(a))
-    c = compile_converted(cg)
-    side, part = c.sides["coord"], c.sides["coord"].profile
-    label = cg.tree.label[c.edge[c.first[side.nodes] + coordinator_choices(
-        cg, np.array([digits], np.int64))[0]]]
-    bad = np.flatnonzero(label != label[part.first][part.of_node])
-    if bad.size:
-        raise IllegalPrescription(
-            f"inconsistent prescriptions within coordinator infoset "
-            f"{part.keys[part.of_node[bad[0]]]!r}")
-    return dict(zip(part.keys, map(cg.tree.labels.__getitem__,
-                                   label[part.first].tolist())))
+    tree, part = cg.tree, compile_converted(cg).sides["coord"].profile
+    choice = coordinator_choices(cg, np.array([digits], np.int64), part)[0]
+    first = part.nodes[part.first]
+    label = tree.label[tree.end[first] - tree.count()[first] + choice]
+    return dict(zip(part.keys, map(tree.labels.__getitem__, label.tolist())))
 
 
 def map_coordinator_to_team(cg: ConvertedGame, pi_t
@@ -1392,28 +1393,21 @@ def exact_expected_value(game: VEFG, choice) -> Fraction:
     return total
 
 
-def _terms(values) -> np.ndarray:
-    """Numerators and denominators of ``values`` (``None``: 1) as two rows
-    of Python ints."""
-    return np.array([Fraction(1 if x is None else x).as_integer_ratio()
-                     for x in values], dtype=object).reshape(-1, 2).T
-
-
 def converted_values(game: VEFG, cg: ConvertedGame,
                      plans: Iterable[Sequence[int]]) -> Iterator[Fraction]:
     """Exact expected team utility in ``cg``, a conversion of ``game``, of
     the pure profiles ``plans``: per row, an action index per team infoset
     in ``cg.iset_refs`` order, then per opponent infoset of ``game`` by
-    sorted key; the team plan is mapped through rho.
+    sorted key.
 
     Checked before any row is read: ``cg`` has the team infosets of
     ``game``, and every opponent infoset of ``cg``'s compiled form (see
     :func:`compile_converted`) observed the key of an opponent infoset of
-    ``game`` and offers all its actions.  Each terminal's chance-path
-    product times its utility is an int over one common denominator, so a
-    value is an exact int sum.  Rows go through in chunks, as boolean (rows
-    x nodes) reach passes over the compiled form's levels, of at most
-    ``_CHUNK_ENTRIES`` entries.
+    ``game`` and offers all its actions.  On the sequence form, a row's
+    team plan mapped through rho (:func:`coordinator_choices`) and its
+    opponent digits make each side's reduced plan, and its value is the
+    exact sum of the weights of the terminals that both plans reach.  Rows
+    go through in chunks of at most ``_CHUNK_ENTRIES`` entries per array.
     """
     rec = _prepare(game)
     refs, actions, t = rec.refs, rec.actions, rec.team
@@ -1422,17 +1416,9 @@ def converted_values(game: VEFG, cg: ConvertedGame,
                           f"those of {game.name}")
     radix = np.array([len(a) for a in actions], dtype=np.int64)
     tree, c = cg.tree, _compile(cg)
-    n, parent = len(c.order), c.parent
-    # chance-path products, numerators and denominators
-    path = c.reach(_terms(tree.probs)[:, tree.prob[c.edge]])
-    terminals = np.flatnonzero(tree.played_by(None)[c.order])
-    num, den = path[:, terminals] * _terms(tree.utilities)[
-        :, tree.utility[c.order[terminals]]]
-    common = lcm(*set(den.tolist()))
-    weight = num * (common // den)
+    coord, opp = c.sides["coord"], c.sides.get("o")
     # per opponent infoset: the digit of its source infoset in a row, and
-    # the edge of each of that infoset's actions
-    opp = c.sides.get("o")
+    # the index of each of that infoset's actions
     if opp is not None:
         index = {key: i for i, (p, key) in enumerate(refs)
                  if p.kind == "opponent"}
@@ -1453,12 +1439,9 @@ def converted_values(game: VEFG, cg: ConvertedGame,
     # after the source comparison, which names a missing source action:
     # the nodes of each infoset must agree on their actions
     compile_converted(cg)
-    # per edge: its index among its node's edges, and whether chance plays
-    local = np.arange(n - 1) - c.first[parent]
-    chance = tree.played_by(CHANCE)[c.order][parent]
 
     def values() -> Iterator[Fraction]:
-        rows, step = iter(plans), max(1, _CHUNK_ENTRIES // n)
+        rows, step = iter(plans), max(1, _CHUNK_ENTRIES // len(tree.player))
         while chunk := list(itertools.islice(rows, step)):
             bad = [r for r in chunk if len(r) != radix.size]
             if not bad:
@@ -1468,15 +1451,13 @@ def converted_values(game: VEFG, cg: ConvertedGame,
             if bad:
                 raise IllegalActionInPlan(f"plan {bad[0]} is not one action "
                                           "index in range per infoset")
-            pick = np.zeros((len(d), n), dtype=np.int32)  # edge per decision
-            pick[:, c.sides["coord"].nodes] = coordinator_choices(
-                cg, d[:, :len(cg.iset_refs)])
+            hit = coord.form.reduced(coordinator_choices(
+                cg, d[:, :t], coord.pr))[:, coord.form.term]
             if opp is not None:
-                of = opp.pr.of_node
-                pick[:, opp.nodes] = edge[of, d[:, digit[of]]]
-            reach = c.reach(chance | (pick[:, parent] == local))
-            for hit in reach[:, terminals]:
-                yield Fraction(int(weight[hit].sum()), common)
+                hit &= opp.form.reduced(edge[np.arange(digit.size),
+                                             d[:, digit]])[:, opp.form.term]
+            for row in hit:
+                yield Fraction(int(c.weight[row].sum()), c.den)
 
     return values()
 

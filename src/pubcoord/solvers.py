@@ -72,13 +72,14 @@ def linprog(*args, **kwargs):
 
 
 def _sequence_form(game: VEFG, players: list):
-    """One breadth-first walk of ``game``: per listed player its treeplex
-    (empty for ``None``), infosets numbered in walk order, and per
-    value-carrying terminal its chance-weighted utility.  The players must
-    have perfect recall; the infosets are the groups
+    """One breadth-first walk of ``game``: per listed player its treeplex,
+    infosets numbered in walk order, and per value-carrying terminal its
+    chance-weighted utility.  The players must be players of ``game``
+    (else :class:`~pubcoord.errors.UnknownPlayer`) with perfect recall;
+    the infosets are the groups
     :func:`~pubcoord.model.check_perfect_recall` checked."""
-    index = {p: k for k, p in enumerate(players) if p is not None}
-    groups = check_perfect_recall(game, list(index))
+    index = {p: k for k, p in enumerate(players)}
+    groups = check_perfect_recall(game, players)
     key_of = [{nid: key for key, members in groups.get(p, {}).items()
                for nid in members} for p in players]
     # per player, infoset key -> (sequence it follows, first sequence,
@@ -230,9 +231,12 @@ def tmecor_bruteforce(game: VEFG, tol: float = 1e-9,
 def _tmecor_double_oracle(game: VEFG, tol: float, max_entries: int):
     """The double oracle of :func:`tmecor_bruteforce`."""
     team = sorted(game.team_players(), key=lambda r: r.sort_key())
+    opp = game.opponent()
+    forms, wu = _sequence_form(game, team + [opp] * (opp is not None))
     # with no team or no opponent, that side is an empty form: one plan,
     # playing sequence 0
-    forms, wu = _sequence_form(game, [*(team or [None]), game.opponent()])
+    empty = [_Treeplex((), (), (), np.zeros(len(wu), dtype=np.int64))]
+    forms = (forms[:len(team)] or empty) + (forms[len(team):] or empty)
     *members, opp = forms
     counts = [f.count() for f in members]
     # the member with the most plans, the later one on a tie, is decided by

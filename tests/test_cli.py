@@ -231,6 +231,21 @@ def test_convert_and_verify_check_turn_taking_once(tmp_path, capsys,
             assert len(calls) == walks, argv[0]
 
 
+def test_verify_of_node_dependent_prescriptions_exits_4(tmp_path, capsys):
+    # a file whose coordinator infoset prescribes unlike edges at its nodes
+    # describes no coordinator strategy: a validation failure, not a
+    # discrepancy
+    from test_convert import node_dependent_prescriptions
+    game, cg = node_dependent_prescriptions()
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    io_json.save_game(game, str(g))
+    io_json.save_converted(cg, str(c))
+    code, out, err = run(capsys, "verify", str(g), str(c), "--samples", "200")
+    assert code == 4 and not out, err
+    assert "error:" in err and "Traceback" not in err
+    assert "inconsistent prescriptions within coordinator infoset ()" in err
+
+
 def test_verify_zero_samples_warns(toy_path, conv_path, capsys):
     code, _, err = run(capsys, "verify", toy_path, conv_path,
                        "--samples", "0")

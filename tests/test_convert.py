@@ -532,6 +532,28 @@ def test_rho_matrices_are_built_once_for_every_chunk(monkeypatch):
     assert len(kept) == len(plans) and all(m is kept[0] for m in kept)
 
 
+def node_dependent_prescriptions():
+    """``(game, cg)``: ``convert_basic(mini_team_game(0))`` with the
+    ``active`` tuple of node 97 reversed.  Node 48 shares its coordinator
+    infoset and keeps ``(0, 1)``, so rho sends the two nodes down unlike
+    edges whenever the two infosets' actions differ."""
+    game = mini_team_game(0)
+    cg = convert_basic(game)
+    keys = coordinator_node_keys(cg)
+    assert keys[97] == keys[48] and cg.active[97] == cg.active[48] == (0, 1)
+    active = list(cg.active)
+    active[97] = (1, 0)
+    return game, dataclasses.replace(cg, active=tuple(active))
+
+
+def test_node_dependent_prescriptions_are_no_coordinator_strategy():
+    game, cg = node_dependent_prescriptions()
+    with pytest.raises(IllegalPrescription,
+                       match=r"inconsistent prescriptions within coordinator "
+                             r"infoset \(\) under plan"):
+        check_payoff_equivalence(game, cg, samples=200)
+
+
 def test_sigma_reports_illegal_prescriptions(mini):
     cg = convert_basic(mini)
     pi_t = map_team_to_coordinator(cg, {})
@@ -1017,7 +1039,7 @@ def _assert_walk_matches_reference(tree, c=None):
         assert walk.keys(bit)(some) == [table[s] for s in some], bit
         side = None if c is None else c.sides.get(name)
         if side is not None:
-            first = seq[bit][c.order[side.nodes[side.pr.first]]].tolist()
+            first = seq[bit][side.pr.nodes[side.pr.first]].tolist()
             assert side.pr.keys == [table[s] for s in first], bit
 
 

@@ -205,8 +205,8 @@ def test_public_states_of_the_team(mini):
     assert public_states(mini, {T0, T1}) == want
 
 
-@pytest.mark.parametrize("player", ["t0", CHANCE, team_member(5)],
-                         ids=["string", "chance", "absent-member"])
+@pytest.mark.parametrize("player", ["t0", CHANCE, team_member(5), None],
+                         ids=["string", "chance", "absent-member", "none"])
 def test_a_player_not_in_the_game_is_rejected(mini, player):
     from pubcoord.solvers import count_reduced_plans, reduced_normal_form_plans
     for call in (infosets, seen_sequences, count_reduced_plans,

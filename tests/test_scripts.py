@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pubcoord
@@ -56,3 +57,17 @@ def test_oracle_sweep_prints_one_line_per_named_game():
     assert abs(rows[0]["value"] - 1.5) <= 1e-9
     assert abs(rows[1]["value"]) <= 1e-9
     assert all(r["seconds"] >= 0 for r in rows)
+
+
+def test_payoff_sweep_prints_one_line_per_named_game_and_mode():
+    out = run_script("payoff_sweep.py", "mini-s0-c2", "kuhn3-pos0")
+    rows = [json.loads(line) for line in out.splitlines()]
+    modes = ["basic", "pruned", "folded", "pruned-ir", "folded-ir"]
+    assert [(r["game"], r["mode"]) for r in rows] == [
+        (g, m) for g in ("mini-s0-c2", "kuhn3-pos0") for m in modes]
+    for game in ("mini-s0-c2", "kuhn3-pos0"):
+        # the same seeded profiles are worth the same in every mode
+        values = {tuple(r["values"]) for r in rows if r["game"] == game}
+        assert len(values) == 1
+        assert [Fraction(v) for v in values.pop()] != [0] * 20
+    assert all(len(r["values"]) == 20 and r["seconds"] >= 0 for r in rows)

@@ -893,16 +893,20 @@ def test_a_tie_of_real_arithmetic_gives_zero_regrets():
 def test_treeplex_best_response_is_the_best_reduced_plan(game):
     """The shared pass against enumeration: per random gain row, its value
     is the most any reduced plan collects, and its choices make a reduced
-    plan that collects it.  Small integer gains make ties common."""
-    g, rng = game(), np.random.default_rng(0)
+    plan that collects it.  Small integer gains make ties common; split by
+    1e-9 x the largest gain, they are near-ties that a tie window of 1e-6
+    x the largest gain would not tell apart."""
+    g, rng, split = game(), np.random.default_rng(0), np.random.default_rng(1)
     for p in g.players:
         f = solvers._sequence_form(g, [p])[0][0]
         plans = f.plans()
         named = {tuple(sorted(d.items()))
                  for d in reduced_normal_form_plans(g, p)}
         assert len(plans) == len(named) == count_reduced_plans(g, p)
-        for gain in (rng.integers(-2, 3, (20, len(f.parent))).astype(float),
-                     rng.normal(size=(20, len(f.parent)))):
+        ints = rng.integers(-2, 3, (20, len(f.parent))).astype(float)
+        near = ints + 1e-9 * np.abs(ints).max() * split.integers(
+            0, 2, ints.shape)
+        for gain in (ints, rng.normal(size=(20, len(f.parent))), near):
             want = (gain @ plans.T).max(axis=1)
             value, choice = f.best(gain.copy(), np.abs(gain).max())
             assert np.abs(value - want).max() <= 1e-12
